@@ -51,11 +51,12 @@ fn main() -> ExitCode {
     };
     let has = |flag: &str| args.iter().any(|a| a == flag);
 
-    let n: i64 = get("--n").map_or(32, |v| v.parse().expect("--n"));
-    let iters: i64 = get("--iters").map_or(2, |v| v.parse().expect("--iters"));
-    let cache_bytes: u64 = get("--cache").map_or(32 * 1024, |v| v.parse().expect("--cache"));
-    let line: u64 = get("--line").map_or(32, |v| v.parse().expect("--line"));
-    let assoc: u32 = get("--assoc").map_or(2, |v| v.parse().expect("--assoc"));
+    let n: i64 = cme_bench::int_flag("--n").unwrap_or(32);
+    let iters: i64 = cme_bench::int_flag("--iters").unwrap_or(2);
+    let cache_bytes: u64 = cme_bench::int_flag("--cache").unwrap_or(32 * 1024);
+    let line: u64 = cme_bench::int_flag("--line").unwrap_or(32);
+    let assoc: u32 = cme_bench::int_flag("--assoc").unwrap_or(2);
+    let threads = cme_bench::threads_from_args();
     let cfg = if let Some(spec) = get("--geometry") {
         match CacheConfig::parse_geometry(&spec) {
             Ok(cfg) => cfg,
@@ -114,7 +115,6 @@ fn main() -> ExitCode {
         cfg
     );
 
-    let threads = cme_bench::threads_from_args();
     let prepass = match get("--prepass").as_deref() {
         None | Some("on") => PrepassMode::On,
         Some("off") => PrepassMode::Off,

@@ -17,16 +17,10 @@ use cme_cache::CacheConfig;
 use cme_reuse::ReuseAnalysis;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let n: i64 = get("--n").map_or(100, |v| v.parse().expect("--n"));
-    let bj: i64 = get("--bj").map_or(n, |v| v.parse().expect("--bj"));
-    let bk: i64 = get("--bk").map_or((n / 2).max(1), |v| v.parse().expect("--bk"));
-    let out = get("--out").unwrap_or_else(|| "BENCH_parallel.json".to_string());
+    let n: i64 = cme_bench::int_flag("--n").unwrap_or(100);
+    let bj: i64 = cme_bench::int_flag("--bj").unwrap_or(n);
+    let bk: i64 = cme_bench::int_flag("--bk").unwrap_or((n / 2).max(1));
+    let out = cme_bench::flag_value("--out").unwrap_or_else(|| "BENCH_parallel.json".to_string());
 
     let cfg = CacheConfig::new(32 * 1024, 32, 2).expect("valid geometry");
     let program = cme_workloads::mmt(n, bj, bk);

@@ -15,9 +15,9 @@
 //! * a padding sweep (`cme-opt`) over a streaming conflict program, with
 //!   sampling width forced tiny so every model evaluation is planned
 //!   exhaustively — the regime where closed forms replace enumeration;
-//! * a parametric serve job: the second, never-before-seen problem size
-//!   must be answered from closed forms (certificate hit, zero points
-//!   enumerated) with a payload byte-identical to an enumerated run.
+//! * a serve job: an exact `Job` with the tier on, at a stream3 size no
+//!   other row uses, run through `Engine::run`, must enumerate zero points
+//!   and return a payload byte-identical to an enumerated run.
 //!
 //! Floors (hard process-exit failures, used by `scripts/ci.sh`; the wall
 //! ratios are enforced at `--scale paper` only, where enumeration is
@@ -27,7 +27,7 @@
 //! * the padding sweep with the tier on must run ≥ 10× faster than the
 //!   enumerated sweep, with an identical plan;
 //! * at every scale: byte-identical reports, a fully closed streaming
-//!   workload, a parametric certificate hit with zero enumerated points.
+//!   workload, a never-seen-size serve job with zero enumerated points.
 
 use cme_analysis::{
     CancelToken, Classifier, FindMisses, PrepassMode, Report, SamplingOptions, Symbolic,
@@ -38,7 +38,7 @@ use cme_cache::CacheConfig;
 use cme_ir::{LinExpr, Program, ProgramBuilder, SNode, SRef};
 use cme_opt::{search_padding, PaddingOptions};
 use cme_reuse::ReuseAnalysis;
-use cme_serve::{CertStatus, Engine, Job};
+use cme_serve::{Engine, Job};
 use std::time::Duration;
 
 struct Row {
@@ -218,45 +218,31 @@ fn main() {
     assert_eq!(plan_off, plan_on, "symbolic sweep picked a different plan");
     let sweep_speedup = sweep_off.as_secs_f64() / sweep_on.as_secs_f64().max(1e-9);
 
-    // --- parametric serve job: never-seen size, zero enumeration ---------
+    // --- serve job: never-seen size, zero enumeration --------------------
     let engine = Engine::in_memory(64);
-    let first = stream3(stream_elems);
-    let mut job = Job::exact(&first, cfg);
+    let new_elems = stream_elems + 1111;
+    let novel = stream3(new_elems);
+    let mut job = Job::exact(&novel, cfg);
     job.threads = Threads::Fixed(1);
-    let (_, status, cert) = engine.run_parametric(&job).expect("parametric job");
-    assert_eq!(
-        status,
-        CertStatus::New,
-        "first size must mint the certificate"
-    );
-    assert!(cert.fully_closed(), "stream3 must close fully");
-    let second = stream3(stream_elems + 1111);
-    let mut job2 = Job::exact(&second, cfg);
-    job2.threads = Threads::Fixed(1);
-    let (outcome, status2, _) = engine.run_parametric(&job2).expect("parametric job");
-    assert_eq!(
-        status2,
-        CertStatus::Hit,
-        "second size must hit the certificate"
-    );
+    job.symbolic = SymbolicMode::On;
+    let outcome = engine.run(&job).expect("symbolic serve job");
     assert!(!outcome.from_store, "a new size cannot be a store hit");
     assert_eq!(
         outcome.enumerated_points, 0,
-        "certificate hit must not enumerate"
+        "stream3({new_elems}) must close without enumeration"
     );
     // The closed-form answer must be byte-identical to an enumerated one.
-    let mut plain = Job::exact(&second, cfg);
+    let mut plain = Job::exact(&novel, cfg);
     plain.use_store = false;
     plain.threads = Threads::Fixed(1);
     let enumerated = engine.run(&plain).expect("enumerated reference run");
     assert!(enumerated.enumerated_points > 0);
     assert_eq!(
         *outcome.payload, *enumerated.payload,
-        "parametric payload diverged from the enumerated payload"
+        "symbolic payload diverged from the enumerated payload"
     );
     eprintln!(
-        "parametric serve: stream3({}) answered from the certificate, 0 of {} points enumerated",
-        stream_elems + 1111,
+        "serve job: stream3({new_elems}) answered in closed form, 0 of {} points enumerated",
         outcome.points
     );
 
@@ -323,8 +309,8 @@ fn main() {
          \"rows\": [\n{}\n  ],\n  \
          \"padding_sweep\": {{\"workload\": \"stream3({})\", \"evaluations\": {}, \
          \"off_ms\": {:.1}, \"on_ms\": {:.1}, \"speedup\": {:.1}}},\n  \
-         \"parametric\": {{\"workload\": \"stream3\", \"certificate\": \"hit\", \
-         \"enumerated_points\": 0}}\n}}\n",
+         \"new_size\": {{\"workload\": \"stream3({})\", \"points\": {}, \
+         \"enumerated_points\": {}}}\n}}\n",
         scale.label(),
         cme_bench::hw_threads(),
         json_rows.join(",\n"),
@@ -333,6 +319,9 @@ fn main() {
         sweep_off.as_secs_f64() * 1e3,
         sweep_on.as_secs_f64() * 1e3,
         sweep_speedup,
+        new_elems,
+        outcome.points,
+        outcome.enumerated_points,
     );
     std::fs::write(&out, &json).expect("write BENCH_symbolic.json");
     eprintln!("-> {out}");

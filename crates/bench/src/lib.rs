@@ -27,20 +27,17 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale <s>` from the process arguments (default `small`).
+    /// Parses `--scale <s>` from the process arguments (default `small`);
+    /// an unknown scale exits through [`usage_error`].
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("paper") => return Scale::Paper,
-                    Some("medium") => return Scale::Medium,
-                    Some("small") => return Scale::Small,
-                    other => panic!("unknown --scale {other:?} (small|medium|paper)"),
-                }
-            }
+        match flag_value("--scale").as_deref() {
+            None | Some("small") => Scale::Small,
+            Some("medium") => Scale::Medium,
+            Some("paper") => Scale::Paper,
+            Some(other) => usage_error(&format!(
+                "--scale wants small, medium or paper, got `{other}`"
+            )),
         }
-        Scale::Small
     }
 
     /// A human-readable suffix for table captions.
@@ -57,17 +54,36 @@ impl Scale {
 /// one worker per hardware thread, `1` forces the serial path. Reports are
 /// byte-identical for every value — the knob only changes wall-clock time.
 pub fn threads_from_args() -> Threads {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--threads" {
-            let n: usize = args
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--threads <count> (0 = auto)");
-            return Threads::from_flag(n);
-        }
+    Threads::from_flag(int_flag("--threads").unwrap_or(0))
+}
+
+/// The value after the first `flag` in the process arguments: `None` when
+/// the flag is absent, empty when nothing follows it.
+pub fn flag_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != flag);
+    args.next()?;
+    Some(args.next().unwrap_or_default())
+}
+
+/// The integer value of `flag` in the process arguments (`None` when the
+/// flag is absent); a malformed value exits through [`usage_error`].
+pub fn int_flag<T: std::str::FromStr>(flag: &str) -> Option<T> {
+    let value = flag_value(flag)?;
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => usage_error(&format!("{flag} wants an integer, got `{value}`")),
     }
-    Threads::Auto
+}
+
+/// Prints `<binary>: <message>` on stderr and exits with status 2 —
+/// malformed command-line input is a user error, never a panic.
+pub fn usage_error(message: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let binary = std::path::Path::new(&argv0)
+        .file_name()
+        .map_or("cme-bench".into(), |n| n.to_string_lossy());
+    eprintln!("{binary}: {message}");
+    std::process::exit(2)
 }
 
 /// The paper's three cache configurations: 32KB, 32B lines,

@@ -1,5 +1,6 @@
 //! Drives the `analyze` binary itself: malformed FORTRAN must produce a
-//! `path:line:` diagnostic and a nonzero exit, never a panic; well-formed
+//! `path:line:` diagnostic and a nonzero exit, never a panic; so must a
+//! malformed numeric flag, here and in the table binaries. Well-formed
 //! input must still succeed.
 
 use std::path::PathBuf;
@@ -114,5 +115,49 @@ fn degenerate_geometries_exit_two_with_one_line_diagnostic() {
             "{geometry}: diagnostic must be one line: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{geometry}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_numeric_flags_exit_two_naming_the_flag() {
+    for flag in [
+        "--n",
+        "--iters",
+        "--cache",
+        "--line",
+        "--assoc",
+        "--threads",
+    ] {
+        let out = analyze(&["--workload", "mmt", flag, "abc"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(
+            stderr.trim(),
+            format!("analyze: {flag} wants an integer, got `abc`"),
+            "{flag}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn table_binaries_reject_malformed_threads_and_scale() {
+    for (args, want) in [
+        (
+            ["--threads", "x"],
+            "table3: --threads wants an integer, got `x`",
+        ),
+        (
+            ["--scale", "huge"],
+            "table3: --scale wants small, medium or paper, got `huge`",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_table3"))
+            .args(args)
+            .output()
+            .expect("spawn table3");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim(), want);
     }
 }

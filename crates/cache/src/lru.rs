@@ -1,31 +1,19 @@
-//! The k-way set-associative LRU cache state machine.
+//! The k-way set-associative LRU cache state machine: one flat
+//! `num_sets × assoc` tag array, most recent line first within each set.
+//!
+//! Associativities are small, so a linear scan of one set's ways beats
+//! fancier structures: a hit is usually decided by the first comparison
+//! and a miss shifts at most `assoc` words. Both consumers drive this one
+//! core — [`crate::Simulator`] walks a program's accesses through
+//! [`Cache::access`], and trace replay (`cme_trace::TraceSim`) feeds
+//! pre-split `(line, set)` pairs to [`Cache::access_line`].
 
 use crate::config::CacheConfig;
 
-/// One cache set: resident memory lines in LRU order (most recently used
-/// first). Associativities are small, so a vector beats fancier structures.
-#[derive(Debug, Clone, Default)]
-struct CacheSet {
-    lines: Vec<i64>,
-}
-
-impl CacheSet {
-    /// Touches a memory line; returns `true` on a miss.
-    fn access(&mut self, line: i64, assoc: usize) -> bool {
-        if let Some(pos) = self.lines.iter().position(|&l| l == line) {
-            // Hit: move to MRU position.
-            self.lines[..=pos].rotate_right(1);
-            false
-        } else {
-            // Miss: insert at MRU, evicting the LRU line if full.
-            if self.lines.len() == assoc {
-                self.lines.pop();
-            }
-            self.lines.insert(0, line);
-            true
-        }
-    }
-}
+/// An unfilled way. Lines of non-negative addresses are non-negative; the
+/// one line this sentinel shadows is that of address `i64::MIN` under
+/// 1-byte lines.
+const EMPTY: i64 = i64::MIN;
 
 /// A functional LRU cache: feed it memory accesses, it reports hits and
 /// misses.
@@ -45,15 +33,28 @@ impl CacheSet {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<CacheSet>,
+    assoc: usize,
+    /// `sets × assoc` resident memory lines, MRU first within each set.
+    lines: Vec<i64>,
 }
 
 impl Cache {
     /// An empty (all-cold) cache.
     pub fn new(config: CacheConfig) -> Self {
+        Cache::with_sets(config, config.num_sets() as usize)
+    }
+
+    /// An empty cache holding only `sets` sets of `config`'s ways, indexed
+    /// `0..sets` — the unit of set-partitioned replay, which maps its set
+    /// range onto that index space and drives [`Cache::access_line`].
+    /// [`Cache::access`] and [`Cache::is_resident`] need every set
+    /// ([`Cache::new`]).
+    pub fn with_sets(config: CacheConfig, sets: usize) -> Self {
+        let assoc = config.assoc() as usize;
         Cache {
-            sets: vec![CacheSet::default(); config.num_sets() as usize],
             config,
+            assoc,
+            lines: vec![EMPTY; sets * assoc],
         }
     }
 
@@ -64,24 +65,45 @@ impl Cache {
 
     /// Performs one access at a byte address; returns `true` on a miss.
     /// Reads and writes are identical under fetch-on-write.
+    #[inline]
     pub fn access(&mut self, addr: i64) -> bool {
         let line = self.config.mem_line(addr);
         let set = self.config.set_of_line(line) as usize;
-        self.sets[set].access(line, self.config.assoc() as usize)
+        self.access_line(line, set)
+    }
+
+    /// Touches memory line `line` in set `set`; returns `true` on a miss.
+    /// The caller has already split the address (`set` must be the line's
+    /// set, relative to this cache's first set).
+    #[inline]
+    pub fn access_line(&mut self, line: i64, set: usize) -> bool {
+        let ways = &mut self.lines[set * self.assoc..(set + 1) * self.assoc];
+        match ways.iter().position(|&w| w == line) {
+            Some(0) => false,
+            Some(at) => {
+                // Hit below the MRU way: rotate the prefix to re-rank.
+                ways[..=at].rotate_right(1);
+                false
+            }
+            None => {
+                // Miss: insert at MRU, dropping the LRU way.
+                ways.rotate_right(1);
+                ways[0] = line;
+                true
+            }
+        }
     }
 
     /// Empties the cache (all lines invalid).
     pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.lines.clear();
-        }
+        self.lines.fill(EMPTY);
     }
 
     /// Whether the line containing `addr` is currently resident.
     pub fn is_resident(&self, addr: i64) -> bool {
         let line = self.config.mem_line(addr);
         let set = self.config.set_of_line(line) as usize;
-        self.sets[set].lines.contains(&line)
+        self.lines[set * self.assoc..(set + 1) * self.assoc].contains(&line)
     }
 }
 
@@ -157,6 +179,23 @@ mod tests {
             // One more distinct contention: evicted.
             c.access(victim + (sets as i64) * (line as i64) * k as i64);
             assert!(!c.is_resident(victim), "k={k}: not evicted after k");
+        }
+    }
+
+    #[test]
+    fn partition_indexes_its_sets_from_zero() {
+        // 4 sets, 2 ways; a two-set partition sees global sets 2 and 3 as
+        // local 0 and 1, and behaves exactly like those sets of a full cache.
+        let cfg = cfg(256, 32, 2);
+        let mut full = Cache::new(cfg);
+        let mut part = Cache::with_sets(cfg, 2);
+        for line in [2i64, 6, 3, 10, 2, 7, 6, 14, 3] {
+            let set = cfg.set_of_line(line) as usize;
+            assert_eq!(
+                part.access_line(line, set - 2),
+                full.access(line * 32),
+                "line {line}"
+            );
         }
     }
 

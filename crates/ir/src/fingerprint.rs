@@ -136,18 +136,9 @@ impl FpHasher {
     }
 }
 
-/// What [`absorb_program`] includes beyond pure structure.
-#[derive(Clone, Copy)]
-struct Detail {
-    /// Base addresses (the byte layout).
-    layout: bool,
-    /// Concrete magnitudes: fixed array extents and the constant terms of
-    /// loop bounds and guards. Excluding them makes two problem sizes of
-    /// one kernel hash equal.
-    sizes: bool,
-}
-
-fn absorb_program(h: &mut FpHasher, p: &Program, detail: Detail) {
+/// Absorbs a program's canonical encoding; `layout` adds the base
+/// addresses (the byte layout) to pure structure.
+fn absorb_program(h: &mut FpHasher, p: &Program, layout: bool) {
     h.write_str("cme-program-v1");
     h.write_u64(p.depth() as u64);
 
@@ -161,9 +152,7 @@ fn absorb_program(h: &mut FpHasher, p: &Program, detail: Detail) {
             match d {
                 DimSize::Fixed(v) => {
                     h.write_u8(0);
-                    if detail.sizes {
-                        h.write_i64(*v);
-                    }
+                    h.write_i64(*v);
                 }
                 DimSize::Assumed => h.write_u8(1),
             }
@@ -175,32 +164,26 @@ fn absorb_program(h: &mut FpHasher, p: &Program, detail: Detail) {
                 h.write_u64(t as u64);
             }
         }
-        if detail.layout {
+        if layout {
             h.write_i64(p.base_address(i));
         }
     }
 
-    fn absorb_affine(h: &mut FpHasher, a: &Affine, sizes: bool) {
-        h.write_i64s(a.coeffs());
-        if sizes {
-            h.write_i64(a.constant_term());
-        }
-    }
-    fn absorb_loop(h: &mut FpHasher, l: &crate::program::LoopNode, sizes: bool) {
-        absorb_affine(h, &l.lb, sizes);
-        absorb_affine(h, &l.ub, sizes);
+    fn absorb_loop(h: &mut FpHasher, l: &crate::program::LoopNode) {
+        h.write_affine(&l.lb);
+        h.write_affine(&l.ub);
         h.write_u64(l.stmts.len() as u64);
         for &s in &l.stmts {
             h.write_u64(s as u64);
         }
         h.write_u64(l.inner.len() as u64);
         for inner in &l.inner {
-            absorb_loop(h, inner, sizes);
+            absorb_loop(h, inner);
         }
     }
     h.write_u64(p.roots().len() as u64);
     for root in p.roots() {
-        absorb_loop(h, root, detail.sizes);
+        absorb_loop(h, root);
     }
 
     h.write_u64(p.statements().len() as u64);
@@ -208,12 +191,7 @@ fn absorb_program(h: &mut FpHasher, p: &Program, detail: Detail) {
         h.write_i64s(&s.label);
         h.write_u64(s.guard.len() as u64);
         for c in &s.guard {
-            h.write_u8(match c.kind {
-                ConstraintKind::Eq => 0,
-                ConstraintKind::Ge => 1,
-                ConstraintKind::Ne => 2,
-            });
-            absorb_affine(h, &c.expr, detail.sizes);
+            h.write_constraint(c);
         }
         h.write_u64(s.refs.len() as u64);
         for &r in &s.refs {
@@ -245,14 +223,7 @@ fn absorb_program(h: &mut FpHasher, p: &Program, detail: Detail) {
 /// miss behaviour.
 pub fn fingerprint_program(p: &Program) -> Fingerprint {
     let mut h = FpHasher::new();
-    absorb_program(
-        &mut h,
-        p,
-        Detail {
-            layout: true,
-            sizes: true,
-        },
-    );
+    absorb_program(&mut h, p, true);
     h.finish()
 }
 
@@ -262,36 +233,7 @@ pub fn fingerprint_program(p: &Program) -> Fingerprint {
 /// variants of one program.
 pub fn structural_fingerprint(p: &Program) -> Fingerprint {
     let mut h = FpHasher::new();
-    absorb_program(
-        &mut h,
-        p,
-        Detail {
-            layout: false,
-            sizes: true,
-        },
-    );
-    h.finish()
-}
-
-/// The shape fingerprint: the loop forest, statements, guards and
-/// references of a program with concrete magnitudes stripped — no base
-/// addresses, no fixed array extents, no loop-bound or guard constant
-/// terms. Two problem sizes of one kernel hash equal; subscript offsets
-/// (`A(I-1)` vs `A(I+1)`) and every structural relation are kept. This is
-/// the key for *parametric* memoisation: results certified under one shape
-/// apply to any instantiation of it (re-verified per size — kernels that
-/// differ only in a dropped constant may share a shape, which costs a
-/// certificate re-derivation, never a wrong answer).
-pub fn shape_fingerprint(p: &Program) -> Fingerprint {
-    let mut h = FpHasher::new();
-    absorb_program(
-        &mut h,
-        p,
-        Detail {
-            layout: false,
-            sizes: false,
-        },
-    );
+    absorb_program(&mut h, p, false);
     h.finish()
 }
 
@@ -353,31 +295,6 @@ mod tests {
         let padded = p.with_padding(&[0, 64]);
         assert_ne!(fingerprint_program(&p), fingerprint_program(&padded));
         assert_eq!(structural_fingerprint(&p), structural_fingerprint(&padded));
-    }
-
-    #[test]
-    fn shape_ignores_problem_size_but_not_structure() {
-        // Two sizes of one kernel: same shape.
-        assert_eq!(
-            shape_fingerprint(&stencil(16, -1)),
-            shape_fingerprint(&stencil(64, -1))
-        );
-        // Structural fingerprints still differ (bounds and extents).
-        assert_ne!(
-            structural_fingerprint(&stencil(16, -1)),
-            structural_fingerprint(&stencil(64, -1))
-        );
-        // A subscript offset is structure, not size.
-        assert_ne!(
-            shape_fingerprint(&stencil(16, -1)),
-            shape_fingerprint(&stencil(16, 1))
-        );
-        // Padding never reaches the shape.
-        let p = stencil(16, -1);
-        assert_eq!(
-            shape_fingerprint(&p),
-            shape_fingerprint(&p.with_padding(&[0, 64]))
-        );
     }
 
     #[test]

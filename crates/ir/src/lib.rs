@@ -53,9 +53,7 @@ pub use ast::{
 pub use builder::ProgramBuilder;
 pub use error::IrError;
 pub use expr::{LinExpr, LinRel, RelOp};
-pub use fingerprint::{
-    fingerprint_program, shape_fingerprint, structural_fingerprint, Fingerprint, FpHasher,
-};
+pub use fingerprint::{fingerprint_program, structural_fingerprint, Fingerprint, FpHasher};
 pub use normalize::{normalize, normalize_subroutine, NormalizeOptions};
 pub use program::{
     AccessKind, Array, ArrayId, LoopNode, Program, RefId, Reference, Statement, StmtId, Storage,

@@ -110,7 +110,6 @@ pub fn search_padding_in(
     let eval = |p: &Program| -> f64 {
         let mut job = Job::estimate(p, config, opts.sampling.clone());
         job.reuse_cap = Some(PADDING_REUSE_CAP);
-        job.prepass = opts.sampling.prepass;
         // One level of parallelism only: the candidate sweep below gets
         // the workers, so each model evaluation classifies serially.
         job.threads = Threads::Fixed(1);

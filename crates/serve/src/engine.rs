@@ -26,27 +26,29 @@ use crate::metrics::Metrics;
 use crate::store::{Store, StoredResult};
 use cme_analysis::{
     CancelToken, EstimateMisses, FindMisses, PrepassMode, Report, SamplingOptions, SweepOptions,
-    SweepPlan, SymbolicMode, Threads, WalkStrategy,
+    SweepPlan, SymbolicMode, Threads,
 };
 use cme_cache::CacheConfig;
-use cme_ir::{
-    fingerprint_program, shape_fingerprint, structural_fingerprint, Fingerprint, FpHasher, Program,
-};
+use cme_ir::{fingerprint_program, structural_fingerprint, Fingerprint, FpHasher, Program};
 use cme_reuse::ReuseAnalysis;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Exact or sampled analysis. The embedded options' `threads` field is
-/// *ignored* for fingerprinting and overridden by [`Job::threads`] at run
-/// time — thread count never changes results.
+/// Exact or sampled analysis. The embedded options' `threads`, `prepass`
+/// and `symbolic` fields are *ignored* for fingerprinting and overridden
+/// at run time (by [`Job::threads`], the always-on pre-pass and
+/// [`Job::symbolic`]) — none of them changes results.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisMode {
     Exact,
     Estimate(SamplingOptions),
 }
 
-/// One unit of work for the engine.
+/// One unit of work for the engine. The engine always runs the set-skip
+/// walk with the hit/miss pre-pass on; the slower reference paths
+/// (`WalkStrategy::LegacyScan`, `PrepassMode::Off`) are reachable only
+/// through `cme_analysis` directly.
 #[derive(Debug)]
 pub struct Job<'p> {
     pub program: &'p Program,
@@ -60,12 +62,8 @@ pub struct Job<'p> {
     /// Consult/populate the result store for this job.
     pub use_store: bool,
     pub threads: Threads,
-    pub walk: WalkStrategy,
-    /// Hit/miss pre-pass toggle. Like `threads` and `walk`, excluded from
-    /// the fingerprint: the pre-pass never changes results, only wall time.
-    pub prepass: PrepassMode,
     /// Symbolic counting-tier toggle. Closed references return the exact
-    /// walk's totals without enumeration, so — like `prepass` — it is
+    /// walk's totals without enumeration, so — like `threads` — it is
     /// excluded from the fingerprint.
     pub symbolic: SymbolicMode,
 }
@@ -83,8 +81,6 @@ impl<'p> Job<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic,
         }
     }
@@ -99,8 +95,6 @@ impl<'p> Job<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::default(),
         }
     }
@@ -122,9 +116,6 @@ pub struct Outcome {
     /// Points the hit/miss pre-pass resolved (zero for store hits: the
     /// stored payload carries no mode-dependent diagnostics).
     pub prepass_resolved: u64,
-    /// References the symbolic tier answered in closed form (zero for
-    /// store hits).
-    pub symbolic_refs_closed: u64,
     /// Points this run actually enumerated: `points` minus those covered
     /// by symbolically closed references (zero for store hits — nothing
     /// was classified at all).
@@ -159,9 +150,9 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// The content-addressed job key: program (including layout), cache
-/// geometry, analysis mode and reuse cap. Thread count, walk strategy and
-/// the hit/miss pre-pass are deliberately excluded — results are
-/// byte-identical across them.
+/// geometry, analysis mode and reuse cap. Thread count and the symbolic
+/// tier are deliberately excluded — results are byte-identical across
+/// them.
 pub fn job_fingerprint(
     program: &Program,
     config: CacheConfig,
@@ -189,7 +180,7 @@ pub fn job_fingerprint(
                     h.write_f64(w);
                 }
             }
-            // `o.threads` and `o.prepass` excluded on purpose.
+            // `o.threads`, `o.prepass` and `o.symbolic` excluded on purpose.
         }
     }
     match reuse_cap {
@@ -203,62 +194,6 @@ pub fn job_fingerprint(
 }
 
 type ReuseKey = (u128, u64, u64);
-
-/// What a finished parametric analysis certifies about a program
-/// *structure* on a cache geometry: how much of it the symbolic tier
-/// closed at the size it was first seen. Closure is re-established on
-/// every run (bound-dependent conditions can differ between sizes), so
-/// the certificate is provenance, not a proof carried across sizes —
-/// but a fully-closed certificate tells clients that new sizes of this
-/// kernel are answered in `O(rows)` without enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParametricCert {
-    /// References closed symbolically when the structure was certified.
-    pub refs_closed: u64,
-    /// Total references in the program.
-    pub refs_total: u64,
-}
-
-impl ParametricCert {
-    /// Every reference closed — parametric queries never enumerate.
-    pub fn fully_closed(&self) -> bool {
-        self.refs_closed == self.refs_total
-    }
-}
-
-/// How a parametric run related to the certificate store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CertStatus {
-    /// The structure had been analysed before (at any problem size).
-    Hit,
-    /// First sight of this structure; a certificate was recorded.
-    New,
-}
-
-/// The structural job key for parametric analyses: program *structure*
-/// (loop shape, reference patterns — not concrete bounds or layout
-/// offsets), cache geometry and reuse cap. Two sizes of one kernel share
-/// this key; that is the point.
-pub fn parametric_fingerprint(
-    program: &Program,
-    config: CacheConfig,
-    reuse_cap: Option<usize>,
-) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_str("cme-parametric-v1");
-    h.write_bytes(&shape_fingerprint(program).0.to_le_bytes());
-    h.write_u64(config.size_bytes());
-    h.write_u64(config.line_bytes());
-    h.write_u64(config.assoc() as u64);
-    match reuse_cap {
-        None => h.write_u8(0),
-        Some(c) => {
-            h.write_u8(1);
-            h.write_u64(c as u64);
-        }
-    }
-    h.finish()
-}
 
 /// A finished (or memoised) trace replay.
 #[derive(Debug, Clone)]
@@ -287,8 +222,6 @@ pub struct SweepJob<'p> {
     /// Consult/populate the result store per cell.
     pub use_store: bool,
     pub threads: Threads,
-    pub walk: WalkStrategy,
-    pub prepass: PrepassMode,
     /// Defaults to **on** (unlike single queries): closed references
     /// amortize across the whole grid.
     pub symbolic: SymbolicMode,
@@ -304,8 +237,6 @@ impl<'p> SweepJob<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::On,
         }
     }
@@ -419,7 +350,6 @@ impl Drop for FlightGuard<'_> {
 pub struct Engine {
     store: Store,
     reuse_cache: Mutex<HashMap<ReuseKey, Arc<ReuseAnalysis>>>,
-    parametric_certs: Mutex<HashMap<Fingerprint, ParametricCert>>,
     /// Single-flight slots: job fingerprints currently computing.
     inflight: Mutex<HashMap<u128, Arc<Flight>>>,
     metrics: Metrics,
@@ -444,7 +374,6 @@ impl Engine {
         Engine {
             store,
             reuse_cache: Mutex::new(HashMap::new()),
-            parametric_certs: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
             faults,
@@ -511,7 +440,6 @@ impl Engine {
                         wall: Duration::ZERO,
                         miss_ratio: hit.miss_ratio,
                         prepass_resolved: 0,
-                        symbolic_refs_closed: 0,
                         enumerated_points: 0,
                         coalesced: false,
                     });
@@ -571,7 +499,6 @@ impl Engine {
                                 wall: Duration::ZERO,
                                 miss_ratio,
                                 prepass_resolved: 0,
-                                symbolic_refs_closed: 0,
                                 enumerated_points: 0,
                                 coalesced: true,
                             })
@@ -593,15 +520,13 @@ impl Engine {
             AnalysisMode::Exact => {
                 FindMisses::with_reuse(job.program, job.config, (*reuse).clone())
                     .threads(job.threads)
-                    .strategy(job.walk)
-                    .prepass(job.prepass)
                     .symbolic(job.symbolic)
                     .run_cancellable(&job.cancel)
             }
             AnalysisMode::Estimate(options) => {
                 let options = SamplingOptions {
                     threads: job.threads,
-                    prepass: job.prepass,
+                    prepass: PrepassMode::On,
                     symbolic: job.symbolic,
                     ..options.clone()
                 };
@@ -627,7 +552,6 @@ impl Engine {
         let points: u64 = report.references().iter().map(|r| r.analyzed).sum();
         let miss_ratio = report.miss_ratio();
         let prepass_resolved = report.prepass_resolved();
-        let symbolic_refs_closed = report.symbolic_refs_closed();
         let enumerated_points = points - report.symbolic_points_closed();
         let payload = Arc::new(render_payload(job.program, job.config, &job.mode, &report));
         Metrics::add(&self.metrics.points_classified, points);
@@ -659,7 +583,6 @@ impl Engine {
             wall,
             miss_ratio,
             prepass_resolved,
-            symbolic_refs_closed,
             enumerated_points,
             coalesced: false,
         })
@@ -794,9 +717,8 @@ impl Engine {
             let plan = SweepPlan::with_reuse(job.program, reuse);
             let opts = SweepOptions {
                 threads: job.threads,
-                walk: job.walk,
-                prepass: job.prepass,
                 symbolic: job.symbolic,
+                ..SweepOptions::default()
             };
             let grid: Vec<CacheConfig> = missing.iter().map(|&i| job.geometries[i]).collect();
             let reports = plan
@@ -878,65 +800,6 @@ impl Engine {
             store_hits,
             computed,
         })
-    }
-
-    /// Runs a *parametric* job: an exact analysis with the symbolic tier
-    /// forced on, keyed structurally so one certified kernel answers any
-    /// problem size. The flow is
-    ///
-    /// 1. full-fingerprint store lookup (exact repeats stay free),
-    /// 2. certificate lookup under [`parametric_fingerprint`] — a hit means
-    ///    this structure was analysed before at *some* size,
-    /// 3. a symbolic-first analysis at the requested size: closed
-    ///    references cost `O(rows)`, so a fully-closed kernel answers a
-    ///    never-seen size with zero enumerated points.
-    ///
-    /// Returns the outcome plus the certificate status and content.
-    pub fn run_parametric(
-        &self,
-        job: &Job,
-    ) -> Result<(Outcome, CertStatus, ParametricCert), EngineError> {
-        let cert_key = parametric_fingerprint(job.program, job.config, job.reuse_cap);
-        let prior = fault::lock_recover(&self.parametric_certs)
-            .get(&cert_key)
-            .copied();
-        let status = if prior.is_some() {
-            Metrics::bump(&self.metrics.parametric_cert_hits);
-            CertStatus::Hit
-        } else {
-            Metrics::bump(&self.metrics.parametric_cert_misses);
-            CertStatus::New
-        };
-        let symbolic_job = Job {
-            program: job.program,
-            config: job.config,
-            mode: AnalysisMode::Exact,
-            reuse_cap: job.reuse_cap,
-            cancel: job.cancel.clone(),
-            use_store: job.use_store,
-            threads: job.threads,
-            walk: job.walk,
-            prepass: job.prepass,
-            symbolic: SymbolicMode::On,
-        };
-        // A full-fingerprint store hit reports the certified closure (the
-        // run that populated the store established it).
-        let outcome = self.run(&symbolic_job)?;
-        let cert = if outcome.from_store {
-            prior.unwrap_or(ParametricCert {
-                refs_closed: 0,
-                refs_total: job.program.references().len() as u64,
-            })
-        } else {
-            ParametricCert {
-                refs_closed: outcome.symbolic_refs_closed,
-                refs_total: job.program.references().len() as u64,
-            }
-        };
-        if !outcome.from_store {
-            fault::lock_recover(&self.parametric_certs).insert(cert_key, cert);
-        }
-        Ok((outcome, status, cert))
     }
 }
 
@@ -1111,15 +974,13 @@ mod tests {
     }
 
     #[test]
-    fn payload_is_thread_and_strategy_invariant() {
+    fn payload_is_thread_invariant() {
         let p = small_program();
         let cfg = CacheConfig::new(1024, 32, 2).unwrap();
         let engine = Engine::in_memory(8);
         let mut serial = Job::exact(&p, cfg);
         serial.use_store = false;
         serial.threads = Threads::Fixed(1);
-        serial.walk = WalkStrategy::LegacyScan;
-        serial.prepass = PrepassMode::Off;
         let mut parallel = Job::exact(&p, cfg);
         parallel.use_store = false;
         parallel.threads = Threads::Fixed(4);
@@ -1128,48 +989,30 @@ mod tests {
         assert_eq!(&*a.payload, &*b.payload);
     }
 
-    /// The pre-pass is a pure accelerator: like thread count and walk
-    /// strategy it is excluded from the job fingerprint, so a result
-    /// computed with it off is served hot to a request with it on (and
-    /// vice versa).
+    /// The pre-pass always runs on fresh analyses and its counters add up
+    /// to the classified points; store hits classify nothing and add
+    /// nothing.
     #[test]
-    fn store_hit_across_prepass_modes() {
+    fn prepass_metrics_count_fresh_runs_only() {
         use std::sync::atomic::Ordering;
         let p = small_program();
         let cfg = CacheConfig::new(1024, 32, 2).unwrap();
         let engine = Engine::in_memory(8);
-        let mut off = Job::exact(&p, cfg);
-        off.prepass = PrepassMode::Off;
-        let cold = engine.run(&off).unwrap();
-        assert!(!cold.from_store);
-        assert_eq!(cold.prepass_resolved, 0);
-        let mut on = Job::exact(&p, cfg);
-        on.prepass = PrepassMode::On;
-        let hot = engine.run(&on).unwrap();
-        assert!(hot.from_store, "prepass mode must not change the job key");
-        assert_eq!(&*cold.payload, &*hot.payload);
+        let cold = engine.run(&Job::exact(&p, cfg)).unwrap();
+        assert!(cold.prepass_resolved > 0, "sequential scan should resolve");
+        let hot = engine.run(&Job::exact(&p, cfg)).unwrap();
+        assert!(hot.from_store);
+        assert_eq!(hot.prepass_resolved, 0);
+        let m = engine.metrics();
         assert_eq!(
-            engine
-                .metrics()
-                .prepass_resolved_points
-                .load(Ordering::Relaxed),
-            0
+            m.prepass_resolved_points.load(Ordering::Relaxed),
+            cold.prepass_resolved
         );
         assert_eq!(
-            engine
-                .metrics()
-                .prepass_unresolved_points
-                .load(Ordering::Relaxed),
+            m.prepass_resolved_points.load(Ordering::Relaxed)
+                + m.prepass_unresolved_points.load(Ordering::Relaxed),
             cold.points
         );
-        // And with store off, the two modes render identical bytes while
-        // the pre-pass reports what it resolved.
-        let mut fresh_on = Job::exact(&p, cfg);
-        fresh_on.use_store = false;
-        fresh_on.prepass = PrepassMode::On;
-        let ran = engine.run(&fresh_on).unwrap();
-        assert_eq!(&*ran.payload, &*cold.payload);
-        assert!(ran.prepass_resolved > 0, "sequential scan should resolve");
     }
 
     #[test]
@@ -1185,12 +1028,11 @@ mod tests {
         assert_eq!(engine.metrics().reuse_hits.load(Ordering::Relaxed), 1);
     }
 
-    /// A certified kernel answers a never-seen problem size without
-    /// enumerating a single point, byte-identical to the enumerated
-    /// report at that size.
+    /// With the symbolic tier on, an exact job answers a problem size the
+    /// engine has never seen without enumerating a single point,
+    /// byte-identical to the enumerated report at that size.
     #[test]
-    fn parametric_answers_new_size_without_enumeration() {
-        use std::sync::atomic::Ordering;
+    fn symbolic_job_answers_new_size_without_enumeration() {
         fn scan(n: i64) -> Program {
             let mut b = ProgramBuilder::new("scan");
             b.array("A", &[n, n], 8);
@@ -1213,41 +1055,20 @@ mod tests {
         }
         let cfg = CacheConfig::new(1024, 32, 2).unwrap();
         let engine = Engine::in_memory(8);
+        for n in [48, 72] {
+            let p = scan(n);
+            let mut symbolic = Job::exact(&p, cfg);
+            symbolic.symbolic = SymbolicMode::On;
+            let closed = engine.run(&symbolic).unwrap();
+            assert!(!closed.from_store, "n={n} was never analysed");
+            assert_eq!(closed.enumerated_points, 0, "n={n}: scan must close");
 
-        let p1 = scan(48);
-        let (first, status, cert) = engine.run_parametric(&Job::exact(&p1, cfg)).unwrap();
-        assert_eq!(status, CertStatus::New);
-        assert!(cert.fully_closed(), "{cert:?}");
-        assert!(!first.from_store);
-        assert_eq!(first.enumerated_points, 0, "scan must close symbolically");
-
-        // A size the engine has never seen: certificate hit, zero
-        // enumeration, and the full-fingerprint store records it for
-        // exact repeats.
-        let p2 = scan(72);
-        let (novel, status, cert) = engine.run_parametric(&Job::exact(&p2, cfg)).unwrap();
-        assert_eq!(status, CertStatus::Hit, "shape was certified at n=48");
-        assert!(!novel.from_store, "n=72 was never analysed");
-        assert_eq!(novel.enumerated_points, 0);
-        assert!(cert.fully_closed());
-        assert_eq!(
-            engine
-                .metrics()
-                .parametric_cert_hits
-                .load(Ordering::Relaxed),
-            1
-        );
-
-        // Byte-identical to the enumerated exact report at that size.
-        let mut plain = Job::exact(&p2, cfg);
-        plain.use_store = false;
-        let enumerated = engine.run(&plain).unwrap();
-        assert_eq!(&*novel.payload, &*enumerated.payload);
-        assert!(enumerated.enumerated_points > 0, "plain run enumerates");
-
-        // Exact repeat of the parametric query: answered from the store.
-        let (repeat, _, _) = engine.run_parametric(&Job::exact(&p2, cfg)).unwrap();
-        assert!(repeat.from_store);
+            let mut plain = Job::exact(&p, cfg);
+            plain.use_store = false;
+            let enumerated = engine.run(&plain).unwrap();
+            assert_eq!(&*closed.payload, &*enumerated.payload, "n={n}");
+            assert!(enumerated.enumerated_points > 0, "plain run enumerates");
+        }
     }
 
     /// A repeat trace replay — same bytes, same geometry — is answered
@@ -1384,8 +1205,8 @@ mod tests {
         assert_eq!(seeded.computed, grid.len() as u64 - 1);
     }
 
-    /// Sweep results are invariant across threads x strategy x
-    /// prepass/symbolic modes, and duplicate grid cells compute once.
+    /// Sweep results are invariant across threads x symbolic modes, and
+    /// duplicate grid cells compute once.
     #[test]
     fn sweep_is_mode_invariant_and_dedups() {
         let p = small_program();
@@ -1394,36 +1215,19 @@ mod tests {
         let mut base = SweepJob::exact(&p, grid.clone());
         base.use_store = false;
         let baseline = engine.run_sweep(&base).unwrap();
-        for (threads, walk, prepass, symbolic) in [
-            (
-                Threads::Fixed(1),
-                WalkStrategy::LegacyScan,
-                PrepassMode::Off,
-                SymbolicMode::Off,
-            ),
-            (
-                Threads::Fixed(4),
-                WalkStrategy::SetSkip,
-                PrepassMode::On,
-                SymbolicMode::Off,
-            ),
-            (
-                Threads::Fixed(8),
-                WalkStrategy::SetSkip,
-                PrepassMode::Off,
-                SymbolicMode::On,
-            ),
+        for (threads, symbolic) in [
+            (Threads::Fixed(1), SymbolicMode::Off),
+            (Threads::Fixed(4), SymbolicMode::Off),
+            (Threads::Fixed(8), SymbolicMode::On),
         ] {
             let mut job = SweepJob::exact(&p, grid.clone());
             job.use_store = false;
             job.threads = threads;
-            job.walk = walk;
-            job.prepass = prepass;
             job.symbolic = symbolic;
             let got = engine.run_sweep(&job).unwrap();
             for (a, b) in baseline.cells.iter().zip(&got.cells) {
                 assert_eq!(a.fingerprint, b.fingerprint, "rank order must agree");
-                assert_eq!(&*a.payload, &*b.payload, "{:?}", (threads, walk, prepass));
+                assert_eq!(&*a.payload, &*b.payload, "{:?}", (threads, symbolic));
             }
         }
         // Duplicate geometries: one compute, identical twin cells.

@@ -18,8 +18,8 @@
 //!   point-classification loops within one work chunk, releasing the
 //!   worker with a structured partial-progress error.
 //! * **Per-request observability** ([`metrics`]): queue wait, store
-//!   hit/miss, points classified, strategy, threads and wall time ride on
-//!   every response; aggregate counters answer the `stats` verb and are
+//!   hit/miss, points classified, threads and wall time ride on every
+//!   response; aggregate counters answer the `stats` verb and are
 //!   dumped as JSON on shutdown.
 //! * **Chaos-tested failure handling** ([`fault`]): a seeded fault plan
 //!   injects torn writes, read errors, dropped connections and worker
@@ -43,9 +43,8 @@ pub mod store;
 
 pub use client::{Client, RetryPolicy};
 pub use engine::{
-    job_fingerprint, parametric_fingerprint, render_trace_payload, AnalysisMode, CertStatus,
-    Engine, EngineError, Job, Outcome, ParametricCert, SweepCell, SweepJob, SweepOutcome,
-    TraceOutcome,
+    job_fingerprint, render_trace_payload, AnalysisMode, Engine, EngineError, Job, Outcome,
+    SweepCell, SweepJob, SweepOutcome, TraceOutcome,
 };
 pub use fault::{FaultPlan, FaultSite, Faults};
 pub use json::Json;

@@ -47,11 +47,6 @@ pub struct Metrics {
     /// Of the classified points, how many the symbolic tier answered in
     /// closed form without enumeration.
     pub symbolic_closed_points: AtomicU64,
-    /// Parametric requests whose program structure had a certificate
-    /// (analysed before at some size, possibly a different one).
-    pub parametric_cert_hits: AtomicU64,
-    /// Parametric requests certifying a never-seen structure.
-    pub parametric_cert_misses: AtomicU64,
     /// Total microseconds requests waited in the accept queue.
     pub queue_wait_us: AtomicU64,
     /// Total microseconds of analysis wall time (store misses only).
@@ -110,8 +105,6 @@ impl Metrics {
                 g(&self.prepass_unresolved_points),
             ),
             ("symbolic_closed_points", g(&self.symbolic_closed_points)),
-            ("parametric_cert_hits", g(&self.parametric_cert_hits)),
-            ("parametric_cert_misses", g(&self.parametric_cert_misses)),
             ("queue_wait_us", g(&self.queue_wait_us)),
             ("analysis_wall_us", g(&self.analysis_wall_us)),
             ("sweep_requests", g(&self.sweep_requests)),

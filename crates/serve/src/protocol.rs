@@ -22,14 +22,11 @@
 //! "assoc":2`. The mode is `"mode":"exact"` or `"mode":"estimate"` with
 //! optional `"confidence"`, `"width"`, `"seed"`. Optional knobs:
 //! `"timeout_ms"`, `"store":false` (bypass the result store),
-//! `"threads"` (0 = one per hardware thread),
-//! `"strategy":"set-skip"|"legacy-scan"`, `"prepass":"on"|"off"` (the
-//! hit/miss pre-pass; on by default, never changes results),
-//! `"symbolic":"on"|"off"` (the closed-form counting tier; off by
-//! default, never changes results) and `"parametric":true` (exact mode
-//! only: force the symbolic tier and key a structural certificate, so one
-//! analysed kernel answers any problem size — closed references never
-//! enumerate).
+//! `"threads"` (0 = one per hardware thread) and `"symbolic":"on"|"off"`
+//! (the closed-form counting tier; off by default, never changes results —
+//! a fully closed kernel answers any problem size without enumerating).
+//! The engine always runs the set-skip walk with the hit/miss pre-pass on.
+//! Unknown keys are ignored.
 //!
 //! The cache geometry may also be given as a single
 //! `"geometry":"SIZE:ASSOC:LINE"` string (e.g. `"32K:2:32"`), which
@@ -41,10 +38,10 @@
 //! ranked miss-count table. The grid is `"grid":"8K,16K,32K:1,2:16,32"`
 //! (comma-lists per `SIZE:ASSOC:LINE` field, cartesian product) and/or an
 //! explicit `"geometries":["32K:2:32", ...]` array. Program spec, knobs
-//! (`"timeout_ms"`, `"store"`, `"threads"`, `"strategy"`, `"prepass"`,
-//! `"symbolic"` — **on** by default here) match `analyze`; each cell is
-//! content-addressed by its ordinary single-geometry fingerprint, so
-//! sweeps and lone queries share the store in both directions.
+//! (`"timeout_ms"`, `"store"`, `"threads"`, `"symbolic"` — **on** by
+//! default here) match `analyze`; each cell is content-addressed by its
+//! ordinary single-geometry fingerprint, so sweeps and lone queries share
+//! the store in both directions.
 //! `"reports":true` embeds each cell's full canonical report.
 //!
 //! `{"cmd":"trace", ...}` replays an address trace through the streaming
@@ -65,7 +62,7 @@
 //! it is always safe.
 
 use crate::json::{obj, Json};
-use cme_analysis::{PrepassMode, SamplingOptions, SymbolicMode, Threads, WalkStrategy};
+use cme_analysis::{SamplingOptions, SymbolicMode, Threads};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use std::collections::HashMap;
@@ -178,12 +175,7 @@ pub struct AnalyzeRequest {
     pub timeout_ms: Option<u64>,
     pub use_store: bool,
     pub threads: Threads,
-    pub strategy: WalkStrategy,
-    pub prepass: PrepassMode,
     pub symbolic: SymbolicMode,
-    /// Route through the parametric engine path: exact mode with the
-    /// symbolic tier forced on, plus a structural certificate.
-    pub parametric: bool,
 }
 
 /// Where a `trace` request's address stream comes from.
@@ -217,8 +209,6 @@ pub struct SweepRequest {
     pub timeout_ms: Option<u64>,
     pub use_store: bool,
     pub threads: Threads,
-    pub strategy: WalkStrategy,
-    pub prepass: PrepassMode,
     /// Defaults to **on** for sweeps: closed references amortize across
     /// the grid (results are identical either way).
     pub symbolic: SymbolicMode,
@@ -319,22 +309,6 @@ impl Request {
         })
     }
 
-    fn strategy_from(v: &Json) -> Result<WalkStrategy, String> {
-        match v.get("strategy").and_then(Json::as_str) {
-            None | Some("set-skip") => Ok(WalkStrategy::SetSkip),
-            Some("legacy-scan") => Ok(WalkStrategy::LegacyScan),
-            Some(other) => Err(format!("unknown strategy `{other}`")),
-        }
-    }
-
-    fn prepass_from(v: &Json) -> Result<PrepassMode, String> {
-        match v.get("prepass").and_then(Json::as_str) {
-            None | Some("on") => Ok(PrepassMode::On),
-            Some("off") => Ok(PrepassMode::Off),
-            Some(other) => Err(format!("unknown prepass mode `{other}`")),
-        }
-    }
-
     /// The symbolic knob; `default` differs per verb (off for `analyze`,
     /// on for `sweep`).
     fn symbolic_from(v: &Json, default: SymbolicMode) -> Result<SymbolicMode, String> {
@@ -381,8 +355,6 @@ impl Request {
             threads: Threads::from_flag(
                 v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
             ),
-            strategy: Self::strategy_from(v)?,
-            prepass: Self::prepass_from(v)?,
             symbolic: Self::symbolic_from(v, SymbolicMode::On)?,
             include_reports: v.get("reports").and_then(Json::as_bool).unwrap_or(false),
         })
@@ -414,15 +386,6 @@ impl Request {
             other => return Err(format!("unknown mode `{other}`")),
         };
 
-        let strategy = Self::strategy_from(v)?;
-        let prepass = Self::prepass_from(v)?;
-        let symbolic = Self::symbolic_from(v, SymbolicMode::Off)?;
-
-        let parametric = v.get("parametric").and_then(Json::as_bool).unwrap_or(false);
-        if parametric && !matches!(mode, Mode::Exact) {
-            return Err("parametric requests need `\"mode\":\"exact\"`".to_string());
-        }
-
         Ok(AnalyzeRequest {
             spec,
             size_bytes: v.get("cache").and_then(Json::as_u64).unwrap_or(32 * 1024),
@@ -439,10 +402,7 @@ impl Request {
             threads: Threads::from_flag(
                 v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
             ),
-            strategy,
-            prepass,
-            symbolic,
-            parametric,
+            symbolic: Self::symbolic_from(v, SymbolicMode::Off)?,
         })
     }
 }
@@ -476,7 +436,7 @@ mod tests {
     #[test]
     fn parses_exact_with_geometry() {
         let v = Json::parse(
-            r#"{"cmd":"analyze","workload":"hydro","n":10,"cache":1024,"line":16,"assoc":1,"mode":"exact","timeout_ms":250,"store":false,"threads":2,"strategy":"legacy-scan"}"#,
+            r#"{"cmd":"analyze","workload":"hydro","n":10,"cache":1024,"line":16,"assoc":1,"mode":"exact","timeout_ms":250,"store":false,"threads":2}"#,
         )
         .unwrap();
         let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
@@ -485,32 +445,21 @@ mod tests {
         assert_eq!(req.mode, Mode::Exact);
         assert_eq!(req.timeout_ms, Some(250));
         assert!(!req.use_store);
-        assert_eq!(req.strategy, WalkStrategy::LegacyScan);
         assert_eq!(req.threads, Threads::Fixed(2));
-        assert_eq!(req.prepass, PrepassMode::On, "prepass defaults to on");
     }
 
+    /// Keys the protocol does not know are ignored: the request parses as
+    /// if they were absent.
     #[test]
-    fn parses_prepass_modes() {
-        for (text, want) in [
-            (
-                r#"{"cmd":"analyze","workload":"mmt","n":8}"#,
-                PrepassMode::On,
-            ),
-            (
-                r#"{"cmd":"analyze","workload":"mmt","n":8,"prepass":"on"}"#,
-                PrepassMode::On,
-            ),
-            (
-                r#"{"cmd":"analyze","workload":"mmt","n":8,"prepass":"off"}"#,
-                PrepassMode::Off,
-            ),
+    fn unknown_keys_are_ignored() {
+        let plain = r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact"}"#;
+        let want = Request::from_json(&Json::parse(plain).unwrap()).unwrap();
+        for text in [
+            r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","frobnicate":1}"#,
+            r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","walk":"scan","x":{"y":true}}"#,
         ] {
-            let v = Json::parse(text).unwrap();
-            let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
-                panic!("expected analyze: {text}");
-            };
-            assert_eq!(req.prepass, want, "{text}");
+            let got = Request::from_json(&Json::parse(text).unwrap()).unwrap();
+            assert_eq!(got, want, "{text}");
         }
     }
 
@@ -530,32 +479,23 @@ mod tests {
     }
 
     #[test]
-    fn parses_symbolic_and_parametric() {
+    fn parses_symbolic() {
         let v = Json::parse(r#"{"cmd":"analyze","workload":"mmt","n":8}"#).unwrap();
         let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
             panic!("expected analyze");
         };
         assert_eq!(req.symbolic, SymbolicMode::Off, "symbolic defaults to off");
-        assert!(!req.parametric);
 
-        let v = Json::parse(
-            r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","symbolic":"on","parametric":true}"#,
-        )
-        .unwrap();
+        let v = Json::parse(r#"{"cmd":"analyze","workload":"mmt","n":8,"symbolic":"on"}"#).unwrap();
         let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
             panic!("expected analyze");
         };
         assert_eq!(req.symbolic, SymbolicMode::On);
-        assert!(req.parametric);
 
-        // Parametric needs exact mode; the symbolic knob itself is typo-checked.
-        for text in [
-            r#"{"cmd":"analyze","workload":"mmt","n":8,"parametric":true}"#,
-            r#"{"cmd":"analyze","workload":"mmt","n":8,"symbolic":"maybe"}"#,
-        ] {
-            let v = Json::parse(text).unwrap();
-            assert!(Request::from_json(&v).is_err(), "{text}");
-        }
+        // The symbolic knob is typo-checked.
+        let v =
+            Json::parse(r#"{"cmd":"analyze","workload":"mmt","n":8,"symbolic":"maybe"}"#).unwrap();
+        assert!(Request::from_json(&v).is_err());
     }
 
     #[test]
@@ -564,7 +504,6 @@ mod tests {
             r#"{"nope":1}"#,
             r#"{"cmd":"analyze"}"#,
             r#"{"cmd":"analyze","workload":"mmt","mode":"wat"}"#,
-            r#"{"cmd":"analyze","workload":"mmt","prepass":"maybe"}"#,
             r#"{"cmd":"frobnicate"}"#,
         ] {
             let v = Json::parse(text).unwrap();
@@ -629,7 +568,6 @@ mod tests {
             CacheConfig::parse_geometry("8K:1:32").unwrap()
         );
         assert_eq!(req.symbolic, SymbolicMode::On, "sweep defaults symbolic on");
-        assert_eq!(req.prepass, PrepassMode::On);
         assert!(req.use_store);
         assert!(!req.include_reports);
 

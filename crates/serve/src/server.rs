@@ -21,7 +21,7 @@
 //! structured error instead of unbounded buffering. `shutdown` stops the
 //! accept loop and (optionally) dumps the aggregate metrics as JSON.
 
-use crate::engine::{AnalysisMode, CertStatus, Engine, EngineError, Job, SweepJob};
+use crate::engine::{AnalysisMode, Engine, EngineError, Job, SweepJob};
 use crate::fault::{self, FaultSite, Faults};
 use crate::json::{obj, Json};
 use crate::metrics::Metrics;
@@ -29,7 +29,7 @@ use crate::protocol::{
     error_response, AnalyzeRequest, Request, SweepRequest, TraceRequest, TraceSource,
 };
 use crate::store::Store;
-use cme_analysis::{CancelToken, PrepassMode, SymbolicMode, WalkStrategy};
+use cme_analysis::{CancelToken, SymbolicMode};
 use cme_cache::CacheConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -607,8 +607,6 @@ fn run_sweep(
         cancel: cancel.clone(),
         use_store: req.use_store,
         threads: req.threads,
-        walk: req.strategy,
-        prepass: req.prepass,
         symbolic: req.symbolic,
     };
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -731,8 +729,6 @@ fn run_analyze(
         cancel: cancel.clone(),
         use_store: req.use_store,
         threads: req.threads,
-        walk: req.strategy,
-        prepass: req.prepass,
         symbolic: req.symbolic,
     };
     // The engine call is the panic domain: an unwinding worker (injected
@@ -743,26 +739,22 @@ fn run_analyze(
         if fault::fires(faults, FaultSite::WorkerPanic) {
             panic!("injected: worker panic");
         }
-        if req.parametric {
-            match engine.run_parametric(&job) {
-                Ok((out, status, cert)) => (Ok(out), Some((status, cert))),
-                Err(e) => (Err(e), None),
-            }
-        } else {
-            (engine.run(&job), None)
-        }
+        engine.run(&job)
     }));
 
     watch.finish(conn);
 
-    let (outcome, parametric) = match caught {
-        Ok(pair) => pair,
+    let outcome = match caught {
+        Ok(out) => out,
         Err(panic_payload) => return panic_response(engine, panic_payload.as_ref()),
     };
 
     match outcome {
         Ok(out) => {
-            let mut metrics = obj(vec![
+            // Per-run counters are null on store hits and coalesced
+            // answers: nothing was classified.
+            let ran = !(out.from_store || out.coalesced);
+            let metrics = obj(vec![
                 (
                     "store",
                     Json::Str(
@@ -781,68 +773,35 @@ fn run_analyze(
                 ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
                 ("threads", Json::Int(job.threads.count() as i64)),
                 (
-                    "strategy",
-                    Json::Str(
-                        match req.strategy {
-                            WalkStrategy::SetSkip => "set-skip",
-                            WalkStrategy::LegacyScan => "legacy-scan",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                (
-                    "prepass",
-                    Json::Str(
-                        match req.prepass {
-                            PrepassMode::On => "on",
-                            PrepassMode::Off => "off",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                (
-                    // Parametric requests force the symbolic tier on.
                     "symbolic",
                     Json::Str(
-                        match (req.parametric, job.symbolic) {
-                            (true, _) | (_, SymbolicMode::On) => "on",
-                            (_, SymbolicMode::Off) => "off",
+                        match job.symbolic {
+                            SymbolicMode::On => "on",
+                            SymbolicMode::Off => "off",
                         }
                         .to_string(),
                     ),
                 ),
                 (
-                    // Share of this run's points the pre-pass resolved;
-                    // null on store hits (nothing was classified).
+                    // Share of this run's points the pre-pass resolved.
                     "prepass_resolved_pct",
-                    if out.from_store || out.coalesced {
-                        Json::Null
-                    } else {
+                    if ran {
                         Json::Float(100.0 * out.prepass_resolved as f64 / out.points.max(1) as f64)
+                    } else {
+                        Json::Null
+                    },
+                ),
+                (
+                    // Points this run walked or sampled: zero when the
+                    // symbolic tier closed every reference.
+                    "enumerated_points",
+                    if ran {
+                        Json::Int(out.enumerated_points as i64)
+                    } else {
+                        Json::Null
                     },
                 ),
             ]);
-            if let (Some((status, cert)), Json::Obj(pairs)) = (parametric, &mut metrics) {
-                pairs.push((
-                    "certificate".to_string(),
-                    Json::Str(
-                        match status {
-                            CertStatus::Hit => "hit",
-                            CertStatus::New => "new",
-                        }
-                        .to_string(),
-                    ),
-                ));
-                pairs.push((
-                    "refs_closed".to_string(),
-                    Json::Int(cert.refs_closed as i64),
-                ));
-                pairs.push(("refs_total".to_string(), Json::Int(cert.refs_total as i64)));
-                pairs.push((
-                    "enumerated_points".to_string(),
-                    Json::Int(out.enumerated_points as i64),
-                ));
-            }
             obj(vec![
                 ("ok", Json::Bool(true)),
                 ("fingerprint", Json::Str(out.fingerprint.to_string())),

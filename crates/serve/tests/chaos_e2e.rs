@@ -167,10 +167,10 @@ fn overload_sheds_with_retry_after() {
     let busy = {
         let mut c = daemon.client();
         std::thread::spawn(move || {
-            // Legacy scan + no pre-pass forces the slow exhaustive walk, so
+            // Exact MMT at n=128 takes seconds even with the pre-pass, so
             // the worker is reliably busy until the 1 s deadline trips.
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000,"strategy":"legacy-scan","prepass":"off"}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000}"#,
             )
             .unwrap()
         })

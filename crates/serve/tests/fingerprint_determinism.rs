@@ -144,3 +144,27 @@ fn protocol_source_spec_agrees_with_builder() {
         fingerprint_program(&stencil_builder(-1))
     );
 }
+
+/// Store keys are on-disk addresses: a change to the canonical encoding
+/// silently turns every existing store into misses. These digests may
+/// only move together with a deliberate bump of the `cme-job-v1` /
+/// `cme-program-v1` tags.
+#[test]
+fn job_keys_are_pinned() {
+    let p = cme_workloads::hydro(32, 32);
+    let cfg = CacheConfig::parse_geometry("32K:2:32").unwrap();
+    assert_eq!(
+        job_fingerprint(&p, cfg, &AnalysisMode::Exact, None).to_string(),
+        "c6f4a65ca2a624c76c423cce20bbc4bc"
+    );
+    let estimate = AnalysisMode::Estimate(SamplingOptions::paper_default());
+    assert_eq!(
+        job_fingerprint(&p, cfg, &estimate, None).to_string(),
+        "8aec479dec3752cb579c8734e70ab8a6"
+    );
+    // The reuse-cache key, which is in-memory only but shares the encoding.
+    assert_eq!(
+        structural_fingerprint(&p).to_string(),
+        "a239673f97a60c6245edb6cf8fc838ba"
+    );
+}

@@ -9,9 +9,10 @@
 //!   plus an optional framed variant (`CMET` magic) that carries the cache
 //!   geometry the trace was generated for, the access count and a CRC-32.
 //!   [`TraceReader`] streams either variant without materialising it.
-//! * [`sim`] — [`TraceSim`], a high-throughput streaming LRU replay engine
-//!   over arbitrary [`cme_cache::CacheConfig`] geometries, with exact
-//!   set-partitioned parallel replay ([`replay_parallel`]).
+//! * [`sim`] — [`TraceSim`], streaming replay over arbitrary
+//!   [`cme_cache::CacheConfig`] geometries on the same LRU core the program
+//!   simulator drives ([`cme_cache::Cache`]), adding the cold/replacement
+//!   split and exact set-partitioned parallel replay ([`replay_parallel`]).
 //! * [`gen`] — [`generate`], which emits the exact program-order access
 //!   stream of a normalised `cme_ir::Program`, so analytical miss counts
 //!   can be cross-validated against trace replay.

@@ -1,14 +1,13 @@
-//! High-throughput trace replay: per-set compact LRU stacks over any
-//! [`CacheConfig`] geometry.
+//! High-throughput trace replay over any [`CacheConfig`] geometry, on the
+//! workspace's one LRU core ([`cme_cache::Cache`]).
 //!
 //! The replay loop is two batched passes per chunk: a tight
 //! address-to-(line, set) extraction pass using the config's
 //! `line_shift`/`set_mask` fast paths (falling back to exact Euclidean
-//! division for non-power-of-two geometries), then an LRU update pass over
-//! a flat `num_sets × assoc` line array — MRU first within each set, so a
-//! hit is usually decided by the first comparison and a miss shifts at most
-//! `assoc` words. Cold misses are told apart from replacement misses with a
-//! touched-lines set consulted only on misses.
+//! division for non-power-of-two geometries), then an LRU update pass that
+//! hands each pair to [`Cache::access_line`]. Cold misses are told apart
+//! from replacement misses with a touched-lines set consulted only on
+//! misses — the one thing replay adds to the program simulator.
 //!
 //! [`replay_parallel`] partitions the *sets* across the same chunk-stealing
 //! worker pool the classification engine uses
@@ -18,7 +17,7 @@
 //! summing per-task tallies in task-index order.
 
 use crate::format::TraceReader;
-use cme_cache::CacheConfig;
+use cme_cache::{Cache, CacheConfig};
 use std::collections::HashSet;
 use std::io::{self, Read};
 
@@ -73,10 +72,8 @@ const BATCH: usize = 4096;
 #[derive(Debug)]
 pub struct TraceSim {
     cfg: CacheConfig,
-    assoc: usize,
-    /// Flat `num_sets × assoc` array of resident memory lines, MRU first
-    /// within each set; `EMPTY` marks an unfilled way.
-    lines: Vec<i64>,
+    /// The LRU state of sets `[set_lo, set_hi)`, indexed from `set_lo`.
+    cache: Cache,
     /// Every memory line ever fetched (consulted only on misses).
     touched: HashSet<i64>,
     stats: TraceStats,
@@ -87,9 +84,6 @@ pub struct TraceSim {
     set_lo: i64,
     set_hi: i64,
 }
-
-/// No valid memory line: addresses are non-negative, so their lines are too.
-const EMPTY: i64 = i64::MIN;
 
 impl TraceSim {
     /// A simulator with every way empty.
@@ -102,11 +96,9 @@ impl TraceSim {
     /// Only the partition's ways are allocated.
     pub fn for_sets(cfg: CacheConfig, set_lo: i64, set_hi: i64) -> TraceSim {
         assert!(0 <= set_lo && set_lo <= set_hi && set_hi <= cfg.num_sets() as i64);
-        let assoc = cfg.assoc() as usize;
         TraceSim {
             cfg,
-            assoc,
-            lines: vec![EMPTY; (set_hi - set_lo) as usize * assoc],
+            cache: Cache::with_sets(cfg, (set_hi - set_lo) as usize),
             touched: HashSet::new(),
             stats: TraceStats::default(),
             batch: Vec::with_capacity(BATCH),
@@ -139,36 +131,19 @@ impl TraceSim {
                     batch.push((line, (set - self.set_lo) as u32));
                 }
             }
-            // Pass 2: LRU updates.
+            // Pass 2: LRU updates, misses split by first touch.
+            self.stats.accesses += batch.len() as u64;
             for &(line, set) in &batch {
-                self.touch(line, set as usize);
-            }
-        }
-        self.batch = batch;
-    }
-
-    #[inline]
-    fn touch(&mut self, line: i64, set: usize) {
-        self.stats.accesses += 1;
-        let ways = &mut self.lines[set * self.assoc..(set + 1) * self.assoc];
-        match ways.iter().position(|&w| w == line) {
-            Some(0) => self.stats.hits += 1,
-            Some(at) => {
-                // Hit below the MRU slot: rotate the prefix to re-rank.
-                ways[..=at].rotate_right(1);
-                ways[0] = line;
-                self.stats.hits += 1;
-            }
-            None => {
-                ways.rotate_right(1);
-                ways[0] = line;
-                if self.touched.insert(line) {
+                if !self.cache.access_line(line, set as usize) {
+                    self.stats.hits += 1;
+                } else if self.touched.insert(line) {
                     self.stats.cold += 1;
                 } else {
                     self.stats.replacement += 1;
                 }
             }
         }
+        self.batch = batch;
     }
 }
 

@@ -26,6 +26,12 @@ cargo build --release --offline
 echo "== tier-1 gate: workspace tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== benchmark self-tests (perfbench) =="
+# The benchmark is its own cargo project linking the simulator, the
+# analysis internals and the serve wire; building and testing it here
+# catches a change that would break it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== parallel timing harness =="
 if [ "${BENCH_SCALE:-small}" = "paper" ]; then
     ARGS=(--n 100 --bj 100 --bk 50)
@@ -51,9 +57,10 @@ cargo run -p cme-bench --bin bench_prepass --release --offline -- \
 echo "== symbolic-tier harness =="
 # Always at paper scale: the harness asserts byte-identical reports with
 # the tier on, a >=100x formula-vs-enumeration ratio for closed
-# references, a >=10x symbolic padding sweep, and a parametric serve
-# certificate hit with zero enumerated points — ratios that only mean
-# anything where enumeration is expensive.
+# references, a >=10x symbolic padding sweep — ratios that only mean
+# anything where enumeration is expensive — and that an exact serve job
+# with the tier on answers a never-seen stream3 size with zero enumerated
+# points, byte-identical to the enumerated answer.
 cargo run -p cme-bench --bin bench_symbolic --release --offline -- \
     --scale paper --out BENCH_symbolic.json
 

@@ -8,8 +8,12 @@
 //!              [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
 //!              [--cache B] [--line B] [--assoc W] [--geometry S:A:L] [--exact]
 //!              [--confidence C] [--width W] [--seed S] [--timeout-ms MS]
-//!              [--no-store] [--threads N] [--strategy set-skip|legacy-scan]
-//!              [--prepass on|off] [--report-only] [--retries N]
+//!              [--no-store] [--threads N] [--report-only] [--retries N]
+//! cme sweep    [--addr A | --port-file P] --workload K | --file F.f
+//!              [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
+//!              --grid SIZES:ASSOCS:LINES | --geometry S:A:L...
+//!              [--timeout-ms MS] [--no-store] [--threads N]
+//!              [--symbolic on|off] [--reports] [--table] [--retries N]
 //! cme trace gen --workload K | --file F.f [--param K=V]...
 //!              [--n N] [--iters N] [--bj N] [--bk N]
 //!              --out T.cmet [--geometry S:A:L] [--raw]
@@ -21,8 +25,8 @@
 //! ```
 //!
 //! `query` prints the full response line (or, with `--report-only`, just the
-//! canonical report bytes — byte-identical across store hits, threads and
-//! walk strategies, so two runs can be `diff`ed).
+//! canonical report bytes — byte-identical across store hits and thread
+//! counts, so two runs can be `diff`ed).
 //!
 //! Exit codes: 0 success; 1 usage error (bad flags, malformed inputs);
 //! 2 runtime error — the daemon is unreachable, the connection died
@@ -99,13 +103,11 @@ const USAGE: &str = "usage:
                [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
                [--cache B] [--line B] [--assoc W] [--geometry S:A:L] [--exact]
                [--confidence C] [--width W] [--seed S] [--timeout-ms MS]
-               [--no-store] [--threads N] [--strategy set-skip|legacy-scan]
-               [--prepass on|off] [--report-only] [--retries N]
+               [--no-store] [--threads N] [--report-only] [--retries N]
   cme sweep    [--addr A | --port-file P] --workload K | --file F.f
                [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
                --grid SIZES:ASSOCS:LINES | --geometry S:A:L...
                [--timeout-ms MS] [--no-store] [--threads N]
-               [--strategy set-skip|legacy-scan] [--prepass on|off]
                [--symbolic on|off] [--reports] [--table] [--retries N]
   cme trace gen --workload K | --file F.f [--param K=V]...
                [--n N] [--iters N] [--bj N] [--bk N]
@@ -309,8 +311,6 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, CliError> {
             "--timeout-ms" => fields.push(("timeout_ms", Json::Int(flags.parsed(flag)?))),
             "--no-store" => fields.push(("store", Json::Bool(false))),
             "--threads" => fields.push(("threads", Json::Int(flags.parsed(flag)?))),
-            "--strategy" => fields.push(("strategy", Json::Str(flags.value(flag)?.to_string()))),
-            "--prepass" => fields.push(("prepass", Json::Str(flags.value(flag)?.to_string()))),
             "--report-only" => report_only = true,
             "--retries" => retries = flags.parsed(flag)?,
             other => return Err(CliError::Usage(format!("unknown query flag `{other}`"))),
@@ -396,8 +396,6 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, CliError> {
             "--timeout-ms" => fields.push(("timeout_ms", Json::Int(flags.parsed(flag)?))),
             "--no-store" => fields.push(("store", Json::Bool(false))),
             "--threads" => fields.push(("threads", Json::Int(flags.parsed(flag)?))),
-            "--strategy" => fields.push(("strategy", Json::Str(flags.value(flag)?.to_string()))),
-            "--prepass" => fields.push(("prepass", Json::Str(flags.value(flag)?.to_string()))),
             "--symbolic" => fields.push(("symbolic", Json::Str(flags.value(flag)?.to_string()))),
             "--reports" => fields.push(("reports", Json::Bool(true))),
             "--table" => table = true,

@@ -29,6 +29,17 @@ fn usage_errors_exit_1() {
         Some(1),
         "malformed chaos spec"
     );
+    // The engine always runs the set-skip walk with the pre-pass on, so
+    // neither is a flag.
+    for (verb, flag) in [("query", "--strategy"), ("sweep", "--prepass")] {
+        let out = cme(&[verb, flag, "on"]);
+        assert_eq!(out.status.code(), Some(1), "{verb} {flag}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("unknown {verb} flag `{flag}`")),
+            "{err}"
+        );
+    }
     assert_eq!(cme(&["help"]).status.code(), Some(0));
 }
 
