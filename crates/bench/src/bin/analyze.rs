@@ -25,15 +25,32 @@
 //! * `--prepass <on|off>` — the definitely-hit/definitely-miss pre-pass
 //!   (default on). Pure accelerator: the report is byte-identical either
 //!   way.
-//! * `--symbolic` — count closed-form references symbolically instead of
-//!   walking their iteration points (default off). Falls back per
-//!   reference; the report is byte-identical either way.
+//!
+//! Any other flag is rejected with a one-line diagnostic and exit code 2.
 
-use cme_analysis::{EstimateMisses, FindMisses, PrepassMode, SamplingOptions, SymbolicMode};
+use cme_analysis::{EstimateMisses, FindMisses, PrepassMode, SamplingOptions};
 use cme_cache::{CacheConfig, Simulator};
 use cme_ir::Program;
 use std::collections::HashMap;
 use std::process::ExitCode;
+
+/// Flags followed by a value.
+const VALUE_FLAGS: [&str; 11] = [
+    "--workload",
+    "--file",
+    "--param",
+    "--n",
+    "--iters",
+    "--cache",
+    "--line",
+    "--assoc",
+    "--geometry",
+    "--threads",
+    "--prepass",
+];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 2] = ["--exact", "--simulate"];
 
 /// Prints a diagnostic and exits nonzero — bad input is a user error, not
 /// a panic (exit code 2, like a compiler rejecting its input).
@@ -42,8 +59,25 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The first argument that is neither a documented flag nor the value
+/// of one.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            it.next();
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = unknown_flag(&args) {
+        return fail(&format!("unknown flag `{flag}`"));
+    }
     let get = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
@@ -120,22 +154,15 @@ fn main() -> ExitCode {
         Some("off") => PrepassMode::Off,
         Some(other) => return fail(&format!("unknown prepass mode `{other}`")),
     };
-    let symbolic = if has("--symbolic") {
-        SymbolicMode::On
-    } else {
-        SymbolicMode::Off
-    };
     let report = if has("--exact") {
         FindMisses::new(&program, cfg)
             .threads(threads)
             .prepass(prepass)
-            .symbolic(symbolic)
             .run()
     } else {
         let opts = SamplingOptions {
             threads,
             prepass,
-            symbolic,
             ..SamplingOptions::paper_default()
         };
         EstimateMisses::new(&program, cfg, opts).run()
@@ -151,14 +178,6 @@ fn main() -> ExitCode {
         report.elapsed(),
         100.0 * report.miss_ratio()
     );
-    if report.symbolic_refs_closed() > 0 {
-        println!(
-            "symbolic tier closed {} of {} references ({} points in closed form)",
-            report.symbolic_refs_closed(),
-            report.references().len(),
-            report.symbolic_points_closed()
-        );
-    }
     if report.prepass_resolved() > 0 {
         let analyzed: u64 = report.references().iter().map(|r| r.analyzed).sum();
         println!(

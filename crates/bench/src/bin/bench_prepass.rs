@@ -1,8 +1,8 @@
-//! Timing harness for the definitely-hit/definitely-miss pre-pass: runs
-//! cold `FindMisses` (set-skip walk, serial) with the pre-pass off and on,
-//! verifies the reports agree point-for-point, records the resolution rate
-//! (share of points the pre-pass settled without an interference walk) and
-//! writes the numbers to `BENCH_prepass.json`.
+//! Timing harness for the row engine (the definitely-hit/definitely-miss
+//! pre-pass): runs cold `FindMisses` (set-skip walk, serial) with the
+//! pre-pass off and on, verifies the reports agree point-for-point,
+//! records the resolution rate (share of points settled without an
+//! interference walk) and writes the numbers to `BENCH_prepass.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_prepass --release -- \
@@ -10,19 +10,36 @@
 //! ```
 //!
 //! `--scale paper` uses the paper's problem sizes (MMT N=BJ=100, BK=50,
-//! Hydro 100×100, MGRID 100); the default `small` is a CI smoke size.
+//! Hydro 100×100, MGRID 100) plus stream3(65536); the default `small` is a
+//! CI smoke size. Beyond the per-workload rows the harness exercises two
+//! clients of fully resolved references end to end:
+//!
+//! * a padding sweep (`cme-opt`) over stream3, with sampling width forced
+//!   tiny so every model evaluation is planned exhaustively, against the
+//!   same sweep with `sampling.prepass = Off`;
+//! * a serve job: an exact `Job` at a stream3 size no other row uses, run
+//!   through `Engine::run`, must walk no point and return a payload
+//!   byte-identical to a `PrepassMode::Off` `FindMisses` run.
 //!
 //! Floors (hard process-exit failures, used by `scripts/ci.sh`):
-//! * MMT resolution rate ≥ 50% — the pre-pass must settle at least half of
-//!   the blocked-matmul points, else it has regressed into Unknown.
-//! * Pre-pass-on wall ≤ pre-pass-off wall on MMT (best-of-2 each) — the
-//!   pre-pass must pay for itself where it resolves.
+//! * at every scale: byte-identical reports, stream3 fully resolved with
+//!   zero walked points, the padding sweeps pick identical plans, and the
+//!   never-seen-size serve job resolves every point;
+//! * MMT resolution rate ≥ 50%, and pre-pass-on wall ≤ pre-pass-off wall
+//!   on MMT (best of three each, interleaved; 10% slack at small scale);
+//! * at `--scale paper` only, where walking is expensive enough for the
+//!   ratios to mean anything: pre-pass on ≥ 100× faster than off on
+//!   stream3, and the padding sweep ≥ 10× faster than with the pre-pass
+//!   off.
 
-use cme_analysis::{FindMisses, PrepassMode, Report, Threads, WalkStrategy};
-use cme_bench::{timed, Scale, Table};
+use cme_analysis::{FindMisses, PrepassMode, Report, SamplingOptions, Threads, WalkStrategy};
+use cme_bench::{secs, stream3, timed, Scale, Table};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
+use cme_opt::{search_padding, PaddingOptions};
 use cme_reuse::ReuseAnalysis;
+use cme_serve::engine::render_payload;
+use cme_serve::{AnalysisMode, Engine, Job};
 use std::time::Duration;
 
 struct Row {
@@ -33,29 +50,40 @@ struct Row {
     on: Duration,
 }
 
-fn run(
+impl Row {
+    fn rate(&self) -> f64 {
+        self.resolved as f64 / self.points.max(1) as f64
+    }
+
+    fn speedup(&self) -> f64 {
+        self.off.as_secs_f64() / self.on.as_secs_f64().max(1e-9)
+    }
+}
+
+/// Cold serial `FindMisses` with the pre-pass off and on: the reports and
+/// the best of three walls each, the two modes interleaved so drift in the
+/// host's speed hits both alike.
+fn off_and_on(
     program: &Program,
     reuse: &ReuseAnalysis,
     cfg: CacheConfig,
-    prepass: PrepassMode,
-) -> (Report, Duration) {
-    // Best of two: the second run rides warm caches, which is what the
-    // serve engine's steady state looks like.
-    let (a, ta) = timed(|| {
-        FindMisses::with_reuse(program, cfg, reuse.clone())
-            .strategy(WalkStrategy::SetSkip)
-            .threads(Threads::Fixed(1))
-            .prepass(prepass)
-            .run()
-    });
-    let (_, tb) = timed(|| {
-        FindMisses::with_reuse(program, cfg, reuse.clone())
-            .strategy(WalkStrategy::SetSkip)
-            .threads(Threads::Fixed(1))
-            .prepass(prepass)
-            .run()
-    });
-    (a, ta.min(tb))
+) -> [(Report, Duration); 2] {
+    let run = |prepass| {
+        timed(|| {
+            FindMisses::with_reuse(program, cfg, reuse.clone())
+                .strategy(WalkStrategy::SetSkip)
+                .threads(Threads::Fixed(1))
+                .prepass(prepass)
+                .run()
+        })
+    };
+    let mut best = [run(PrepassMode::Off), run(PrepassMode::On)];
+    for _ in 1..3 {
+        for (slot, mode) in best.iter_mut().zip([PrepassMode::Off, PrepassMode::On]) {
+            slot.1 = slot.1.min(run(mode).1);
+        }
+    }
+    best
 }
 
 fn main() {
@@ -68,7 +96,12 @@ fn main() {
     let scale = Scale::from_args();
     let out = get("--out").unwrap_or_else(|| "BENCH_prepass.json".to_string());
 
-    let workloads: Vec<(String, Program)> = match scale {
+    let (stream_elems, sweep_elems) = match scale {
+        Scale::Small => (4096i64, 8192i64),
+        Scale::Medium => (16384, 24576),
+        Scale::Paper => (65536, 65536),
+    };
+    let mut workloads: Vec<(String, Program)> = match scale {
         Scale::Small => vec![
             ("mmt(N=16,BJ=16,BK=8)".into(), cme_workloads::mmt(16, 16, 8)),
             ("hydro(24x24)".into(), cme_workloads::hydro(24, 24)),
@@ -91,6 +124,7 @@ fn main() {
             ("mgrid(100)".into(), cme_workloads::mgrid(100)),
         ],
     };
+    workloads.push((format!("stream3({stream_elems})"), stream3(stream_elems)));
 
     let cfg = CacheConfig::new(32 * 1024, 32, 2).expect("valid geometry");
     eprintln!(
@@ -103,12 +137,10 @@ fn main() {
         // Reuse vectors are shared; only classification is being timed.
         let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
 
-        let (off, off_t) = run(program, &reuse, cfg, PrepassMode::Off);
-        eprintln!("{name}: prepass-off {off_t:?}");
-        let (on, on_t) = run(program, &reuse, cfg, PrepassMode::On);
+        let [(off, off_t), (on, on_t)] = off_and_on(program, &reuse, cfg);
         let points: u64 = on.references().iter().map(|r| r.analyzed).sum();
         eprintln!(
-            "{name}: prepass-on {on_t:?} ({}/{points} resolved)",
+            "{name}: prepass-off {off_t:?}, prepass-on {on_t:?} ({}/{points} resolved)",
             on.prepass_resolved()
         );
         assert_eq!(
@@ -131,6 +163,59 @@ fn main() {
         });
     }
 
+    // --- cme-opt padding sweep, pre-pass off vs on -----------------------
+    // A tiny interval width forces every model evaluation onto the
+    // exhaustive plan, so with the pre-pass off the sweep walks every
+    // point and with it on every reference resolves in full.
+    let sweep_program = stream3(sweep_elems);
+    let sweep_cfg = CacheConfig::new(2048, 32, 1).expect("valid geometry");
+    let sweep_opts = |prepass: PrepassMode| PaddingOptions {
+        sampling: SamplingOptions {
+            width: 0.001,
+            prepass,
+            ..PaddingOptions::default().sampling
+        },
+        ..PaddingOptions::default()
+    };
+    let (plan_off, sweep_off) =
+        timed(|| search_padding(&sweep_program, sweep_cfg, &sweep_opts(PrepassMode::Off)));
+    eprintln!(
+        "padding sweep: pre-pass off {sweep_off:?} ({} evaluations)",
+        plan_off.evaluations
+    );
+    let (plan_on, sweep_on) =
+        timed(|| search_padding(&sweep_program, sweep_cfg, &sweep_opts(PrepassMode::On)));
+    eprintln!("padding sweep: pre-pass on {sweep_on:?}");
+    assert_eq!(plan_off, plan_on, "the pre-pass changed the padding plan");
+    let sweep_speedup = sweep_off.as_secs_f64() / sweep_on.as_secs_f64().max(1e-9);
+
+    // --- serve job: never-seen size, nothing walked -----------------------
+    let engine = Engine::in_memory(64);
+    let new_elems = stream_elems + 1111;
+    let novel = stream3(new_elems);
+    let mut job = Job::exact(&novel, cfg);
+    job.threads = Threads::Fixed(1);
+    let outcome = engine.run(&job).expect("serve job carries no deadline");
+    assert!(!outcome.from_store, "a new size cannot be a store hit");
+    assert_eq!(
+        outcome.prepass_resolved, outcome.points,
+        "stream3({new_elems}) must resolve without a walk"
+    );
+    let walked = FindMisses::new(&novel, cfg)
+        .threads(Threads::Fixed(1))
+        .prepass(PrepassMode::Off)
+        .run();
+    assert_eq!(
+        *outcome.payload,
+        render_payload(&novel, cfg, &AnalysisMode::Exact, &walked),
+        "serve payload diverged from the walked payload"
+    );
+    eprintln!(
+        "serve job: stream3({new_elems}) resolved all {} points, none walked",
+        outcome.points
+    );
+
+    // --- report ----------------------------------------------------------
     let mut table = Table::new(&[
         "workload",
         "points",
@@ -141,56 +226,73 @@ fn main() {
     ]);
     let mut json_rows = Vec::new();
     for r in &rows {
-        let rate = r.resolved as f64 / r.points.max(1) as f64;
-        let speedup = r.off.as_secs_f64() / r.on.as_secs_f64().max(1e-9);
         table.row(vec![
             r.workload.clone(),
             r.points.to_string(),
-            format!("{:.1}", 100.0 * rate),
-            cme_bench::secs(r.off),
-            cme_bench::secs(r.on),
-            format!("{speedup:.2}x"),
+            format!("{:.1}", 100.0 * r.rate()),
+            secs(r.off),
+            secs(r.on),
+            format!("{:.2}x", r.speedup()),
         ]);
         json_rows.push(format!(
             "    {{\"workload\": \"{}\", \"points\": {}, \"resolved\": {}, \
-             \"resolved_rate\": {:.4}, \"off_ms\": {:.1}, \"on_ms\": {:.1}, \
-             \"speedup\": {:.2}}}",
+             \"resolved_rate\": {:.4}, \"walked_points\": {}, \"off_ms\": {:.3}, \
+             \"on_ms\": {:.3}, \"speedup\": {:.2}}}",
             r.workload,
             r.points,
             r.resolved,
-            rate,
+            r.rate(),
+            r.points - r.resolved,
             r.off.as_secs_f64() * 1e3,
             r.on.as_secs_f64() * 1e3,
-            speedup,
+            r.speedup(),
         ));
     }
     table.print();
+    eprintln!(
+        "padding sweep: {} -> {} ({sweep_speedup:.1}x), plans identical",
+        secs(sweep_off),
+        secs(sweep_on)
+    );
 
     let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"cache\": \"32KB/32B/2-way\",\n  \"threads\": 1,\n  \"hw_threads\": {},\n  \"strategy\": \"set-skip\",\n  \"prepass\": \"on-vs-off\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"scale\": \"{}\",\n  \"cache\": \"32KB/32B/2-way\",\n  \"threads\": 1,\n  \
+         \"hw_threads\": {},\n  \"strategy\": \"set-skip\",\n  \"prepass\": \"on-vs-off\",\n  \
+         \"rows\": [\n{}\n  ],\n  \
+         \"padding_sweep\": {{\"workload\": \"stream3({})\", \"evaluations\": {}, \
+         \"off_ms\": {:.1}, \"on_ms\": {:.1}, \"speedup\": {:.1}}},\n  \
+         \"new_size\": {{\"workload\": \"stream3({})\", \"points\": {}, \
+         \"prepass_resolved\": {}}}\n}}\n",
         scale.label(),
         cme_bench::hw_threads(),
-        json_rows.join(",\n")
+        json_rows.join(",\n"),
+        sweep_elems,
+        plan_off.evaluations,
+        sweep_off.as_secs_f64() * 1e3,
+        sweep_on.as_secs_f64() * 1e3,
+        sweep_speedup,
+        new_elems,
+        outcome.points,
+        outcome.prepass_resolved,
     );
     std::fs::write(&out, &json).expect("write BENCH_prepass.json");
     eprintln!("-> {out}");
 
-    // CI floors. MMT is the workload the pre-pass is built for: long
-    // streaming rows with uniform verdicts.
+    // CI floors. MMT is the workload the pre-pass was first built for:
+    // long streaming rows with uniform verdicts.
     let mmt = rows
         .iter()
         .find(|r| r.workload.starts_with("mmt"))
         .expect("mmt row");
-    let rate = mmt.resolved as f64 / mmt.points.max(1) as f64;
     assert!(
-        rate >= 0.5,
+        mmt.rate() >= 0.5,
         "pre-pass resolution regressed on {}: {:.1}% < 50%",
         mmt.workload,
-        100.0 * rate
+        100.0 * mmt.rate()
     );
     // At small scale the MMT walls are single-digit milliseconds, where
-    // scheduler noise on a 1-CPU host swamps the real margin; allow 10%
-    // there and stay strict where the measurement is meaningful.
+    // scheduler noise swamps the real margin; allow 10% there and stay
+    // strict where the measurement is meaningful.
     let tolerance = if scale == Scale::Small { 1.10 } else { 1.0 };
     assert!(
         mmt.on.as_secs_f64() <= mmt.off.as_secs_f64() * tolerance,
@@ -199,4 +301,23 @@ fn main() {
         mmt.on,
         mmt.off
     );
+    // The streaming workload must resolve in full at every scale.
+    let stream = rows.last().expect("stream3 row");
+    assert_eq!(
+        stream.resolved,
+        stream.points,
+        "stream3 no longer resolves in full: {} points walked",
+        stream.points - stream.resolved
+    );
+    if scale == Scale::Paper {
+        assert!(
+            stream.speedup() >= 100.0,
+            "pre-pass below the 100x floor over the walk on stream3: {:.0}x",
+            stream.speedup()
+        );
+        assert!(
+            sweep_speedup >= 10.0,
+            "padding sweep below the 10x floor: {sweep_speedup:.1}x"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Drives the `analyze` binary itself: malformed FORTRAN must produce a
 //! `path:line:` diagnostic and a nonzero exit, never a panic; so must a
-//! malformed numeric flag, here and in the table binaries. Well-formed
-//! input must still succeed.
+//! malformed numeric flag, here and in the table binaries, and an unknown
+//! flag. Well-formed input must still succeed.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -160,4 +160,57 @@ fn table_binaries_reject_malformed_threads_and_scale() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.trim(), want);
     }
+}
+
+#[test]
+fn unknown_flags_exit_two_naming_the_flag() {
+    for (args, flag) in [
+        (&["--workload", "mmt", "--exakt"][..], "--exakt"),
+        (
+            &[
+                "--workload",
+                "mmt",
+                "--n",
+                "8",
+                "--prepass",
+                "off",
+                "--walk",
+            ][..],
+            "--walk",
+        ),
+        (&["-n", "8"][..], "-n"),
+        (&["--workload", "mmt", "--n", "8", "extra"][..], "extra"),
+    ] {
+        let out = analyze(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim(),
+            format!("analyze: unknown flag `{flag}`"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
+}
+
+#[test]
+fn values_of_flags_are_not_flags() {
+    let out = analyze(&[
+        "--workload",
+        "mmt",
+        "--n",
+        "8",
+        "--param",
+        "X=1",
+        "--geometry",
+        "4K:2:32",
+        "--prepass",
+        "off",
+        "--threads",
+        "1",
+        "--exact",
+        "--simulate",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
 }

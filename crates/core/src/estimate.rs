@@ -3,11 +3,10 @@
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::classify::Classifier;
-use crate::options::{PrepassMode, SamplingOptions, SymbolicMode};
+use crate::options::{PrepassMode, SamplingOptions};
 use crate::parallel;
-use crate::prepass;
+use crate::prepass::{self, RefVerdicts};
 use crate::report::{Coverage, RefReport, Report};
-use crate::symbolic;
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
@@ -95,40 +94,15 @@ impl<'p> EstimateMisses<'p> {
         let mut reports = Vec::with_capacity(self.program.references().len());
         let mut points_done = 0u64;
         let mut prepass_resolved = 0u64;
-        let mut symbolic_refs = 0u64;
-        let mut symbolic_points = 0u64;
         for r in 0..self.program.references().len() {
             let ris = self.program.ris(r);
             let volume = ris.count();
             let (tally, coverage) = match self.options.plan(volume) {
                 crate::options::SamplePlan::Exhaustive => {
-                    // Symbolic closure replaces only the exhaustive walk:
-                    // sampled references already cost O(samples), not
-                    // O(|RIS|), and closed counts equal the exhaustive
-                    // tally — so the report bytes cannot change.
-                    if self.options.symbolic == SymbolicMode::On {
-                        let sym = symbolic::analyze_reference(&classifier, r, cancel)
-                            .map_err(|_| Cancelled { points_done })?;
-                        if let Some(counts) = sym.counts() {
-                            symbolic_refs += 1;
-                            symbolic_points += counts.total();
-                            points_done += counts.total();
-                            reports.push(RefReport {
-                                r,
-                                ris_size: volume,
-                                analyzed: counts.total(),
-                                cold: counts.cold,
-                                replacement: counts.replacement,
-                                hits: counts.hits,
-                                coverage: Coverage::Exhaustive,
-                            });
-                            continue;
-                        }
-                    }
-                    // The pre-pass costs O(|RIS|); it pays for itself only
-                    // on exhaustively-analysed references. Sampled
-                    // references classify ~a few hundred points, so they
-                    // always take the plain walk.
+                    // The pre-pass costs at least O(rows); it pays for
+                    // itself only on exhaustively-analysed references.
+                    // Sampled references classify ~a few hundred points,
+                    // so they always take the plain walk.
                     let verdicts = match self.options.prepass {
                         PrepassMode::On => Some(
                             prepass::analyze_reference(&classifier, r, cancel)
@@ -139,8 +113,9 @@ impl<'p> EstimateMisses<'p> {
                     if let Some(v) = &verdicts {
                         prepass_resolved += v.resolved();
                     }
-                    (
-                        parallel::classify_exhaustive(
+                    let tally = match verdicts.as_ref().and_then(RefVerdicts::totals) {
+                        Some(totals) => totals,
+                        None => parallel::classify_exhaustive(
                             &classifier,
                             r,
                             ris,
@@ -149,8 +124,8 @@ impl<'p> EstimateMisses<'p> {
                             verdicts.as_ref(),
                         )
                         .ok_or(Cancelled { points_done })?,
-                        Coverage::Exhaustive,
-                    )
+                    };
+                    (tally, Coverage::Exhaustive)
                 }
                 crate::options::SamplePlan::Sample(nsamples) => {
                     // Per-reference deterministic seed; each sample chunk
@@ -180,9 +155,7 @@ impl<'p> EstimateMisses<'p> {
                 coverage,
             });
         }
-        Ok(Report::new(reports, start.elapsed())
-            .with_prepass_resolved(prepass_resolved)
-            .with_symbolic_closed(symbolic_refs, symbolic_points))
+        Ok(Report::new(reports, start.elapsed()).with_prepass_resolved(prepass_resolved))
     }
 }
 

@@ -2,11 +2,10 @@
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::classify::{Classifier, WalkStrategy};
-use crate::options::{PrepassMode, SymbolicMode, Threads};
+use crate::options::{PrepassMode, Threads};
 use crate::parallel;
-use crate::prepass;
+use crate::prepass::{self, RefVerdicts};
 use crate::report::{Coverage, RefReport, Report};
-use crate::symbolic;
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
@@ -43,7 +42,6 @@ pub struct FindMisses<'p> {
     threads: Threads,
     walk: WalkStrategy,
     prepass: PrepassMode,
-    symbolic: SymbolicMode,
 }
 
 impl<'p> FindMisses<'p> {
@@ -57,7 +55,6 @@ impl<'p> FindMisses<'p> {
             threads: Threads::default(),
             walk: WalkStrategy::default(),
             prepass: PrepassMode::default(),
-            symbolic: SymbolicMode::default(),
         }
     }
 
@@ -71,7 +68,6 @@ impl<'p> FindMisses<'p> {
             threads: Threads::default(),
             walk: WalkStrategy::default(),
             prepass: PrepassMode::default(),
-            symbolic: SymbolicMode::default(),
         }
     }
 
@@ -94,21 +90,12 @@ impl<'p> FindMisses<'p> {
 
     /// Enables or disables the definitely-hit/definitely-miss pre-pass
     /// (default [`PrepassMode::On`]). The pre-pass resolves points only to
-    /// the verdict the exact walk would reach, so the report is
-    /// byte-identical for both settings; `Off` exists for differential
-    /// testing and timing comparisons.
+    /// the verdict the exact walk would reach, and a reference it resolves
+    /// in full is counted without walking, so the report is byte-identical
+    /// for both settings; `Off` exists for differential testing and timing
+    /// comparisons.
     pub fn prepass(mut self, mode: PrepassMode) -> Self {
         self.prepass = mode;
-        self
-    }
-
-    /// Enables the symbolic counting tier (default [`SymbolicMode::Off`]).
-    /// References whose miss equations close into segment × residue-class
-    /// form are counted without visiting iteration points; the rest take
-    /// the exact walk. Closed counts equal the classifier tally by
-    /// construction, so the report is byte-identical for both settings.
-    pub fn symbolic(mut self, mode: SymbolicMode) -> Self {
-        self.symbolic = mode;
         self
     }
 
@@ -135,29 +122,7 @@ impl<'p> FindMisses<'p> {
         let mut reports = Vec::with_capacity(self.program.references().len());
         let mut points_done = 0u64;
         let mut prepass_resolved = 0u64;
-        let mut symbolic_refs = 0u64;
-        let mut symbolic_points = 0u64;
         for r in 0..self.program.references().len() {
-            let ris = self.program.ris(r);
-            if self.symbolic == SymbolicMode::On {
-                let sym = symbolic::analyze_reference(&classifier, r, cancel)
-                    .map_err(|_| Cancelled { points_done })?;
-                if let Some(counts) = sym.counts() {
-                    symbolic_refs += 1;
-                    symbolic_points += counts.total();
-                    points_done += counts.total();
-                    reports.push(RefReport {
-                        r,
-                        ris_size: counts.total(),
-                        analyzed: counts.total(),
-                        cold: counts.cold,
-                        replacement: counts.replacement,
-                        hits: counts.hits,
-                        coverage: Coverage::Exhaustive,
-                    });
-                    continue;
-                }
-            }
             let verdicts = match self.prepass {
                 PrepassMode::On => Some(
                     prepass::analyze_reference(&classifier, r, cancel)
@@ -168,15 +133,18 @@ impl<'p> FindMisses<'p> {
             if let Some(v) = &verdicts {
                 prepass_resolved += v.resolved();
             }
-            let tally = parallel::classify_exhaustive(
-                &classifier,
-                r,
-                ris,
-                threads,
-                cancel,
-                verdicts.as_ref(),
-            )
-            .ok_or(Cancelled { points_done })?;
+            let tally = match verdicts.as_ref().and_then(RefVerdicts::totals) {
+                Some(totals) => totals,
+                None => parallel::classify_exhaustive(
+                    &classifier,
+                    r,
+                    self.program.ris(r),
+                    threads,
+                    cancel,
+                    verdicts.as_ref(),
+                )
+                .ok_or(Cancelled { points_done })?,
+            };
             points_done += tally.analyzed();
             reports.push(RefReport {
                 r,
@@ -188,9 +156,7 @@ impl<'p> FindMisses<'p> {
                 coverage: Coverage::Exhaustive,
             });
         }
-        Ok(Report::new(reports, start.elapsed())
-            .with_prepass_resolved(prepass_resolved)
-            .with_symbolic_closed(symbolic_refs, symbolic_points))
+        Ok(Report::new(reports, start.elapsed()).with_prepass_resolved(prepass_resolved))
     }
 }
 

@@ -50,14 +50,12 @@ pub mod parallel;
 pub mod prepass;
 pub mod report;
 pub mod sweep;
-pub mod symbolic;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use classify::{Classifier, PointClass, Scratch, WalkStrategy};
 pub use estimate::EstimateMisses;
 pub use find::FindMisses;
-pub use options::{PrepassMode, SamplingOptions, SymbolicMode, Threads};
+pub use options::{PrepassMode, SamplingOptions, Threads};
 pub use prepass::{Prepass, RefVerdicts, Verdict};
 pub use report::{Coverage, RefReport, Report};
 pub use sweep::{SweepOptions, SweepPlan};
-pub use symbolic::{RefCounts, RefSymbolic, Symbolic};

@@ -46,29 +46,11 @@ impl Threads {
 /// comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrepassMode {
-    /// Run the pre-pass; resolved points skip the interference walk. The
-    /// default.
+    /// Run the pre-pass; resolved points skip the interference walk, and a
+    /// reference it resolves in full skips the walk entirely. The default.
     #[default]
     On,
-    /// Classify every point with the exact walk.
-    Off,
-}
-
-/// Whether the symbolic miss-equation tier (`crate::symbolic`,
-/// DESIGN.md §13) answers references in closed form before enumeration.
-///
-/// The tier only ever returns the totals the exact walk would tally, and
-/// falls back per reference wherever its closure conditions fail, so
-/// reports are **byte-identical** for both settings (and across threads,
-/// walk strategies and prepass modes). `On` makes closed references cost
-/// `O(rows)` instead of `O(points)`; `Off` (the default) keeps the
-/// enumerated path everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SymbolicMode {
-    /// Answer closed references from the symbolic tier; enumerate the rest.
-    On,
-    /// Enumerate every reference. The default.
-    #[default]
+    /// Classify every point with the exact walk: the reference path.
     Off,
 }
 
@@ -102,10 +84,6 @@ pub struct SamplingOptions {
     /// Whether the hit/miss pre-pass runs before exhaustively-analysed
     /// references. Reports are byte-identical for both settings.
     pub prepass: PrepassMode,
-    /// Whether exhaustively-analysed references may be answered by the
-    /// symbolic tier. Reports are byte-identical for both settings;
-    /// sampled references are never affected.
-    pub symbolic: SymbolicMode,
 }
 
 /// How a reference's iteration space will be analysed.
@@ -128,7 +106,6 @@ impl SamplingOptions {
             fallback: None,
             threads: Threads::Auto,
             prepass: PrepassMode::On,
-            symbolic: SymbolicMode::Off,
         }
     }
 
@@ -154,7 +131,6 @@ impl SamplingOptions {
                         fallback: None,
                         threads: self.threads,
                         prepass: self.prepass,
-                        symbolic: self.symbolic,
                     };
                     if let Some(n) = coarse.sample_size(population) {
                         return SamplePlan::Sample(n);
@@ -261,7 +237,6 @@ mod tests {
             fallback: None,
             threads: Threads::default(),
             prepass: PrepassMode::default(),
-            symbolic: SymbolicMode::default(),
         }
     }
 

@@ -60,12 +60,6 @@ pub struct Report {
     /// Diagnostic only: deliberately absent from [`Report::render`], whose
     /// bytes must not depend on how points were classified.
     prepass_resolved: u64,
-    /// References the symbolic tier counted in closed form (0 when it was
-    /// off). Diagnostic only, absent from [`Report::render`] for the same
-    /// reason as `prepass_resolved`.
-    symbolic_refs_closed: u64,
-    /// Points covered by symbolically closed references.
-    symbolic_points_closed: u64,
 }
 
 impl Report {
@@ -74,8 +68,6 @@ impl Report {
             per_ref,
             elapsed,
             prepass_resolved: 0,
-            symbolic_refs_closed: 0,
-            symbolic_points_closed: 0,
         }
     }
 
@@ -84,28 +76,10 @@ impl Report {
         self
     }
 
-    pub(crate) fn with_symbolic_closed(mut self, refs: u64, points: u64) -> Self {
-        self.symbolic_refs_closed = refs;
-        self.symbolic_points_closed = points;
-        self
-    }
-
     /// Points the hit/miss pre-pass resolved without an interference walk
     /// (0 when the pre-pass was off or resolved nothing).
     pub fn prepass_resolved(&self) -> u64 {
         self.prepass_resolved
-    }
-
-    /// References the symbolic tier counted in closed form without touching
-    /// individual iteration points (0 when symbolic analysis was off or
-    /// nothing closed).
-    pub fn symbolic_refs_closed(&self) -> u64 {
-        self.symbolic_refs_closed
-    }
-
-    /// Dynamic accesses covered by symbolically closed references.
-    pub fn symbolic_points_closed(&self) -> u64 {
-        self.symbolic_points_closed
     }
 
     /// Per-reference reports, indexed by [`RefId`].

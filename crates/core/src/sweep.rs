@@ -13,16 +13,16 @@
 //!   once up front (per-reference address plans, bounding boxes and
 //!   lexical ranks are hoisted there, borrowed from the shared reuse);
 //! * **iteration-space rows** — each reference's RIS is enumerated into
-//!   its flat row buffer *once* ([`Program::flat_ris`]) and every
-//!   geometry's chunked walk indexes the same rows.
+//!   its flat row buffer *once* ([`Program::flat_ris`]), and only when
+//!   some geometry still needs a walk; every geometry's chunked walk
+//!   indexes the same rows.
 //!
-//! Per geometry, classification runs through the existing accelerating
-//! tiers in the same order as [`crate::FindMisses`]: the symbolic tier
-//! first (closed references never touch the rows), then the hit/miss
-//! pre-pass, then the chunked exact walk — fanned out over
-//! *(geometry, chunk)* work items on the parallel engine, so a grid
-//! keeps every worker busy even when single references split into few
-//! chunks.
+//! Per geometry, classification runs through the same tiers as
+//! [`crate::FindMisses`]: the hit/miss pre-pass first (a reference it
+//! resolves in full never touches the rows), then the chunked exact walk —
+//! fanned out over *(geometry, chunk)* work items on the parallel engine,
+//! so a grid keeps every worker busy even when single references split
+//! into few chunks.
 //!
 //! # Correctness contract
 //!
@@ -35,40 +35,24 @@
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::classify::{Classifier, Scratch, WalkStrategy};
-use crate::options::{PrepassMode, SymbolicMode, Threads};
+use crate::options::{PrepassMode, Threads};
 use crate::parallel::{self, Tally, CHUNK_POINTS};
 use crate::prepass::{self, RefVerdicts};
 use crate::report::{Coverage, RefReport, Report};
-use crate::symbolic;
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs of a sweep run. All four are pure accelerators: results are
+/// Knobs of a sweep run. All three are pure accelerators: results are
 /// byte-identical across every combination (the differential tests
 /// assert it), exactly as for [`crate::FindMisses`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SweepOptions {
     pub threads: Threads,
     pub walk: WalkStrategy,
     pub prepass: PrepassMode,
-    /// Defaults to **on** for sweeps (unlike single queries): closed
-    /// references skip the per-geometry walk entirely, which is where a
-    /// grid's multiplicative win lives.
-    pub symbolic: SymbolicMode,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            threads: Threads::default(),
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
-            symbolic: SymbolicMode::On,
-        }
-    }
 }
 
 /// The geometry-independent half of a design-space sweep: the program
@@ -130,8 +114,8 @@ impl<'p> SweepPlan<'p> {
             .expect("never-token sweeps cannot be cancelled")
     }
 
-    /// Cancellable [`SweepPlan::run`]: the token is checked per symbolic /
-    /// pre-pass tier and per work chunk, exactly as in single-geometry
+    /// Cancellable [`SweepPlan::run`]: the token is checked inside each
+    /// pre-pass and per work chunk, exactly as in single-geometry
     /// analysis. On cancellation all per-cell progress is discarded.
     ///
     /// # Errors
@@ -165,30 +149,11 @@ impl<'p> SweepPlan<'p> {
         let mut points_done: u64 = 0;
 
         for r in 0..nrefs {
-            // Geometry-dependent tiers first: symbolic closure, then the
-            // pre-pass. Cells the tiers do not finish stay pending and
-            // share one flat row buffer below.
+            // The geometry-dependent pre-pass first. Cells it does not
+            // resolve in full stay pending and share one flat row buffer
+            // below.
             let mut pending: Vec<(usize, Option<RefVerdicts>)> = Vec::new();
             for (ci, cl) in classifiers.iter().enumerate() {
-                if opts.symbolic == SymbolicMode::On {
-                    let sym = symbolic::analyze_reference(cl, r, cancel)
-                        .map_err(|_| Cancelled { points_done })?;
-                    if let Some(counts) = sym.counts() {
-                        points_done += counts.total();
-                        cells[ci].reports.push(RefReport {
-                            r,
-                            ris_size: counts.total(),
-                            analyzed: counts.total(),
-                            cold: counts.cold,
-                            replacement: counts.replacement,
-                            hits: counts.hits,
-                            coverage: Coverage::Exhaustive,
-                        });
-                        cells[ci].symbolic_refs += 1;
-                        cells[ci].symbolic_points += counts.total();
-                        continue;
-                    }
-                }
                 let verdicts = match opts.prepass {
                     PrepassMode::On => Some(
                         prepass::analyze_reference(cl, r, cancel)
@@ -196,7 +161,13 @@ impl<'p> SweepPlan<'p> {
                     ),
                     PrepassMode::Off => None,
                 };
-                pending.push((ci, verdicts));
+                match verdicts.as_ref().and_then(RefVerdicts::totals) {
+                    Some(totals) => {
+                        points_done += totals.analyzed();
+                        cells[ci].push(r, totals, verdicts.as_ref());
+                    }
+                    None => pending.push((ci, verdicts)),
+                }
             }
             if pending.is_empty() {
                 continue;
@@ -213,7 +184,7 @@ impl<'p> SweepPlan<'p> {
                     }
                     let tally = zero_dim_tally(&classifiers[*ci], r, verdicts.as_ref());
                     points_done += tally.analyzed();
-                    cells[*ci].push_walked(r, tally, verdicts.as_ref());
+                    cells[*ci].push(r, tally, verdicts.as_ref());
                 }
                 continue;
             }
@@ -255,18 +226,14 @@ impl<'p> SweepPlan<'p> {
                     total.merge(*t);
                 }
                 points_done += total.analyzed();
-                cells[*ci].push_walked(r, total, verdicts.as_ref());
+                cells[*ci].push(r, total, verdicts.as_ref());
             }
         }
 
         let elapsed = start.elapsed();
         Ok(cells
             .into_iter()
-            .map(|c| {
-                Report::new(c.reports, elapsed)
-                    .with_prepass_resolved(c.prepass_resolved)
-                    .with_symbolic_closed(c.symbolic_refs, c.symbolic_points)
-            })
+            .map(|c| Report::new(c.reports, elapsed).with_prepass_resolved(c.prepass_resolved))
             .collect())
     }
 }
@@ -276,12 +243,10 @@ impl<'p> SweepPlan<'p> {
 struct CellAcc {
     reports: Vec<RefReport>,
     prepass_resolved: u64,
-    symbolic_refs: u64,
-    symbolic_points: u64,
 }
 
 impl CellAcc {
-    fn push_walked(&mut self, r: cme_ir::RefId, tally: Tally, verdicts: Option<&RefVerdicts>) {
+    fn push(&mut self, r: cme_ir::RefId, tally: Tally, verdicts: Option<&RefVerdicts>) {
         if let Some(v) = verdicts {
             self.prepass_resolved += v.resolved();
         }
@@ -377,8 +342,8 @@ mod tests {
         }
     }
 
-    /// Sweep results are invariant across threads x strategy x
-    /// prepass/symbolic modes — the same contract `FindMisses` holds.
+    /// Sweep results are invariant across threads x strategy x prepass
+    /// modes — the same contract `FindMisses` holds.
     #[test]
     fn sweep_is_mode_invariant() {
         let p = kernel(16);
@@ -388,17 +353,14 @@ mod tests {
         for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
             for walk in [WalkStrategy::SetSkip, WalkStrategy::LegacyScan] {
                 for prepass in [PrepassMode::On, PrepassMode::Off] {
-                    for symbolic in [SymbolicMode::On, SymbolicMode::Off] {
-                        let opts = SweepOptions {
-                            threads,
-                            walk,
-                            prepass,
-                            symbolic,
-                        };
-                        let got = plan.run(&grid, &opts);
-                        for ((g, a), b) in grid.iter().zip(&baseline).zip(&got) {
-                            assert_reports_equal(a, b, &format!("{g} {opts:?}"));
-                        }
+                    let opts = SweepOptions {
+                        threads,
+                        walk,
+                        prepass,
+                    };
+                    let got = plan.run(&grid, &opts);
+                    for ((g, a), b) in grid.iter().zip(&baseline).zip(&got) {
+                        assert_reports_equal(a, b, &format!("{g} {opts:?}"));
                     }
                 }
             }

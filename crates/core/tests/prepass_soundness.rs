@@ -15,12 +15,19 @@
 //!    complete, so there `Cold`/`Replacement` must be simulator misses
 //!    too.
 //! 3. **under cancellation** — an expired deadline aborts inside the
-//!    pre-pass itself, before any verdict tier is published.
+//!    pre-pass itself, before any verdict is published.
+//!
+//! On a fixed corpus — three sizes of each paper kernel on four geometries
+//! (non-power-of-two included), a complete-vector stencil and a guarded
+//! transposed nest — reports are also compared with the pre-pass on and
+//! off, and the coverage is pinned: resolved points and fully resolved
+//! references may grow, never shrink.
 
 use cme_analysis::{
-    prepass, CancelToken, Classifier, FindMisses, PointClass, PrepassMode, Scratch, Verdict,
+    prepass, CancelToken, Classifier, EstimateMisses, FindMisses, PointClass, PrepassMode,
+    SamplingOptions, Scratch, Verdict,
 };
-use cme_cache::{Cache, CacheConfig};
+use cme_cache::{Cache, CacheConfig, Simulator};
 use cme_ir::{LinExpr, LinRel, Program, ProgramBuilder, RelOp, SNode, SRef};
 use cme_poly::rng::{Rng, SeededRng};
 use cme_reuse::ReuseAnalysis;
@@ -132,20 +139,31 @@ fn arb_config(rng: &mut SeededRng) -> CacheConfig {
     }
 }
 
+/// What the pre-pass covered on one program.
+#[derive(Debug, Default)]
+struct Coverage {
+    resolved: u64,
+    total: u64,
+    /// References with no unknown point.
+    full_refs: usize,
+}
+
 /// Asserts verdict-for-verdict equality with the classifier for every
-/// point of every reference, and returns `(resolved, total)`.
-fn assert_matches_classifier(program: &Program, cfg: CacheConfig, ctx: &str) -> (u64, u64) {
+/// point of every reference and, for fully resolved references, equality
+/// of the totals with the classifier's tally.
+fn assert_matches_classifier(program: &Program, cfg: CacheConfig, ctx: &str) -> Coverage {
     let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
     let classifier = Classifier::new(program, &reuse, cfg);
     let cancel = CancelToken::never();
     let mut scratch = Scratch::new();
-    let (mut resolved, mut total) = (0u64, 0u64);
+    let mut cov = Coverage::default();
     for r in 0..program.references().len() {
         let vd = prepass::analyze_reference(&classifier, r, &cancel).expect("never cancelled");
-        resolved += vd.resolved();
-        total += vd.total();
+        cov.resolved += vd.resolved();
+        cov.total += vd.total();
         let mut cursor = 0usize;
         let mut seen = 0u64;
+        let mut counted = (0u64, 0u64, 0u64);
         program.ris(r).for_each_point(|p| {
             seen += 1;
             let Some(v) = vd.lookup(p, &mut cursor) else {
@@ -161,10 +179,23 @@ fn assert_matches_classifier(program: &Program, cfg: CacheConfig, ctx: &str) -> 
                 v, want,
                 "{ctx}: ref {r} point {p:?}: pre-pass {v:?} vs walk {exact:?}"
             );
+            match v {
+                Verdict::Cold => counted.0 += 1,
+                Verdict::Replacement => counted.1 += 1,
+                Verdict::Hit => counted.2 += 1,
+            }
         });
         assert_eq!(seen, vd.total(), "{ctx}: ref {r} RIS volume mismatch");
+        if let Some(t) = vd.totals() {
+            cov.full_refs += 1;
+            assert_eq!(
+                (t.cold, t.replacement, t.hits),
+                counted,
+                "{ctx}: ref {r} totals"
+            );
+        }
     }
-    (resolved, total)
+    cov
 }
 
 /// Replays the program's access trace through the LRU cache and checks
@@ -211,9 +242,9 @@ fn matches_classifier_on_perfect_nests() {
     for case in 0..48 {
         let program = arb_perfect_program(&mut rng);
         let cfg = arb_config(&mut rng);
-        let (r, t) = assert_matches_classifier(&program, cfg, &format!("case {case} cfg {cfg}"));
-        resolved += r;
-        total += t;
+        let cov = assert_matches_classifier(&program, cfg, &format!("case {case} cfg {cfg}"));
+        resolved += cov.resolved;
+        total += cov.total;
     }
     // The fuzz pool as a whole must not silently degrade to Unknown.
     assert!(
@@ -229,8 +260,8 @@ fn matches_classifier_on_guarded_nests() {
     for case in 0..32 {
         let program = arb_guarded_program(&mut rng);
         let cfg = arb_config(&mut rng);
-        let (r, _) = assert_matches_classifier(&program, cfg, &format!("case {case} cfg {cfg}"));
-        resolved += r;
+        resolved +=
+            assert_matches_classifier(&program, cfg, &format!("case {case} cfg {cfg}")).resolved;
     }
     assert!(resolved > 0, "guarded nests never resolved anything");
 }
@@ -290,8 +321,12 @@ fn matches_classifier_on_inlined_call_program() {
         CacheConfig::new(4096, 32, 2).unwrap(),
         CacheConfig::with_geometry(24, 12, 2).unwrap(),
     ] {
-        let (resolved, total) = assert_matches_classifier(&program, cfg, &format!("cfg {cfg}"));
-        assert!(resolved > 0, "cfg {cfg}: nothing resolved ({total} points)");
+        let cov = assert_matches_classifier(&program, cfg, &format!("cfg {cfg}"));
+        assert!(
+            cov.resolved > 0,
+            "cfg {cfg}: nothing resolved ({} points)",
+            cov.total
+        );
     }
 }
 
@@ -302,10 +337,12 @@ fn matches_classifier_on_inlined_call_program() {
 fn mmt_resolution_rate_floor() {
     let program = cme_workloads::mmt(16, 16, 8);
     let cfg = CacheConfig::new(32 * 1024, 32, 2).unwrap();
-    let (resolved, total) = assert_matches_classifier(&program, cfg, "mmt(16,16,8)");
+    let cov = assert_matches_classifier(&program, cfg, "mmt(16,16,8)");
     assert!(
-        resolved * 2 >= total,
-        "mmt resolution regressed: {resolved}/{total}"
+        cov.resolved * 2 >= cov.total,
+        "mmt resolution regressed: {}/{}",
+        cov.resolved,
+        cov.total
     );
 }
 
@@ -357,4 +394,236 @@ fn expired_deadline_aborts_inside_prepass() {
         "cancellation took {:?}",
         started.elapsed()
     );
+}
+
+/// Three concrete instantiations per paper kernel — different shapes, not
+/// just scalings.
+fn kernel_sizes() -> Vec<(String, Program)> {
+    let mut v: Vec<(String, Program)> = Vec::new();
+    for n in [16i64, 24, 33] {
+        v.push((format!("hydro-{n}"), cme_workloads::hydro(n, n)));
+    }
+    for n in [8i64, 12, 17] {
+        v.push((format!("mgrid-{n}"), cme_workloads::mgrid(n)));
+    }
+    for (n, bj, bk) in [(8i64, 8i64, 4i64), (16, 8, 4), (18, 9, 6)] {
+        v.push((format!("mmt-{n}x{bj}x{bk}"), cme_workloads::mmt(n, bj, bk)));
+    }
+    v
+}
+
+/// Non-power-of-two line sizes and set counts included: closure must not
+/// lean on power-of-two set mapping.
+fn geometries() -> Vec<CacheConfig> {
+    vec![
+        CacheConfig::new(4096, 32, 2).unwrap(),
+        CacheConfig::new(1024, 32, 1).unwrap(),
+        CacheConfig::with_geometry(24, 12, 2).unwrap(),
+        CacheConfig::with_geometry(32, 21, 1).unwrap(),
+    ]
+}
+
+/// Coverage floors per `kernel_sizes() × geometries()` case, in order:
+/// `(resolved points, fully resolved references)`. The floors are what
+/// the whole-row pre-pass resolved and how many references the former
+/// closed-form counting tier closed on the same cases.
+const KERNEL_FLOORS: [[(u64, usize); 4]; 9] = [
+    [(10653, 18), (10653, 18), (10381, 27), (10653, 18)],
+    [(25163, 18), (25163, 18), (24500, 27), (25163, 18)],
+    [(48761, 25), (48761, 25), (47525, 27), (48761, 25)],
+    [(3024, 7), (3024, 7), (2898, 7), (3024, 7)],
+    [(14290, 7), (14290, 7), (13517, 7), (14290, 7)],
+    [(48839, 6), (48839, 6), (46440, 7), (48839, 6)],
+    [(960, 1), (960, 1), (904, 1), (960, 1)],
+    [(7376, 1), (7376, 1), (6813, 1), (7376, 1)],
+    [(10000, 1), (10000, 1), (10080, 1), (10000, 1)],
+];
+
+fn assert_floor(cov: &Coverage, (resolved, full_refs): (u64, usize), ctx: &str) {
+    assert!(
+        cov.resolved >= resolved,
+        "{ctx}: resolved {} < floor {resolved}",
+        cov.resolved
+    );
+    assert!(
+        cov.full_refs >= full_refs,
+        "{ctx}: {} fully resolved references < floor {full_refs}",
+        cov.full_refs
+    );
+}
+
+/// Every resolved verdict on the kernel corpus equals the classifier's,
+/// and coverage holds its floors.
+#[test]
+fn kernel_corpus_coverage_holds_its_floors() {
+    for ((name, program), floors) in kernel_sizes().iter().zip(KERNEL_FLOORS) {
+        for (cfg, floor) in geometries().into_iter().zip(floors) {
+            let ctx = format!("{name} on {cfg}");
+            assert_floor(&assert_matches_classifier(program, cfg, &ctx), floor, &ctx);
+        }
+    }
+}
+
+/// Exact analysis, pre-pass on vs off: identical report contents on every
+/// kernel × geometry pair.
+#[test]
+fn findmisses_prepass_on_matches_off_on_kernel_corpus() {
+    for (name, program) in &kernel_sizes() {
+        for cfg in geometries() {
+            let on = FindMisses::new(program, cfg).run();
+            let off = FindMisses::new(program, cfg)
+                .prepass(PrepassMode::Off)
+                .run();
+            assert_eq!(on.references(), off.references(), "{name} on {cfg}");
+            assert_eq!(on.miss_ratio(), off.miss_ratio(), "{name} on {cfg}");
+            assert_eq!(off.prepass_resolved(), 0, "{name} on {cfg}");
+        }
+    }
+}
+
+/// Sampled analysis: only exhaustively-planned references consult the
+/// pre-pass, so the sampled report is identical too.
+#[test]
+fn estimatemisses_prepass_on_matches_off_on_kernel_corpus() {
+    let cfg = CacheConfig::new(4096, 32, 2).unwrap();
+    for (name, program) in &kernel_sizes() {
+        let on = EstimateMisses::new(program, cfg, SamplingOptions::paper_default()).run();
+        let off = EstimateMisses::new(
+            program,
+            cfg,
+            SamplingOptions {
+                prepass: PrepassMode::Off,
+                ..SamplingOptions::paper_default()
+            },
+        )
+        .run();
+        assert_eq!(on.references(), off.references(), "{name}");
+    }
+}
+
+/// On guard-free perfect nests the reuse-vector set is complete, so the
+/// report — most of it counted without a walk — matches the LRU simulator
+/// exactly.
+#[test]
+fn fully_resolved_references_match_simulator_on_complete_vector_programs() {
+    let n = 20i64;
+    let mut b = ProgramBuilder::new("stencil");
+    b.array("U", &[n, n], 8);
+    b.array("V", &[n, n], 8);
+    let (i, j) = (LinExpr::var("I"), LinExpr::var("J"));
+    b.push(SNode::loop_(
+        "J",
+        2,
+        n - 1,
+        vec![SNode::loop_(
+            "I",
+            2,
+            n - 1,
+            vec![SNode::assign(
+                SRef::new("V", vec![i.clone(), j.clone()]),
+                vec![
+                    SRef::new("U", vec![i.offset(-1), j.clone()]),
+                    SRef::new("U", vec![i.offset(1), j.clone()]),
+                    SRef::new("U", vec![i.clone(), j.offset(-1)]),
+                ],
+            )],
+        )],
+    ));
+    let program = b.build().unwrap();
+    for (size, assoc) in [(1024u64, 1u32), (2048, 2), (4096, 4)] {
+        let cfg = CacheConfig::new(size, 32, assoc).unwrap();
+        let ctx = format!("stencil on {cfg}");
+        assert_floor(
+            &assert_matches_classifier(&program, cfg, &ctx),
+            (1211, 3),
+            &ctx,
+        );
+        let report = FindMisses::new(&program, cfg).run();
+        let sim = Simulator::new(cfg).run(&program);
+        assert_eq!(report.exact_misses(), Some(sim.total_misses()), "{ctx}");
+    }
+}
+
+/// The transposed `B(J,I)` read gives the leaf mixed strides, so its
+/// windows are decided point by point and the reference keeps a walk,
+/// while the rest resolve; the mixed report stays identical.
+#[test]
+fn guarded_transposed_nest_mixes_resolved_and_walked_references() {
+    let n = 40i64;
+    let mut b = ProgramBuilder::new("guarded-transpose");
+    b.array("A", &[48, 48], 8);
+    b.array("B", &[48, 48], 8);
+    let (i, j) = (LinExpr::var("I"), LinExpr::var("J"));
+    b.push(SNode::loop_(
+        "J",
+        2,
+        n,
+        vec![SNode::loop_(
+            "I",
+            1,
+            n,
+            vec![
+                SNode::assign(
+                    SRef::new("A", vec![i.clone(), j.clone()]),
+                    vec![SRef::new("A", vec![i.clone(), j.offset(-1)])],
+                ),
+                SNode::if_(
+                    vec![LinRel::new(i.clone(), RelOp::Le, j.clone())],
+                    vec![SNode::reads_only(vec![SRef::new(
+                        "B",
+                        vec![j.clone(), i.clone()],
+                    )])],
+                ),
+            ],
+        )],
+    ));
+    let program = b.build().unwrap();
+    let cfg = CacheConfig::new(4096, 32, 2).unwrap();
+    let cov = assert_matches_classifier(&program, cfg, "guarded-transpose");
+    assert_floor(&cov, (2960, 1), "guarded-transpose");
+    assert!(
+        cov.full_refs < program.references().len(),
+        "expected at least one walked reference"
+    );
+    let on = FindMisses::new(&program, cfg).run();
+    let off = FindMisses::new(&program, cfg)
+        .prepass(PrepassMode::Off)
+        .run();
+    assert_eq!(on.references(), off.references());
+}
+
+/// MGRID(52) at 32K:2:32: the whole-row compressor resolved only half of
+/// references 0 and 7 (62,500 of 125,000 points each); pieces keep both
+/// whole.
+#[test]
+fn mgrid52_references_0_and_7_resolve_in_full() {
+    let program = cme_workloads::mgrid(52);
+    let cfg = CacheConfig::parse_geometry("32K:2:32").unwrap();
+    let reuse = ReuseAnalysis::analyze(&program, cfg.line_bytes());
+    let classifier = Classifier::new(&program, &reuse, cfg);
+    let pre = prepass::Prepass::build(&classifier, &CancelToken::never()).unwrap();
+    let full = (0..program.references().len())
+        .filter(|&r| pre.reference(r).totals().is_some())
+        .count();
+    assert_floor(
+        &Coverage {
+            resolved: pre.resolved_points(),
+            total: pre.total_points(),
+            full_refs: full,
+        },
+        (1_645_700, 7),
+        "mgrid-52",
+    );
+    let mut scratch = Scratch::new();
+    for r in [0, 7] {
+        let totals = pre
+            .reference(r)
+            .totals()
+            .unwrap_or_else(|| panic!("reference {r} must resolve in full"));
+        let mut tally = cme_analysis::parallel::Tally::default();
+        program
+            .ris(r)
+            .for_each_point(|p| tally.bump(classifier.classify_with_scratch(r, p, &mut scratch)));
+        assert_eq!(totals, tally, "reference {r}");
+    }
 }

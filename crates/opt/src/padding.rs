@@ -279,19 +279,19 @@ mod tests {
         );
     }
 
-    /// A sweep with the symbolic tier on picks the identical plan: closed
-    /// references return the exact walk's totals, so every candidate's
+    /// A sweep with the pre-pass off picks the identical plan: resolved
+    /// references count exactly the walk's totals, so every candidate's
     /// predicted ratio — and hence the search trajectory — is unchanged.
     #[test]
-    fn symbolic_sweep_matches_enumerated_plan() {
-        use cme_analysis::SymbolicMode;
+    fn prepass_off_sweep_matches_default_plan() {
+        use cme_analysis::PrepassMode;
         let program = conflict_program(256);
         let cfg = CacheConfig::new(2048, 32, 1).unwrap();
-        let plain = search_padding(&program, cfg, &PaddingOptions::default());
+        let on = search_padding(&program, cfg, &PaddingOptions::default());
         let mut opts = PaddingOptions::default();
-        opts.sampling.symbolic = SymbolicMode::On;
-        let symbolic = search_padding(&program, cfg, &opts);
-        assert_eq!(plain, symbolic);
+        opts.sampling.prepass = PrepassMode::Off;
+        let off = search_padding(&program, cfg, &opts);
+        assert_eq!(on, off);
     }
 
     #[test]

@@ -144,12 +144,12 @@ mod tests {
         assert_eq!(g, vec![vec![1, 3], vec![2, 4]]);
     }
 
-    /// Tile sweeps with the symbolic tier on return the identical sweep
-    /// (exhaustively-planned references close to the same totals; sampled
-    /// ones are untouched).
+    /// Tile sweeps with the pre-pass off return the identical sweep
+    /// (exhaustively-planned references walk to the same totals; sampled
+    /// ones never consult the pre-pass).
     #[test]
-    fn symbolic_tile_sweep_matches_enumerated() {
-        use cme_analysis::SymbolicMode;
+    fn prepass_off_tile_sweep_matches_default() {
+        use cme_analysis::PrepassMode;
         let n = 16i64;
         let cfg = CacheConfig::new(2048, 32, 2).unwrap();
         let candidates = grid(&[&[4, 8, 16], &[4, 8, 16]], |c| {
@@ -161,19 +161,19 @@ mod tests {
             seed: 7,
             ..SamplingOptions::paper_default()
         };
-        let plain = search_tiles(&candidates, cfg, base.clone(), |p| {
+        let on = search_tiles(&candidates, cfg, base.clone(), |p| {
             cme_workloads::mmt(n, p[0], p[1])
         });
-        let symbolic = search_tiles(
+        let off = search_tiles(
             &candidates,
             cfg,
             SamplingOptions {
-                symbolic: SymbolicMode::On,
+                prepass: PrepassMode::Off,
                 ..base
             },
             |p| cme_workloads::mmt(n, p[0], p[1]),
         );
-        assert_eq!(plain, symbolic);
+        assert_eq!(on, off);
     }
 
     #[test]

@@ -25,8 +25,8 @@ use crate::fault::{self, FaultSite, Faults};
 use crate::metrics::Metrics;
 use crate::store::{Store, StoredResult};
 use cme_analysis::{
-    CancelToken, EstimateMisses, FindMisses, PrepassMode, Report, SamplingOptions, SweepOptions,
-    SweepPlan, SymbolicMode, Threads,
+    CancelToken, EstimateMisses, FindMisses, Report, SamplingOptions, SweepOptions, SweepPlan,
+    Threads,
 };
 use cme_cache::CacheConfig;
 use cme_ir::{fingerprint_program, structural_fingerprint, Fingerprint, FpHasher, Program};
@@ -35,10 +35,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Exact or sampled analysis. The embedded options' `threads`, `prepass`
-/// and `symbolic` fields are *ignored* for fingerprinting and overridden
-/// at run time (by [`Job::threads`], the always-on pre-pass and
-/// [`Job::symbolic`]) — none of them changes results.
+/// Exact or sampled analysis. The embedded options' `threads` and
+/// `prepass` fields are *ignored* for fingerprinting — neither changes
+/// results. `threads` is overridden at run time by [`Job::threads`];
+/// `prepass` is honoured (wire requests always run it on).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisMode {
     Exact,
@@ -46,8 +46,9 @@ pub enum AnalysisMode {
 }
 
 /// One unit of work for the engine. The engine always runs the set-skip
-/// walk with the hit/miss pre-pass on; the slower reference paths
-/// (`WalkStrategy::LegacyScan`, `PrepassMode::Off`) are reachable only
+/// walk, and the hit/miss pre-pass on every wire request; the slower
+/// reference paths are reachable only in process: `PrepassMode::Off`
+/// through an estimate job's [`SamplingOptions`], `WalkStrategy::LegacyScan`
 /// through `cme_analysis` directly.
 #[derive(Debug)]
 pub struct Job<'p> {
@@ -62,17 +63,11 @@ pub struct Job<'p> {
     /// Consult/populate the result store for this job.
     pub use_store: bool,
     pub threads: Threads,
-    /// Symbolic counting-tier toggle. Closed references return the exact
-    /// walk's totals without enumeration, so — like `threads` — it is
-    /// excluded from the fingerprint.
-    pub symbolic: SymbolicMode,
 }
 
 impl<'p> Job<'p> {
-    /// A default job: estimate mode, store on, auto threads. The symbolic
-    /// toggle is taken from `options`.
+    /// A default job: estimate mode, store on, auto threads.
     pub fn estimate(program: &'p Program, config: CacheConfig, options: SamplingOptions) -> Self {
-        let symbolic = options.symbolic;
         Job {
             program,
             config,
@@ -81,7 +76,6 @@ impl<'p> Job<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            symbolic,
         }
     }
 
@@ -95,7 +89,6 @@ impl<'p> Job<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            symbolic: SymbolicMode::default(),
         }
     }
 }
@@ -114,12 +107,9 @@ pub struct Outcome {
     pub wall: Duration,
     pub miss_ratio: f64,
     /// Points the hit/miss pre-pass resolved (zero for store hits: the
-    /// stored payload carries no mode-dependent diagnostics).
+    /// stored payload carries no mode-dependent diagnostics). Equal to
+    /// `points` when nothing was walked.
     pub prepass_resolved: u64,
-    /// Points this run actually enumerated: `points` minus those covered
-    /// by symbolically closed references (zero for store hits — nothing
-    /// was classified at all).
-    pub enumerated_points: u64,
     /// Whether this outcome was coalesced onto an identical in-flight job
     /// (single-flight follower: same bytes, no recomputation).
     pub coalesced: bool,
@@ -150,9 +140,8 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// The content-addressed job key: program (including layout), cache
-/// geometry, analysis mode and reuse cap. Thread count and the symbolic
-/// tier are deliberately excluded — results are byte-identical across
-/// them.
+/// geometry, analysis mode and reuse cap. The thread count is deliberately
+/// excluded — results are byte-identical across it.
 pub fn job_fingerprint(
     program: &Program,
     config: CacheConfig,
@@ -180,7 +169,7 @@ pub fn job_fingerprint(
                     h.write_f64(w);
                 }
             }
-            // `o.threads`, `o.prepass` and `o.symbolic` excluded on purpose.
+            // `o.threads` and `o.prepass` excluded on purpose.
         }
     }
     match reuse_cap {
@@ -222,14 +211,10 @@ pub struct SweepJob<'p> {
     /// Consult/populate the result store per cell.
     pub use_store: bool,
     pub threads: Threads,
-    /// Defaults to **on** (unlike single queries): closed references
-    /// amortize across the whole grid.
-    pub symbolic: SymbolicMode,
 }
 
 impl<'p> SweepJob<'p> {
-    /// A default sweep job: exact mode, store on, auto threads, symbolic
-    /// tier on.
+    /// A default sweep job: exact mode, store on, auto threads.
     pub fn exact(program: &'p Program, geometries: Vec<CacheConfig>) -> Self {
         SweepJob {
             program,
@@ -237,7 +222,6 @@ impl<'p> SweepJob<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            symbolic: SymbolicMode::On,
         }
     }
 }
@@ -440,7 +424,6 @@ impl Engine {
                         wall: Duration::ZERO,
                         miss_ratio: hit.miss_ratio,
                         prepass_resolved: 0,
-                        enumerated_points: 0,
                         coalesced: false,
                     });
                 }
@@ -499,7 +482,6 @@ impl Engine {
                                 wall: Duration::ZERO,
                                 miss_ratio,
                                 prepass_resolved: 0,
-                                enumerated_points: 0,
                                 coalesced: true,
                             })
                         }
@@ -520,14 +502,11 @@ impl Engine {
             AnalysisMode::Exact => {
                 FindMisses::with_reuse(job.program, job.config, (*reuse).clone())
                     .threads(job.threads)
-                    .symbolic(job.symbolic)
                     .run_cancellable(&job.cancel)
             }
             AnalysisMode::Estimate(options) => {
                 let options = SamplingOptions {
                     threads: job.threads,
-                    prepass: PrepassMode::On,
-                    symbolic: job.symbolic,
                     ..options.clone()
                 };
                 EstimateMisses::with_reuse(job.program, job.config, options, (*reuse).clone())
@@ -552,18 +531,8 @@ impl Engine {
         let points: u64 = report.references().iter().map(|r| r.analyzed).sum();
         let miss_ratio = report.miss_ratio();
         let prepass_resolved = report.prepass_resolved();
-        let enumerated_points = points - report.symbolic_points_closed();
         let payload = Arc::new(render_payload(job.program, job.config, &job.mode, &report));
-        Metrics::add(&self.metrics.points_classified, points);
-        Metrics::add(&self.metrics.prepass_resolved_points, prepass_resolved);
-        Metrics::add(
-            &self.metrics.prepass_unresolved_points,
-            enumerated_points.saturating_sub(prepass_resolved),
-        );
-        Metrics::add(
-            &self.metrics.symbolic_closed_points,
-            report.symbolic_points_closed(),
-        );
+        self.metrics.add_classified(points, prepass_resolved);
         Metrics::add(&self.metrics.analysis_wall_us, wall.as_micros() as u64);
         if job.use_store {
             self.store.put(
@@ -583,7 +552,6 @@ impl Engine {
             wall,
             miss_ratio,
             prepass_resolved,
-            enumerated_points,
             coalesced: false,
         })
     }
@@ -717,7 +685,6 @@ impl Engine {
             let plan = SweepPlan::with_reuse(job.program, reuse);
             let opts = SweepOptions {
                 threads: job.threads,
-                symbolic: job.symbolic,
                 ..SweepOptions::default()
             };
             let grid: Vec<CacheConfig> = missing.iter().map(|&i| job.geometries[i]).collect();
@@ -741,11 +708,8 @@ impl Engine {
                 let points: u64 = report.references().iter().map(|r| r.analyzed).sum();
                 let payload =
                     Arc::new(render_payload(job.program, g, &AnalysisMode::Exact, report));
-                Metrics::add(&self.metrics.points_classified, points);
-                Metrics::add(
-                    &self.metrics.symbolic_closed_points,
-                    report.symbolic_points_closed(),
-                );
+                self.metrics
+                    .add_classified(points, report.prepass_resolved());
                 if job.use_store {
                     self.store.put(
                         fps[i],
@@ -910,6 +874,7 @@ pub fn render_trace_payload(config: CacheConfig, stats: &cme_trace::TraceStats) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cme_analysis::PrepassMode;
     use cme_ir::{LinExpr, ProgramBuilder, SNode, SRef};
 
     fn small_program() -> Program {
@@ -989,15 +954,15 @@ mod tests {
         assert_eq!(&*a.payload, &*b.payload);
     }
 
-    /// The pre-pass always runs on fresh analyses and its counters add up
-    /// to the classified points; store hits classify nothing and add
-    /// nothing.
+    /// The pre-pass always runs on fresh analyses and sweeps, and its
+    /// counters add up to the classified points; store hits classify
+    /// nothing and add nothing.
     #[test]
     fn prepass_metrics_count_fresh_runs_only() {
         use std::sync::atomic::Ordering;
         let p = small_program();
         let cfg = CacheConfig::new(1024, 32, 2).unwrap();
-        let engine = Engine::in_memory(8);
+        let engine = Engine::in_memory(64);
         let cold = engine.run(&Job::exact(&p, cfg)).unwrap();
         assert!(cold.prepass_resolved > 0, "sequential scan should resolve");
         let hot = engine.run(&Job::exact(&p, cfg)).unwrap();
@@ -1008,11 +973,17 @@ mod tests {
             m.prepass_resolved_points.load(Ordering::Relaxed),
             cold.prepass_resolved
         );
-        assert_eq!(
+        let split = |m: &Metrics| {
             m.prepass_resolved_points.load(Ordering::Relaxed)
-                + m.prepass_unresolved_points.load(Ordering::Relaxed),
-            cold.points
-        );
+                + m.prepass_unresolved_points.load(Ordering::Relaxed)
+        };
+        assert_eq!(split(m), cold.points);
+        // A cold sweep counts its computed cells on both sides too.
+        let out = engine
+            .run_sweep(&SweepJob::exact(&p, sweep_grid()))
+            .unwrap();
+        assert!(out.computed > 0);
+        assert_eq!(split(m), m.points_classified.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -1028,11 +999,11 @@ mod tests {
         assert_eq!(engine.metrics().reuse_hits.load(Ordering::Relaxed), 1);
     }
 
-    /// With the symbolic tier on, an exact job answers a problem size the
-    /// engine has never seen without enumerating a single point,
-    /// byte-identical to the enumerated report at that size.
+    /// An exact job answers a problem size the engine has never seen
+    /// without walking a single point, byte-identical to the walked report
+    /// at that size.
     #[test]
-    fn symbolic_job_answers_new_size_without_enumeration() {
+    fn fully_resolved_job_answers_new_size_without_walking() {
         fn scan(n: i64) -> Program {
             let mut b = ProgramBuilder::new("scan");
             b.array("A", &[n, n], 8);
@@ -1057,17 +1028,13 @@ mod tests {
         let engine = Engine::in_memory(8);
         for n in [48, 72] {
             let p = scan(n);
-            let mut symbolic = Job::exact(&p, cfg);
-            symbolic.symbolic = SymbolicMode::On;
-            let closed = engine.run(&symbolic).unwrap();
-            assert!(!closed.from_store, "n={n} was never analysed");
-            assert_eq!(closed.enumerated_points, 0, "n={n}: scan must close");
+            let resolved = engine.run(&Job::exact(&p, cfg)).unwrap();
+            assert!(!resolved.from_store, "n={n} was never analysed");
+            assert_eq!(resolved.prepass_resolved, resolved.points, "n={n}");
 
-            let mut plain = Job::exact(&p, cfg);
-            plain.use_store = false;
-            let enumerated = engine.run(&plain).unwrap();
-            assert_eq!(&*closed.payload, &*enumerated.payload, "n={n}");
-            assert!(enumerated.enumerated_points > 0, "plain run enumerates");
+            let walked = FindMisses::new(&p, cfg).prepass(PrepassMode::Off).run();
+            let payload = render_payload(&p, cfg, &AnalysisMode::Exact, &walked);
+            assert_eq!(&*resolved.payload, &payload, "n={n}");
         }
     }
 
@@ -1205,8 +1172,8 @@ mod tests {
         assert_eq!(seeded.computed, grid.len() as u64 - 1);
     }
 
-    /// Sweep results are invariant across threads x symbolic modes, and
-    /// duplicate grid cells compute once.
+    /// Sweep results are invariant across thread counts, and duplicate
+    /// grid cells compute once.
     #[test]
     fn sweep_is_mode_invariant_and_dedups() {
         let p = small_program();
@@ -1215,19 +1182,14 @@ mod tests {
         let mut base = SweepJob::exact(&p, grid.clone());
         base.use_store = false;
         let baseline = engine.run_sweep(&base).unwrap();
-        for (threads, symbolic) in [
-            (Threads::Fixed(1), SymbolicMode::Off),
-            (Threads::Fixed(4), SymbolicMode::Off),
-            (Threads::Fixed(8), SymbolicMode::On),
-        ] {
+        for threads in [Threads::Fixed(1), Threads::Fixed(4), Threads::Fixed(8)] {
             let mut job = SweepJob::exact(&p, grid.clone());
             job.use_store = false;
             job.threads = threads;
-            job.symbolic = symbolic;
             let got = engine.run_sweep(&job).unwrap();
             for (a, b) in baseline.cells.iter().zip(&got.cells) {
                 assert_eq!(a.fingerprint, b.fingerprint, "rank order must agree");
-                assert_eq!(&*a.payload, &*b.payload, "{:?}", (threads, symbolic));
+                assert_eq!(&*a.payload, &*b.payload, "{threads:?}");
             }
         }
         // Duplicate geometries: one compute, identical twin cells.

@@ -42,11 +42,8 @@ pub struct Metrics {
     /// without an interference walk.
     pub prepass_resolved_points: AtomicU64,
     /// Of the classified points, how many still took the exact walk
-    /// (pre-pass off, sampled coverage, or unresolved residue).
+    /// (sampled coverage or unresolved residue).
     pub prepass_unresolved_points: AtomicU64,
-    /// Of the classified points, how many the symbolic tier answered in
-    /// closed form without enumeration.
-    pub symbolic_closed_points: AtomicU64,
     /// Total microseconds requests waited in the accept queue.
     pub queue_wait_us: AtomicU64,
     /// Total microseconds of analysis wall time (store misses only).
@@ -82,6 +79,17 @@ impl Metrics {
         counter.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Counts one computed analysis or sweep cell: its classified points,
+    /// split into those the pre-pass resolved and the rest.
+    pub fn add_classified(&self, points: u64, prepass_resolved: u64) {
+        Metrics::add(&self.points_classified, points);
+        Metrics::add(&self.prepass_resolved_points, prepass_resolved);
+        Metrics::add(
+            &self.prepass_unresolved_points,
+            points.saturating_sub(prepass_resolved),
+        );
+    }
+
     /// The totals as a JSON object (the `stats` response body and the
     /// shutdown dump).
     pub fn snapshot(&self) -> Json {
@@ -104,7 +112,6 @@ impl Metrics {
                 "prepass_unresolved_points",
                 g(&self.prepass_unresolved_points),
             ),
-            ("symbolic_closed_points", g(&self.symbolic_closed_points)),
             ("queue_wait_us", g(&self.queue_wait_us)),
             ("analysis_wall_us", g(&self.analysis_wall_us)),
             ("sweep_requests", g(&self.sweep_requests)),

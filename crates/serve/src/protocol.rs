@@ -22,10 +22,9 @@
 //! "assoc":2`. The mode is `"mode":"exact"` or `"mode":"estimate"` with
 //! optional `"confidence"`, `"width"`, `"seed"`. Optional knobs:
 //! `"timeout_ms"`, `"store":false` (bypass the result store),
-//! `"threads"` (0 = one per hardware thread) and `"symbolic":"on"|"off"`
-//! (the closed-form counting tier; off by default, never changes results —
-//! a fully closed kernel answers any problem size without enumerating).
-//! The engine always runs the set-skip walk with the hit/miss pre-pass on.
+//! `"threads"` (0 = one per hardware thread). The engine always runs the
+//! set-skip walk with the hit/miss pre-pass on, so a kernel the pre-pass
+//! resolves in full answers any problem size without walking a point.
 //! Unknown keys are ignored.
 //!
 //! The cache geometry may also be given as a single
@@ -37,9 +36,9 @@
 //! program from one shared reuse analysis per line size, returning a
 //! ranked miss-count table. The grid is `"grid":"8K,16K,32K:1,2:16,32"`
 //! (comma-lists per `SIZE:ASSOC:LINE` field, cartesian product) and/or an
-//! explicit `"geometries":["32K:2:32", ...]` array. Program spec, knobs
-//! (`"timeout_ms"`, `"store"`, `"threads"`, `"symbolic"` — **on** by
-//! default here) match `analyze`; each cell is content-addressed by its
+//! explicit `"geometries":["32K:2:32", ...]` array. Program spec and knobs
+//! (`"timeout_ms"`, `"store"`, `"threads"`) match `analyze`; each cell is
+//! content-addressed by its
 //! ordinary single-geometry fingerprint, so sweeps and lone queries share
 //! the store in both directions.
 //! `"reports":true` embeds each cell's full canonical report.
@@ -62,7 +61,7 @@
 //! it is always safe.
 
 use crate::json::{obj, Json};
-use cme_analysis::{SamplingOptions, SymbolicMode, Threads};
+use cme_analysis::{SamplingOptions, Threads};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use std::collections::HashMap;
@@ -175,7 +174,6 @@ pub struct AnalyzeRequest {
     pub timeout_ms: Option<u64>,
     pub use_store: bool,
     pub threads: Threads,
-    pub symbolic: SymbolicMode,
 }
 
 /// Where a `trace` request's address stream comes from.
@@ -209,9 +207,6 @@ pub struct SweepRequest {
     pub timeout_ms: Option<u64>,
     pub use_store: bool,
     pub threads: Threads,
-    /// Defaults to **on** for sweeps: closed references amortize across
-    /// the grid (results are identical either way).
-    pub symbolic: SymbolicMode,
     /// Embed each cell's full report payload in the response (off by
     /// default: the ranked table alone is much smaller).
     pub include_reports: bool,
@@ -309,17 +304,6 @@ impl Request {
         })
     }
 
-    /// The symbolic knob; `default` differs per verb (off for `analyze`,
-    /// on for `sweep`).
-    fn symbolic_from(v: &Json, default: SymbolicMode) -> Result<SymbolicMode, String> {
-        match v.get("symbolic").and_then(Json::as_str) {
-            None => Ok(default),
-            Some("off") => Ok(SymbolicMode::Off),
-            Some("on") => Ok(SymbolicMode::On),
-            Some(other) => Err(format!("unknown symbolic mode `{other}`")),
-        }
-    }
-
     fn sweep_from(v: &Json) -> Result<SweepRequest, String> {
         let spec =
             Self::spec_from(v)?.ok_or_else(|| "sweep needs `workload` or `source`".to_string())?;
@@ -355,7 +339,6 @@ impl Request {
             threads: Threads::from_flag(
                 v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
             ),
-            symbolic: Self::symbolic_from(v, SymbolicMode::On)?,
             include_reports: v.get("reports").and_then(Json::as_bool).unwrap_or(false),
         })
     }
@@ -402,7 +385,6 @@ impl Request {
             threads: Threads::from_flag(
                 v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
             ),
-            symbolic: Self::symbolic_from(v, SymbolicMode::Off)?,
         })
     }
 }
@@ -479,26 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_symbolic() {
-        let v = Json::parse(r#"{"cmd":"analyze","workload":"mmt","n":8}"#).unwrap();
-        let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
-            panic!("expected analyze");
-        };
-        assert_eq!(req.symbolic, SymbolicMode::Off, "symbolic defaults to off");
-
-        let v = Json::parse(r#"{"cmd":"analyze","workload":"mmt","n":8,"symbolic":"on"}"#).unwrap();
-        let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
-            panic!("expected analyze");
-        };
-        assert_eq!(req.symbolic, SymbolicMode::On);
-
-        // The symbolic knob is typo-checked.
-        let v =
-            Json::parse(r#"{"cmd":"analyze","workload":"mmt","n":8,"symbolic":"maybe"}"#).unwrap();
-        assert!(Request::from_json(&v).is_err());
-    }
-
-    #[test]
     fn rejects_bad_requests() {
         for text in [
             r#"{"nope":1}"#,
@@ -567,14 +529,13 @@ mod tests {
             req.geometries[0],
             CacheConfig::parse_geometry("8K:1:32").unwrap()
         );
-        assert_eq!(req.symbolic, SymbolicMode::On, "sweep defaults symbolic on");
         assert!(req.use_store);
         assert!(!req.include_reports);
 
-        // An explicit geometries array appends after the grid, and knobs
-        // parse like analyze's.
+        // An explicit geometries array appends after the grid, knobs parse
+        // like analyze's, and unknown keys are ignored.
         let v = Json::parse(
-            r#"{"cmd":"sweep","workload":"mmt","n":8,"grid":"8K:1:32","geometries":["48K:2:32"],"symbolic":"off","store":false,"threads":2,"reports":true,"timeout_ms":99}"#,
+            r#"{"cmd":"sweep","workload":"mmt","n":8,"grid":"8K:1:32","geometries":["48K:2:32"],"tier":"off","store":false,"threads":2,"reports":true,"timeout_ms":99}"#,
         )
         .unwrap();
         let Request::Sweep(req) = Request::from_json(&v).unwrap() else {
@@ -582,7 +543,6 @@ mod tests {
         };
         assert_eq!(req.geometries.len(), 2);
         assert_eq!(req.geometries[1].num_sets(), 768);
-        assert_eq!(req.symbolic, SymbolicMode::Off);
         assert!(!req.use_store);
         assert_eq!(req.threads, Threads::Fixed(2));
         assert!(req.include_reports);

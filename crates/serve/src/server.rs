@@ -29,7 +29,7 @@ use crate::protocol::{
     error_response, AnalyzeRequest, Request, SweepRequest, TraceRequest, TraceSource,
 };
 use crate::store::Store;
-use cme_analysis::{CancelToken, SymbolicMode};
+use cme_analysis::CancelToken;
 use cme_cache::CacheConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -607,7 +607,6 @@ fn run_sweep(
         cancel: cancel.clone(),
         use_store: req.use_store,
         threads: req.threads,
-        symbolic: req.symbolic,
     };
     let caught = catch_unwind(AssertUnwindSafe(|| {
         if fault::fires(faults, FaultSite::WorkerPanic) {
@@ -729,7 +728,6 @@ fn run_analyze(
         cancel: cancel.clone(),
         use_store: req.use_store,
         threads: req.threads,
-        symbolic: req.symbolic,
     };
     // The engine call is the panic domain: an unwinding worker (injected
     // or real) must not tear down the connection thread, skip watcher
@@ -773,30 +771,11 @@ fn run_analyze(
                 ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
                 ("threads", Json::Int(job.threads.count() as i64)),
                 (
-                    "symbolic",
-                    Json::Str(
-                        match job.symbolic {
-                            SymbolicMode::On => "on",
-                            SymbolicMode::Off => "off",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                (
-                    // Share of this run's points the pre-pass resolved.
+                    // Share of this run's points the pre-pass resolved;
+                    // 100 means nothing was walked.
                     "prepass_resolved_pct",
                     if ran {
                         Json::Float(100.0 * out.prepass_resolved as f64 / out.points.max(1) as f64)
-                    } else {
-                        Json::Null
-                    },
-                ),
-                (
-                    // Points this run walked or sampled: zero when the
-                    // symbolic tier closed every reference.
-                    "enumerated_points",
-                    if ran {
-                        Json::Int(out.enumerated_points as i64)
                     } else {
                         Json::Null
                     },

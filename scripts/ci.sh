@@ -10,9 +10,20 @@
 # FindMisses reports are identical before writing BENCH_parallel.json.
 # On a single-CPU host the measured speedup will sit near 1.0x — the
 # harness reports honest wall-clock, not a simulated core count.
+#
+# Committed BENCH_*.json files are paper scale. Small-scale harness runs
+# are smoke tests, so their outputs go under target/ci-bench/ instead;
+# BENCH_SCALE=paper writes them in place.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ "${BENCH_SCALE:-small}" = "paper" ]; then
+    OUT=.
+else
+    OUT=target/ci-bench
+    mkdir -p "$OUT"
+fi
 
 echo "== lint gate: rustfmt =="
 cargo fmt --check
@@ -39,30 +50,24 @@ else
     ARGS=(--n 48 --bj 48 --bk 24)
 fi
 cargo run -p cme-bench --bin bench_parallel --release --offline -- \
-    "${ARGS[@]}" --out BENCH_parallel.json
+    "${ARGS[@]}" --out "$OUT/BENCH_parallel.json"
 
 echo "== classify walk-strategy harness =="
 # Smoke at small scale: times the set-conscious skip-walk against the
 # legacy full scan and asserts the reports are bit-identical.
 cargo run -p cme-bench --bin bench_classify --release --offline -- \
-    --scale "${BENCH_SCALE:-small}" --out BENCH_classify.json
+    --scale "${BENCH_SCALE:-small}" --out "$OUT/BENCH_classify.json"
 
-echo "== hit/miss pre-pass harness =="
-# Times cold FindMisses with the pre-pass off vs on (serial set-skip),
-# asserts the reports are bit-identical, and enforces the floors: MMT
-# resolution rate >= 50% and pre-pass-on wall <= pre-pass-off wall.
+echo "== row-engine (hit/miss pre-pass) harness =="
+# Always at paper scale: times cold FindMisses with the pre-pass off vs on
+# (serial set-skip), asserts the reports are bit-identical, and enforces
+# the floors: MMT resolution rate >= 50% and pre-pass-on wall <= off wall;
+# stream3 resolved in full with zero walked points and >= 100x over the
+# walk; a >= 10x stream3 padding sweep over the pre-pass-off sweep with an
+# identical plan; and an exact serve job that answers a never-seen stream3
+# size without a walk, byte-identical to the walked answer.
 cargo run -p cme-bench --bin bench_prepass --release --offline -- \
-    --scale "${BENCH_SCALE:-small}" --out BENCH_prepass.json
-
-echo "== symbolic-tier harness =="
-# Always at paper scale: the harness asserts byte-identical reports with
-# the tier on, a >=100x formula-vs-enumeration ratio for closed
-# references, a >=10x symbolic padding sweep — ratios that only mean
-# anything where enumeration is expensive — and that an exact serve job
-# with the tier on answers a never-seen stream3 size with zero enumerated
-# points, byte-identical to the enumerated answer.
-cargo run -p cme-bench --bin bench_symbolic --release --offline -- \
-    --scale paper --out BENCH_symbolic.json
+    --scale paper --out BENCH_prepass.json
 
 echo "== trace subsystem harness =="
 # Always at paper scale: generates each workload's exact address stream,
@@ -77,15 +82,16 @@ echo "== result-store harness =="
 # Cold vs hot query through one engine; asserts byte-identical payloads
 # (and a >=100x hot speedup at paper scale).
 cargo run -p cme-bench --bin bench_serve --release --offline -- \
-    --scale "${BENCH_SCALE:-small}" --out BENCH_serve.json
+    --scale "${BENCH_SCALE:-small}" --out "$OUT/BENCH_serve.json"
 
 echo "== geometry-sweep harness =="
 # Always at paper scale: a 24-cell grid (sizes x assocs x line sizes)
-# through one shared SweepPlan vs a naive per-geometry loop. Asserts
-# every grid cell byte-identical to its independent single-geometry run,
-# a repeat sweep answered entirely from the store, and the amortization
-# floor: the shared-plan sweep >=5x faster than naive on the streaming
-# workload (a serial win — both sides run one thread).
+# through one shared SweepPlan vs per-geometry loops. Asserts every grid
+# cell byte-identical to its independent pre-pass-off run, a repeat sweep
+# answered entirely from the store, and on the streaming workload the
+# amortization floors: the shared-plan sweep >=5x faster than the
+# pre-pass-off loop and no slower than the default loop (a serial win —
+# every side runs one thread).
 cargo run -p cme-bench --bin bench_sweep --release --offline -- \
     --scale paper --out BENCH_sweep.json
 

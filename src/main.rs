@@ -13,7 +13,7 @@
 //!              [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
 //!              --grid SIZES:ASSOCS:LINES | --geometry S:A:L...
 //!              [--timeout-ms MS] [--no-store] [--threads N]
-//!              [--symbolic on|off] [--reports] [--table] [--retries N]
+//!              [--reports] [--table] [--retries N]
 //! cme trace gen --workload K | --file F.f [--param K=V]...
 //!              [--n N] [--iters N] [--bj N] [--bk N]
 //!              --out T.cmet [--geometry S:A:L] [--raw]
@@ -108,7 +108,7 @@ const USAGE: &str = "usage:
                [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
                --grid SIZES:ASSOCS:LINES | --geometry S:A:L...
                [--timeout-ms MS] [--no-store] [--threads N]
-               [--symbolic on|off] [--reports] [--table] [--retries N]
+               [--reports] [--table] [--retries N]
   cme trace gen --workload K | --file F.f [--param K=V]...
                [--n N] [--iters N] [--bj N] [--bk N]
                --out T.cmet [--geometry S:A:L] [--raw]
@@ -396,7 +396,6 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, CliError> {
             "--timeout-ms" => fields.push(("timeout_ms", Json::Int(flags.parsed(flag)?))),
             "--no-store" => fields.push(("store", Json::Bool(false))),
             "--threads" => fields.push(("threads", Json::Int(flags.parsed(flag)?))),
-            "--symbolic" => fields.push(("symbolic", Json::Str(flags.value(flag)?.to_string()))),
             "--reports" => fields.push(("reports", Json::Bool(true))),
             "--table" => table = true,
             "--retries" => retries = flags.parsed(flag)?,
