@@ -20,6 +20,7 @@ use cme_bench::{timed, Scale, Table};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
+use std::sync::Arc;
 use std::time::Duration;
 
 struct Row {
@@ -32,7 +33,7 @@ struct Row {
 
 fn run(
     program: &Program,
-    reuse: &ReuseAnalysis,
+    reuse: &Arc<ReuseAnalysis>,
     cfg: CacheConfig,
     walk: WalkStrategy,
     threads: Threads,
@@ -91,7 +92,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for (name, program) in &workloads {
         // Reuse vectors are shared; only classification is being timed.
-        let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
+        let reuse = Arc::new(ReuseAnalysis::analyze(program, cfg.line_bytes()));
 
         let (skip_s, skip_s_t) = run(
             program,

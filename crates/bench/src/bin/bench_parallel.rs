@@ -15,6 +15,7 @@ use cme_analysis::{FindMisses, Threads};
 use cme_bench::timed;
 use cme_cache::CacheConfig;
 use cme_reuse::ReuseAnalysis;
+use std::sync::Arc;
 
 fn main() {
     let n: i64 = cme_bench::int_flag("--n").unwrap_or(100);
@@ -31,7 +32,7 @@ fn main() {
     );
 
     // Reuse vectors are shared; only classification is being timed.
-    let reuse = ReuseAnalysis::analyze(&program, cfg.line_bytes());
+    let reuse = Arc::new(ReuseAnalysis::analyze(&program, cfg.line_bytes()));
 
     let (serial, serial_t) = timed(|| {
         FindMisses::with_reuse(&program, cfg, reuse.clone())

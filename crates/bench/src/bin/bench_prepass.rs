@@ -40,6 +40,7 @@ use cme_opt::{search_padding, PaddingOptions};
 use cme_reuse::ReuseAnalysis;
 use cme_serve::engine::render_payload;
 use cme_serve::{AnalysisMode, Engine, Job};
+use std::sync::Arc;
 use std::time::Duration;
 
 struct Row {
@@ -65,7 +66,7 @@ impl Row {
 /// host's speed hits both alike.
 fn off_and_on(
     program: &Program,
-    reuse: &ReuseAnalysis,
+    reuse: &Arc<ReuseAnalysis>,
     cfg: CacheConfig,
 ) -> [(Report, Duration); 2] {
     let run = |prepass| {
@@ -135,7 +136,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for (name, program) in &workloads {
         // Reuse vectors are shared; only classification is being timed.
-        let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
+        let reuse = Arc::new(ReuseAnalysis::analyze(program, cfg.line_bytes()));
 
         let [(off, off_t), (on, on_t)] = off_and_on(program, &reuse, cfg);
         let points: u64 = on.references().iter().map(|r| r.analyzed).sum();

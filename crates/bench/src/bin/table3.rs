@@ -14,6 +14,7 @@ use cme_bench::{paper_caches, scaled_caches, secs, timed, Scale, Table};
 use cme_cache::Simulator;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -64,7 +65,8 @@ fn main() {
     for (name, program) in &kernels {
         // Reuse vectors depend only on the line size, shared by all three
         // configurations.
-        let (reuse, reuse_t) = timed(|| ReuseAnalysis::analyze(program, caches[0].1.line_bytes()));
+        let (reuse, reuse_t) =
+            timed(|| Arc::new(ReuseAnalysis::analyze(program, caches[0].1.line_bytes())));
         eprintln!("[{name}] reuse vectors in {}s", secs(reuse_t));
         for (cname, cfg) in &caches {
             let (sim, sim_t) = timed(|| Simulator::new(*cfg).run(program));

@@ -15,6 +15,7 @@ use cme_bench::{paper_caches, scaled_caches, secs, timed, Scale, Table};
 use cme_cache::Simulator;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -71,8 +72,13 @@ fn main() {
     for (name, program) in &programs {
         // Reuse vectors are shared across the three configurations and
         // capped per consumer on reference-dense programs (see DESIGN.md).
-        let (reuse, reuse_t) =
-            timed(|| ReuseAnalysis::analyze_capped(program, caches[0].1.line_bytes(), 128));
+        let (reuse, reuse_t) = timed(|| {
+            Arc::new(ReuseAnalysis::analyze_capped(
+                program,
+                caches[0].1.line_bytes(),
+                128,
+            ))
+        });
         eprintln!("[{name}] reuse vectors in {}s", secs(reuse_t));
         for (cname, cfg) in &caches {
             let (sim, sim_t) = timed(|| Simulator::new(*cfg).run(program));

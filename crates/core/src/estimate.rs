@@ -10,6 +10,7 @@ use crate::report::{Coverage, RefReport, Report};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sampled miss analysis: classifies a uniform sample of each reference
@@ -42,13 +43,13 @@ pub struct EstimateMisses<'p> {
     program: &'p Program,
     config: CacheConfig,
     options: SamplingOptions,
-    reuse: ReuseAnalysis,
+    reuse: Arc<ReuseAnalysis>,
 }
 
 impl<'p> EstimateMisses<'p> {
     /// Prepares the analysis (generates reuse vectors).
     pub fn new(program: &'p Program, config: CacheConfig, options: SamplingOptions) -> Self {
-        let reuse = ReuseAnalysis::analyze(program, config.line_bytes());
+        let reuse = Arc::new(ReuseAnalysis::analyze(program, config.line_bytes()));
         EstimateMisses {
             program,
             config,
@@ -57,23 +58,23 @@ impl<'p> EstimateMisses<'p> {
         }
     }
 
-    /// Reuses pre-generated vectors.
+    /// Reuses pre-generated vectors; an `Arc` is shared, not copied.
     pub fn with_reuse(
         program: &'p Program,
         config: CacheConfig,
         options: SamplingOptions,
-        reuse: ReuseAnalysis,
+        reuse: impl Into<Arc<ReuseAnalysis>>,
     ) -> Self {
         EstimateMisses {
             program,
             config,
             options,
-            reuse,
+            reuse: reuse.into(),
         }
     }
 
-    /// The generated reuse vectors.
-    pub fn reuse(&self) -> &ReuseAnalysis {
+    /// The generated (or shared) reuse vectors.
+    pub fn reuse(&self) -> &Arc<ReuseAnalysis> {
         &self.reuse
     }
 

@@ -9,6 +9,7 @@ use crate::report::{Coverage, RefReport, Report};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Exact miss analysis: classifies *all* iteration points of every
@@ -38,7 +39,7 @@ use std::time::Instant;
 pub struct FindMisses<'p> {
     program: &'p Program,
     config: CacheConfig,
-    reuse: ReuseAnalysis,
+    reuse: Arc<ReuseAnalysis>,
     threads: Threads,
     walk: WalkStrategy,
     prepass: PrepassMode,
@@ -47,7 +48,7 @@ pub struct FindMisses<'p> {
 impl<'p> FindMisses<'p> {
     /// Prepares the analysis (generates reuse vectors).
     pub fn new(program: &'p Program, config: CacheConfig) -> Self {
-        let reuse = ReuseAnalysis::analyze(program, config.line_bytes());
+        let reuse = Arc::new(ReuseAnalysis::analyze(program, config.line_bytes()));
         FindMisses {
             program,
             config,
@@ -59,12 +60,17 @@ impl<'p> FindMisses<'p> {
     }
 
     /// Reuses pre-generated vectors (must match the program and the line
-    /// size of `config`).
-    pub fn with_reuse(program: &'p Program, config: CacheConfig, reuse: ReuseAnalysis) -> Self {
+    /// size of `config`). An `Arc` is shared, not copied, so one analysis
+    /// can serve every geometry with its line size.
+    pub fn with_reuse(
+        program: &'p Program,
+        config: CacheConfig,
+        reuse: impl Into<Arc<ReuseAnalysis>>,
+    ) -> Self {
         FindMisses {
             program,
             config,
-            reuse,
+            reuse: reuse.into(),
             threads: Threads::default(),
             walk: WalkStrategy::default(),
             prepass: PrepassMode::default(),
@@ -99,8 +105,8 @@ impl<'p> FindMisses<'p> {
         self
     }
 
-    /// The generated reuse vectors.
-    pub fn reuse(&self) -> &ReuseAnalysis {
+    /// The generated (or shared) reuse vectors.
+    pub fn reuse(&self) -> &Arc<ReuseAnalysis> {
         &self.reuse
     }
 

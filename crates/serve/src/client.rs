@@ -22,9 +22,11 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to the daemon.
+    /// Connects to the daemon, with Nagle's algorithm off: a request is one
+    /// small write that must not wait for the previous answer's ACK.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -40,11 +42,10 @@ impl Client {
         })
     }
 
-    /// Sends one raw request line, returns the raw response line.
+    /// Sends one raw request line (in a single write), returns the raw
+    /// response line.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

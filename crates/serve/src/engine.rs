@@ -8,6 +8,12 @@
 //! and line size, so padded layout variants of one program share them) and
 //! the service [`Metrics`].
 //!
+//! The store lookup on its own is `Engine::recall` (and `recall_sweep`,
+//! `recall_trace`). The server calls it before admission, so a stored
+//! answer costs one store read; `run` and `run_trace` start with the same
+//! routine, and `run_sweep` builds its stored cells as `recall_sweep`
+//! does, so every hit is counted the same way.
+//!
 //! Identical store-backed jobs that arrive while one is already computing
 //! are *coalesced*: one leader runs the analysis, followers block on its
 //! flight slot and receive the same payload `Arc` — safe because equal
@@ -180,6 +186,18 @@ pub fn job_fingerprint(
         }
     }
     h.finish()
+}
+
+/// The fingerprint of every cell of a sweep grid: its ordinary
+/// single-geometry exact job key.
+pub(crate) fn sweep_fingerprints(
+    program: &Program,
+    geometries: &[CacheConfig],
+) -> Vec<Fingerprint> {
+    geometries
+        .iter()
+        .map(|&g| job_fingerprint(program, g, &AnalysisMode::Exact, None))
+        .collect()
 }
 
 type ReuseKey = (u128, u64, u64);
@@ -408,24 +426,30 @@ impl Engine {
         reuse
     }
 
+    /// The stored answer to the job keyed `fp`, counted as a store hit.
+    pub(crate) fn recall(&self, fp: Fingerprint) -> Option<Outcome> {
+        let hit = self.store.get(fp)?;
+        Metrics::bump(&self.metrics.store_hits);
+        Some(Outcome {
+            fingerprint: fp,
+            payload: hit.payload,
+            from_store: true,
+            points: hit.points,
+            wall: Duration::ZERO,
+            miss_ratio: hit.miss_ratio,
+            prepass_resolved: 0,
+            coalesced: false,
+        })
+    }
+
     /// Runs (or recalls) one job: store lookup, then single-flight
     /// coalescing onto an identical in-flight job, then the analysis.
     pub fn run(&self, job: &Job) -> Result<Outcome, EngineError> {
         let fp = job_fingerprint(job.program, job.config, &job.mode, job.reuse_cap);
         loop {
             if job.use_store {
-                if let Some(hit) = self.store.get(fp) {
-                    Metrics::bump(&self.metrics.store_hits);
-                    return Ok(Outcome {
-                        fingerprint: fp,
-                        payload: hit.payload,
-                        from_store: true,
-                        points: hit.points,
-                        wall: Duration::ZERO,
-                        miss_ratio: hit.miss_ratio,
-                        prepass_resolved: 0,
-                        coalesced: false,
-                    });
+                if let Some(hit) = self.recall(fp) {
+                    return Ok(hit);
                 }
             } else {
                 // Store-less callers asked for a real run (benches measure
@@ -499,17 +523,15 @@ impl Engine {
         fault::maybe_sleep(&self.faults, FaultSite::AnalysisDelay);
         let reuse = self.reuse_for(job);
         let report = match &job.mode {
-            AnalysisMode::Exact => {
-                FindMisses::with_reuse(job.program, job.config, (*reuse).clone())
-                    .threads(job.threads)
-                    .run_cancellable(&job.cancel)
-            }
+            AnalysisMode::Exact => FindMisses::with_reuse(job.program, job.config, reuse)
+                .threads(job.threads)
+                .run_cancellable(&job.cancel),
             AnalysisMode::Estimate(options) => {
                 let options = SamplingOptions {
                     threads: job.threads,
                     ..options.clone()
                 };
-                EstimateMisses::with_reuse(job.program, job.config, options, (*reuse).clone())
+                EstimateMisses::with_reuse(job.program, job.config, options, reuse)
                     .run_cancellable(&job.cancel)
             }
         }
@@ -574,16 +596,8 @@ impl Engine {
     ) -> Result<TraceOutcome, String> {
         let fp = cme_trace::trace_fingerprint(trace_bytes, &config);
         if use_store {
-            if let Some(hit) = self.store.get(fp) {
-                Metrics::bump(&self.metrics.trace_store_hits);
-                return Ok(TraceOutcome {
-                    fingerprint: fp,
-                    payload: hit.payload,
-                    from_store: true,
-                    accesses: hit.points,
-                    wall: Duration::ZERO,
-                    miss_ratio: hit.miss_ratio,
-                });
+            if let Some(hit) = self.recall_trace(fp) {
+                return Ok(hit);
             }
         }
         Metrics::bump(&self.metrics.trace_store_misses);
@@ -617,6 +631,67 @@ impl Engine {
         })
     }
 
+    /// The stored replay keyed `fp`, counted as a trace store hit.
+    pub(crate) fn recall_trace(&self, fp: Fingerprint) -> Option<TraceOutcome> {
+        let hit = self.store.get(fp)?;
+        Metrics::bump(&self.metrics.trace_store_hits);
+        Some(TraceOutcome {
+            fingerprint: fp,
+            payload: hit.payload,
+            from_store: true,
+            accesses: hit.points,
+            wall: Duration::ZERO,
+            miss_ratio: hit.miss_ratio,
+        })
+    }
+
+    /// A sweep answered wholly from the store, its cells counted as store
+    /// hits; `None`, with nothing counted, if any cell is missing. `fps`
+    /// are the cells' [`sweep_fingerprints`]. Every cell is looked up
+    /// before any payload is parsed, so a partly stored grid costs lookups
+    /// only: [`Engine::run_sweep`] then reads each stored cell once.
+    pub(crate) fn recall_sweep(
+        &self,
+        geometries: &[CacheConfig],
+        fps: &[Fingerprint],
+    ) -> Option<SweepOutcome> {
+        let start = Instant::now();
+        let hits: Vec<StoredResult> = fps
+            .iter()
+            .map(|&fp| self.store.get(fp))
+            .collect::<Option<_>>()?;
+        let cells: Vec<SweepCell> = geometries
+            .iter()
+            .zip(fps)
+            .zip(hits)
+            .map(|((&config, &fp), hit)| stored_cell(config, fp, hit))
+            .collect();
+        Metrics::bump(&self.metrics.sweep_requests);
+        Metrics::add(&self.metrics.sweep_cell_store_hits, cells.len() as u64);
+        Some(self.ranked(cells, start, 0))
+    }
+
+    /// Finishes a sweep: counts its cells and wall time, and ranks the
+    /// cells by ascending miss ratio (a stable sort keeps grid order on
+    /// ties).
+    fn ranked(&self, mut cells: Vec<SweepCell>, start: Instant, computed: u64) -> SweepOutcome {
+        let wall = start.elapsed();
+        Metrics::add(&self.metrics.sweep_cells, cells.len() as u64);
+        Metrics::add(&self.metrics.sweep_wall_us, wall.as_micros() as u64);
+        let store_hits = cells.iter().filter(|c| c.from_store).count() as u64;
+        cells.sort_by(|a, b| {
+            a.miss_ratio
+                .partial_cmp(&b.miss_ratio)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        SweepOutcome {
+            cells,
+            wall,
+            store_hits,
+            computed,
+        }
+    }
+
     /// Evaluates a geometry grid from one shared reuse analysis per
     /// distinct line size ([`SweepPlan`]).
     ///
@@ -634,32 +709,21 @@ impl Engine {
     /// mid-sweep; per-cell partial progress is discarded (completed
     /// cells already written to the store stay).
     pub fn run_sweep(&self, job: &SweepJob) -> Result<SweepOutcome, EngineError> {
+        let fps = sweep_fingerprints(job.program, &job.geometries);
         let start = Instant::now();
         Metrics::bump(&self.metrics.sweep_requests);
         let n = job.geometries.len();
-        let fps: Vec<Fingerprint> = job
+        let mut cells: Vec<Option<SweepCell>> = job
             .geometries
             .iter()
-            .map(|&g| job_fingerprint(job.program, g, &AnalysisMode::Exact, None))
+            .zip(&fps)
+            .map(|(&g, &fp)| {
+                let hit = job.use_store.then(|| self.store.get(fp)).flatten()?;
+                Some(stored_cell(g, fp, hit))
+            })
             .collect();
-        let mut cells: Vec<Option<SweepCell>> = (0..n).map(|_| None).collect();
-        if job.use_store {
-            for i in 0..n {
-                if let Some(hit) = self.store.get(fps[i]) {
-                    Metrics::bump(&self.metrics.sweep_cell_store_hits);
-                    let misses = exact_misses_of(&hit.payload);
-                    cells[i] = Some(SweepCell {
-                        config: job.geometries[i],
-                        fingerprint: fps[i],
-                        payload: hit.payload,
-                        from_store: true,
-                        points: hit.points,
-                        miss_ratio: hit.miss_ratio,
-                        misses,
-                    });
-                }
-            }
-        }
+        let hits = cells.iter().flatten().count() as u64;
+        Metrics::add(&self.metrics.sweep_cell_store_hits, hits);
 
         // Distinct missing cells, in grid order (duplicate geometries in
         // one grid compute once and share the result).
@@ -743,27 +807,24 @@ impl Engine {
             }
         }
 
-        let wall = start.elapsed();
-        Metrics::add(&self.metrics.sweep_cells, n as u64);
-        Metrics::add(&self.metrics.sweep_wall_us, wall.as_micros() as u64);
-        let mut cells: Vec<SweepCell> = cells
+        let cells = cells
             .into_iter()
             .map(|c| c.expect("every cell is filled"))
             .collect();
-        let store_hits = cells.iter().filter(|c| c.from_store).count() as u64;
-        // Ranked table: ascending miss ratio; stable sort keeps grid order
-        // on ties.
-        cells.sort_by(|a, b| {
-            a.miss_ratio
-                .partial_cmp(&b.miss_ratio)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        Ok(SweepOutcome {
-            cells,
-            wall,
-            store_hits,
-            computed,
-        })
+        Ok(self.ranked(cells, start, computed))
+    }
+}
+
+/// A sweep cell answered by the store.
+fn stored_cell(config: CacheConfig, fingerprint: Fingerprint, hit: StoredResult) -> SweepCell {
+    SweepCell {
+        config,
+        fingerprint,
+        misses: exact_misses_of(&hit.payload),
+        payload: hit.payload,
+        from_store: true,
+        points: hit.points,
+        miss_ratio: hit.miss_ratio,
     }
 }
 
@@ -997,6 +1058,37 @@ mod tests {
         engine.run(&Job::exact(&padded, cfg)).unwrap();
         assert_eq!(engine.metrics().reuse_misses.load(Ordering::Relaxed), 1);
         assert_eq!(engine.metrics().reuse_hits.load(Ordering::Relaxed), 1);
+    }
+
+    /// Two estimate jobs at geometries with one line size share one reuse
+    /// analysis: generated once, and handed to each analysis as the cached
+    /// allocation rather than a copy.
+    #[test]
+    fn estimate_jobs_share_the_cached_reuse_analysis() {
+        use std::sync::atomic::Ordering;
+        let p = small_program();
+        let geometries = [
+            CacheConfig::new(1024, 32, 2).unwrap(),
+            CacheConfig::new(4096, 32, 1).unwrap(),
+        ];
+        let engine = Engine::in_memory(8);
+        for cfg in geometries {
+            let job = Job::estimate(&p, cfg, SamplingOptions::paper_default());
+            assert!(!engine.run(&job).unwrap().from_store);
+        }
+        assert_eq!(engine.metrics().reuse_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.metrics().reuse_hits.load(Ordering::Relaxed), 1);
+        let cached = engine.reuse_for_line(&p, 32, None);
+        assert_eq!(Arc::strong_count(&cached), 2, "no analysis kept a share");
+        for cfg in geometries {
+            let job = Job::estimate(&p, cfg, SamplingOptions::paper_default());
+            let reuse = engine.reuse_for(&job);
+            assert!(Arc::ptr_eq(&reuse, &cached));
+            let em = EstimateMisses::with_reuse(&p, cfg, SamplingOptions::paper_default(), reuse);
+            assert!(Arc::ptr_eq(em.reuse(), &cached), "{cfg}: copied");
+            let fm = FindMisses::with_reuse(&p, cfg, cached.clone());
+            assert!(Arc::ptr_eq(fm.reuse(), &cached), "{cfg}: copied");
+        }
     }
 
     /// An exact job answers a problem size the engine has never seen

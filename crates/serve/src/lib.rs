@@ -14,8 +14,9 @@
 //!   report payloads, from an in-memory LRU backed by an optional
 //!   append-only disk log with per-entry CRCs.
 //! * **Deadline & cancellation propagation** ([`cme_analysis::CancelToken`]):
-//!   a request's `timeout_ms` — or its client hanging up — aborts the
-//!   point-classification loops within one work chunk, releasing the
+//!   a request's `timeout_ms` — or its client hanging up, which the
+//!   server's disconnect watcher notices within one 50 ms poll — aborts
+//!   the point-classification loops within one work chunk, releasing the
 //!   worker with a structured partial-progress error.
 //! * **Per-request observability** ([`metrics`]): queue wait, store
 //!   hit/miss, points classified, threads and wall time ride on every
@@ -36,6 +37,7 @@ pub mod client;
 pub mod engine;
 pub mod fault;
 pub mod json;
+mod lru;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -2,28 +2,52 @@
 //! counting semaphore bounding how many *analyses* run at once.
 //!
 //! Cheap verbs (`ping`, `stats`, `compact`, `shutdown`) answer immediately
-//! on any connection; `analyze`/`trace` requests first pass *admission*: a
-//! bounded queue that sheds load with a structured `retry_after` error when
-//! the queue is full or when queue depth × observed service time says the
-//! request's own deadline cannot be met — better an honest early no than a
-//! guaranteed-late timeout. Admitted requests then acquire an analysis
-//! permit; the time spent waiting is the request's queue wait, reported in
-//! its response metrics. Bounding analyses (rather than connections) means
-//! an idle client holding its connection open never starves other clients.
+//! on any connection. A job (`analyze`, `sweep`, `trace`) looks for its
+//! answer before it computes anything:
 //!
-//! While an `analyze` runs, a watcher thread `peek`s the socket: a client
-//! that disconnects mid-analysis cancels its own job through the
-//! [`CancelToken`], releasing the permit within one chunk of
-//! classification work. The engine call itself runs under `catch_unwind`:
-//! a panicking worker answers *its* client with a structured
-//! `internal_error` and bumps `panics_caught` — the daemon survives.
-//! Request lines are capped at [`MAX_LINE_BYTES`]; an oversized line gets a
-//! structured error instead of unbounded buffering. `shutdown` stops the
-//! accept loop and (optionally) dumps the aggregate metrics as JSON.
+//! 1. the front-end memo maps the request line's bytes to the
+//!    fingerprint(s) an earlier `ok` answer to the same line is stored
+//!    under, and a stored answer goes straight back;
+//! 2. otherwise an `analyze` or `sweep` builds its program and
+//!    fingerprints the job, and a stored answer goes straight back;
+//! 3. only a store miss, a `"store":false` job (built inside admission,
+//!    as part of its service time) or a trace the memo did not answer
+//!    (generating or reading a trace costs time in proportion to its
+//!    length) passes *admission* and reaches the engine.
+//!
+//! An `analyze` or `sweep` answer that computes nothing therefore never
+//! holds a permit, never queues and never enters the service-time
+//! estimate. Admission is a bounded queue that sheds load with a
+//! structured `retry_after` error when the queue is full or when queue
+//! depth × observed service time says the request's own deadline cannot
+//! be met — better an honest early no than a guaranteed-late timeout.
+//! Admitted requests then acquire an analysis permit; the time spent
+//! waiting is the request's queue wait, reported in its response metrics.
+//! Bounding analyses (rather than connections) means an idle client
+//! holding its connection open never starves other clients.
+//!
+//! While an `analyze` or `sweep` computes, its connection is registered
+//! with the server's one watcher thread, which `peek`s every registered
+//! connection without blocking every 50 ms: a client that disconnects
+//! cancels its own job through the [`CancelToken`], releasing the permit
+//! within one poll plus one chunk of classification work. A finishing job
+//! deregisters itself and answers at once; it never waits for a poll.
+//! (A trace replay is not cancellable, so it is not watched.) A job
+//! runs under `catch_unwind`: a panicking worker answers *its* client with
+//! a structured `internal_error` and bumps `panics_caught` — the daemon
+//! survives. Request lines are capped at [`MAX_LINE_BYTES`]; an oversized
+//! line gets a structured error instead of unbounded buffering. Every
+//! socket has Nagle's algorithm off and every line goes out in one write.
+//! `shutdown` stops the accept loop and (optionally) dumps the aggregate
+//! metrics as JSON.
 
-use crate::engine::{AnalysisMode, Engine, EngineError, Job, SweepJob};
+use crate::engine::{
+    job_fingerprint, sweep_fingerprints, AnalysisMode, Engine, EngineError, Job, Outcome, SweepJob,
+    SweepOutcome, TraceOutcome,
+};
 use crate::fault::{self, FaultSite, Faults};
 use crate::json::{obj, Json};
+use crate::lru::Lru;
 use crate::metrics::Metrics;
 use crate::protocol::{
     error_response, AnalyzeRequest, Request, SweepRequest, TraceRequest, TraceSource,
@@ -31,6 +55,8 @@ use crate::protocol::{
 use crate::store::Store;
 use cme_analysis::CancelToken;
 use cme_cache::CacheConfig;
+use cme_ir::{Fingerprint, FpHasher, Program};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,7 +80,8 @@ pub struct ServerOptions {
     pub workers: usize,
     /// Directory for the on-disk result store (`None` = memory only).
     pub store_dir: Option<PathBuf>,
-    /// In-memory result-store capacity.
+    /// In-memory result-store capacity; also the number of request lines
+    /// the front-end memo remembers.
     pub store_capacity: usize,
     /// If set, the bound port is written here (for ephemeral-port callers).
     pub port_file: Option<PathBuf>,
@@ -221,26 +248,37 @@ impl Server {
         } else {
             self.options.workers
         };
-        let admission = Arc::new(Admission::new(permits, self.options.max_queue));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let local = self.local_addr()?;
-        let faults = self.options.faults.clone();
+        let shared = Arc::new(Shared {
+            engine: self.engine.clone(),
+            admission: Admission::new(permits, self.options.max_queue),
+            watcher: Watcher::default(),
+            memo: Memo::new(self.options.store_capacity),
+            shutdown: AtomicBool::new(false),
+            local: self.local_addr()?,
+            faults: self.options.faults.clone(),
+        });
+        let watcher = {
+            let shared = shared.clone();
+            std::thread::spawn(move || shared.watcher.run(&shared.shutdown))
+        };
 
         for stream in self.listener.incoming() {
-            if shutdown.load(Ordering::Acquire) {
+            if shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
             let Ok(conn) = stream else { continue };
-            let engine = self.engine.clone();
-            let admission = admission.clone();
-            let shutdown = shutdown.clone();
-            let faults = faults.clone();
+            let _ = conn.set_nodelay(true);
+            let shared = shared.clone();
             // Reader threads are cheap and die with their connection (or
             // with the process after shutdown) — no join needed.
             std::thread::spawn(move || {
-                let _ = handle_connection(conn, &engine, &admission, &shutdown, local, &faults);
+                let _ = shared.serve_connection(conn);
             });
         }
+        // The watcher sees the shutdown flag within one poll.
+        watcher
+            .join()
+            .map_err(|_| std::io::Error::other("the disconnect watcher panicked"))?;
 
         if let Some(path) = &self.options.metrics_dump {
             let mut snap = self.engine.metrics().snapshot();
@@ -251,6 +289,17 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// What every connection thread shares.
+struct Shared {
+    engine: Arc<Engine>,
+    admission: Admission,
+    watcher: Watcher,
+    memo: Memo,
+    shutdown: AtomicBool,
+    local: SocketAddr,
+    faults: Faults,
 }
 
 /// One request line, read under the byte cap.
@@ -300,124 +349,310 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Li
     }
 }
 
-fn handle_connection(
-    mut conn: TcpStream,
-    engine: &Engine,
-    admission: &Admission,
-    shutdown: &AtomicBool,
-    local: SocketAddr,
-    faults: &Faults,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(conn.try_clone()?);
-    loop {
-        let line = match read_line_capped(&mut reader, MAX_LINE_BYTES)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::TooLong => {
-                // Answer honestly, then close: the rest of the oversized
-                // line cannot be resynchronised cheaply.
-                Metrics::bump(&engine.metrics().bad_requests);
-                let resp = error_response(
-                    "line_too_long",
-                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                );
-                let _ = write_response(&mut conn, &resp);
+impl Shared {
+    fn serve_connection(&self, mut conn: TcpStream) -> std::io::Result<()> {
+        let mut reader = BufReader::new(conn.try_clone()?);
+        loop {
+            let line = match read_line_capped(&mut reader, MAX_LINE_BYTES)? {
+                LineRead::Eof => return Ok(()),
+                LineRead::TooLong => {
+                    // Answer honestly, then close: the rest of the oversized
+                    // line cannot be resynchronised cheaply.
+                    Metrics::bump(&self.engine.metrics().bad_requests);
+                    let resp = error_response(
+                        "line_too_long",
+                        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                    );
+                    let _ = write_response(&mut conn, &resp);
+                    return Ok(());
+                }
+                LineRead::Line(line) => line,
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            Metrics::bump(&self.engine.metrics().requests);
+
+            // Injected connection faults: a stalled read, or the daemon
+            // dropping the connection without a response (the client's
+            // transport-retry path).
+            fault::maybe_sleep(&self.faults, FaultSite::DelayRead);
+            if fault::fires(&self.faults, FaultSite::DropConn) {
                 return Ok(());
             }
-            LineRead::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        Metrics::bump(&engine.metrics().requests);
 
-        // Injected connection faults: a stalled read, or the daemon
-        // dropping the connection without a response (the client's
-        // transport-retry path).
-        fault::maybe_sleep(faults, FaultSite::DelayRead);
-        if fault::fires(faults, FaultSite::DropConn) {
-            return Ok(());
-        }
+            let (response, stop) = self.respond(&line, &conn);
+            write_response(&mut conn, &response)?;
 
-        let (response, stop) = match Json::parse(&line) {
-            Err(e) => {
-                Metrics::bump(&engine.metrics().bad_requests);
-                (error_response("bad_request", &e.to_string()), false)
+            if stop {
+                self.shutdown.store(true, Ordering::Release);
+                // Poke the accept loop so it observes the flag.
+                let _ = TcpStream::connect(self.local);
+                return Ok(());
             }
+        }
+    }
+
+    /// The answer to one request line, and whether it asked for shutdown.
+    fn respond(&self, line: &str, conn: &TcpStream) -> (Json, bool) {
+        let request = match Json::parse(line) {
+            Err(e) => return (self.bad_request(&e.to_string()), false),
             Ok(v) => match Request::from_json(&v) {
-                Err(e) => {
-                    Metrics::bump(&engine.metrics().bad_requests);
-                    (error_response("bad_request", &e), false)
-                }
-                Ok(Request::Ping) => (ping_response(engine, admission), false),
-                Ok(Request::Stats) => {
-                    let mut snap = engine.metrics().snapshot();
-                    if let Json::Obj(pairs) = &mut snap {
-                        push_store_stats(pairs, engine);
-                    }
-                    (obj(vec![("ok", Json::Bool(true)), ("stats", snap)]), false)
-                }
-                Ok(Request::Compact) => (run_compact(engine), false),
-                Ok(Request::Shutdown) => (
-                    obj(vec![("ok", Json::Bool(true)), ("bye", Json::Bool(true))]),
-                    true,
-                ),
-                Ok(Request::Analyze(req)) => match admission.admit(req.timeout_ms) {
-                    Err(shed) => (shed_response(engine, shed), false),
-                    Ok(queue_wait) => {
-                        Metrics::add(
-                            &engine.metrics().queue_wait_us,
-                            queue_wait.as_micros() as u64,
-                        );
-                        let start = Instant::now();
-                        let resp = run_analyze(&req, engine, &conn, queue_wait, faults);
-                        admission.release(start.elapsed());
-                        (resp, false)
-                    }
-                },
-                Ok(Request::Sweep(req)) => match admission.admit(req.timeout_ms) {
-                    Err(shed) => (shed_response(engine, shed), false),
-                    Ok(queue_wait) => {
-                        Metrics::add(
-                            &engine.metrics().queue_wait_us,
-                            queue_wait.as_micros() as u64,
-                        );
-                        let start = Instant::now();
-                        let resp = run_sweep(&req, engine, &conn, queue_wait, faults);
-                        admission.release(start.elapsed());
-                        (resp, false)
-                    }
-                },
-                Ok(Request::Trace(req)) => match admission.admit(req.timeout_ms) {
-                    Err(shed) => (shed_response(engine, shed), false),
-                    Ok(queue_wait) => {
-                        Metrics::add(
-                            &engine.metrics().queue_wait_us,
-                            queue_wait.as_micros() as u64,
-                        );
-                        let start = Instant::now();
-                        let resp = run_trace(&req, engine, queue_wait, faults);
-                        admission.release(start.elapsed());
-                        (resp, false)
-                    }
-                },
+                Err(e) => return (self.bad_request(&e), false),
+                Ok(request) => request,
             },
         };
+        let response = match request {
+            Request::Ping => ping_response(&self.engine, &self.admission),
+            Request::Stats => {
+                let mut snap = self.engine.metrics().snapshot();
+                if let Json::Obj(pairs) = &mut snap {
+                    push_store_stats(pairs, &self.engine);
+                }
+                obj(vec![("ok", Json::Bool(true)), ("stats", snap)])
+            }
+            Request::Compact => run_compact(&self.engine),
+            Request::Shutdown => {
+                let bye = obj(vec![("ok", Json::Bool(true)), ("bye", Json::Bool(true))]);
+                return (bye, true);
+            }
+            Request::Analyze(req) => self.analyze(line, &req, conn),
+            Request::Sweep(req) => self.sweep(line, &req, conn),
+            Request::Trace(req) => self.trace(line, &req),
+        };
+        (response, false)
+    }
 
-        write_response(&mut conn, &response)?;
+    fn bad_request(&self, message: &str) -> Json {
+        Metrics::bump(&self.engine.metrics().bad_requests);
+        error_response("bad_request", message)
+    }
 
-        if stop {
-            shutdown.store(true, Ordering::Release);
-            // Poke the accept loop so it observes the flag.
-            let _ = TcpStream::connect(local);
-            return Ok(());
+    /// Runs a job that has to compute under admission and the panic
+    /// domain. `Ok` carries `run`'s result and the queue wait; `Err` the
+    /// shed, panic or `run`'s own error answer.
+    fn compute<R>(
+        &self,
+        timeout_ms: Option<u64>,
+        run: impl FnOnce() -> Result<R, Json>,
+    ) -> Result<(R, Duration), Json> {
+        let queue_wait = self
+            .admission
+            .admit(timeout_ms)
+            .map_err(|shed| shed_response(&self.engine, shed))?;
+        Metrics::add(
+            &self.engine.metrics().queue_wait_us,
+            queue_wait.as_micros() as u64,
+        );
+        let start = Instant::now();
+        // The job is the panic domain: an unwinding worker (injected or
+        // real) must not tear down the connection thread or leak its
+        // admission permit, both of which live outside this closure.
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if fault::fires(&self.faults, FaultSite::WorkerPanic) {
+                panic!("injected: worker panic");
+            }
+            run()
+        }));
+        self.admission.release(start.elapsed());
+        match caught {
+            Ok(result) => result.map(|r| (r, queue_wait)),
+            Err(payload) => Err(panic_response(&self.engine, payload.as_ref())),
+        }
+    }
+
+    fn analyze(&self, line: &str, req: &AnalyzeRequest, conn: &TcpStream) -> Json {
+        let threads = req.threads.count();
+        let key = req.use_store.then(|| Memo::key(line));
+        let remembered = key.and_then(|k| self.memo.get(k));
+        if let Some(hit) = remembered.and_then(|fps| self.engine.recall(*fps.first()?)) {
+            return analyze_response(&hit, Duration::ZERO, threads);
+        }
+
+        // A store-enabled job is built before admission, to look for its
+        // answer; any other is built inside, as part of its service time.
+        let mut built = None;
+        if req.use_store {
+            let (program, config, mode) = match self.analyze_job(req) {
+                Ok(job) => job,
+                Err(resp) => return resp,
+            };
+            let fp = job_fingerprint(&program, config, &mode, None);
+            if let Some(hit) = self.engine.recall(fp) {
+                self.memo.put(key, &[fp]);
+                return analyze_response(&hit, Duration::ZERO, threads);
+            }
+            built = Some((program, config, mode));
+        }
+
+        let ran = self.compute(req.timeout_ms, || {
+            let (program, config, mode) = match built {
+                Some(job) => job,
+                None => self.analyze_job(req)?,
+            };
+            let (cancel, _watched) = self.watcher.watch(conn, req.timeout_ms);
+            self.engine
+                .run(&Job {
+                    program: &program,
+                    config,
+                    mode,
+                    reuse_cap: None,
+                    cancel,
+                    use_store: req.use_store,
+                    threads: req.threads,
+                })
+                .map_err(engine_error_response)
+        });
+        match ran {
+            Err(resp) => resp,
+            Ok((out, queue_wait)) => {
+                self.memo.put(key, &[out.fingerprint]);
+                analyze_response(&out, queue_wait, threads)
+            }
+        }
+    }
+
+    /// The program, geometry and mode an `analyze` request names.
+    fn analyze_job(
+        &self,
+        req: &AnalyzeRequest,
+    ) -> Result<(Program, CacheConfig, AnalysisMode), Json> {
+        let program = req.spec.build().map_err(|e| self.bad_request(&e))?;
+        let config = match req.geometry {
+            Some(g) => g,
+            None => CacheConfig::new(req.size_bytes, req.line_bytes, req.assoc)
+                .map_err(|e| self.bad_request(&e.to_string()))?,
+        };
+        let mode = match req.mode.sampling() {
+            Some(options) => AnalysisMode::Estimate(options),
+            None => AnalysisMode::Exact,
+        };
+        Ok((program, config, mode))
+    }
+
+    fn sweep(&self, line: &str, req: &SweepRequest, conn: &TcpStream) -> Json {
+        let key = req.use_store.then(|| Memo::key(line));
+        let remembered = key.and_then(|k| self.memo.get(k));
+        if let Some(out) =
+            remembered.and_then(|fps| self.engine.recall_sweep(&req.geometries, &fps))
+        {
+            return sweep_response(req, &out, Duration::ZERO);
+        }
+
+        // As for `analyze`: built before admission only to look it up.
+        let (mut built, mut fps) = (None, Vec::new());
+        if req.use_store {
+            let program = match req.spec.build() {
+                Ok(p) => p,
+                Err(e) => return self.bad_request(&e),
+            };
+            fps = sweep_fingerprints(&program, &req.geometries);
+            if let Some(out) = self.engine.recall_sweep(&req.geometries, &fps) {
+                self.memo.put(key, &fps);
+                return sweep_response(req, &out, Duration::ZERO);
+            }
+            built = Some(program);
+        }
+
+        let ran = self.compute(req.timeout_ms, || {
+            let program = match built {
+                Some(p) => p,
+                None => req.spec.build().map_err(|e| self.bad_request(&e))?,
+            };
+            let (cancel, _watched) = self.watcher.watch(conn, req.timeout_ms);
+            self.engine
+                .run_sweep(&SweepJob {
+                    program: &program,
+                    geometries: req.geometries.clone(),
+                    cancel,
+                    use_store: req.use_store,
+                    threads: req.threads,
+                })
+                .map_err(engine_error_response)
+        });
+        match ran {
+            Err(resp) => resp,
+            Ok((out, queue_wait)) => {
+                self.memo.put(key, &fps);
+                sweep_response(req, &out, queue_wait)
+            }
+        }
+    }
+
+    /// A trace costs time in proportion to its length before the store
+    /// can be asked (generating or reading it, then hashing it), so past
+    /// the memo the whole request runs under admission. The replay is not
+    /// cancellable, so the job is not watched.
+    fn trace(&self, line: &str, req: &TraceRequest) -> Json {
+        let threads = req.threads.count();
+        // A trace file's contents can change under the same request bytes,
+        // so only generated traces are remembered.
+        let generated = matches!(req.source, TraceSource::Spec(_));
+        let key = (req.use_store && generated).then(|| Memo::key(line));
+        let remembered = key.and_then(|k| self.memo.get(k));
+        if let Some(hit) = remembered.and_then(|fps| self.engine.recall_trace(*fps.first()?)) {
+            return trace_response(&hit, Duration::ZERO, threads);
+        }
+
+        let ran = self.compute(req.timeout_ms, || {
+            let (bytes, config) = self.trace_input(req)?;
+            self.engine
+                .run_trace(&bytes, config, threads, req.use_store)
+                .map_err(|e| self.bad_request(&e))
+        });
+        match ran {
+            Err(resp) => resp,
+            Ok((out, queue_wait)) => {
+                self.memo.put(key, &[out.fingerprint]);
+                trace_response(&out, queue_wait, threads)
+            }
+        }
+    }
+
+    /// A trace request's bytes and replay geometry. Priority for the
+    /// geometry: explicit request field, then a framed trace's embedded
+    /// header, then the default. Generated traces are framed with the
+    /// resolved geometry, so a `cme trace gen` file and a spec-sourced
+    /// request over the same program share a fingerprint.
+    fn trace_input(&self, req: &TraceRequest) -> Result<(Vec<u8>, CacheConfig), Json> {
+        let default_geometry =
+            || CacheConfig::new(32 * 1024, 32, 2).expect("default geometry is valid");
+        match &req.source {
+            TraceSource::File(path) => {
+                let bytes = std::fs::read(path)
+                    .map_err(|e| self.bad_request(&format!("trace file `{path}`: {e}")))?;
+                let config = match req.geometry {
+                    Some(g) => g,
+                    None => match cme_trace::TraceReader::new(&bytes[..]) {
+                        Err(e) => return Err(self.bad_request(&format!("trace: {e}"))),
+                        Ok(r) => match r.header().map(|h| h.geometry()) {
+                            Some(Ok(g)) => g,
+                            Some(Err(e)) => {
+                                return Err(self.bad_request(&format!("trace header: {e}")))
+                            }
+                            None => default_geometry(),
+                        },
+                    },
+                };
+                Ok((bytes, config))
+            }
+            TraceSource::Spec(spec) => {
+                let program = spec.build().map_err(|e| self.bad_request(&e))?;
+                let config = req.geometry.unwrap_or_else(default_geometry);
+                let words =
+                    cme_trace::generate(&program).map_err(|e| self.bad_request(&e.to_string()))?;
+                Ok((cme_trace::frame_bytes(&config, &words), config))
+            }
         }
     }
 }
 
+/// Writes one response line in a single write: with Nagle's algorithm
+/// off, a separate newline write would go out as its own packet.
 fn write_response(conn: &mut TcpStream, response: &Json) -> std::io::Result<()> {
-    conn.write_all(response.render().as_bytes())?;
-    conn.write_all(b"\n")?;
-    conn.flush()
+    let mut line = response.render();
+    line.push('\n');
+    conn.write_all(line.as_bytes())
 }
 
 /// The shed error: structured, explicitly retryable, with the pause the
@@ -530,353 +765,254 @@ fn panic_response(engine: &Engine, payload: &(dyn std::any::Any + Send)) -> Json
     resp
 }
 
-/// A disconnect watcher for a long-running job: while the job runs, a
-/// thread `peek`s the socket, and a client that hangs up cancels its own
-/// job through the [`CancelToken`]. `peek` never consumes pipelined
-/// request bytes.
-struct Watch {
-    done: Arc<AtomicBool>,
-    watcher: Option<std::thread::JoinHandle<()>>,
+/// How often the watcher polls the connections of computing jobs.
+const WATCH_POLL: Duration = Duration::from_millis(50);
+
+/// The server's one disconnect watcher: the connections of the jobs
+/// computing right now, each with its job's [`CancelToken`].
+#[derive(Default)]
+struct Watcher {
+    jobs: Mutex<HashMap<u64, (TcpStream, CancelToken)>>,
+    next_id: AtomicU64,
 }
 
-fn watch_disconnect(conn: &TcpStream, cancel: &CancelToken) -> Watch {
-    let done = Arc::new(AtomicBool::new(false));
-    let watcher = conn.try_clone().ok().map(|watch_conn| {
-        let cancel = cancel.clone();
-        let done = done.clone();
-        let _ = watch_conn.set_read_timeout(Some(Duration::from_millis(50)));
-        std::thread::spawn(move || {
-            let mut buf = [0u8; 1];
-            while !done.load(Ordering::Acquire) {
-                match watch_conn.peek(&mut buf) {
-                    Ok(0) => {
-                        cancel.cancel(); // orderly client EOF
-                        return;
-                    }
-                    Ok(_) => std::thread::sleep(Duration::from_millis(20)),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => {
-                        cancel.cancel(); // connection reset
-                        return;
-                    }
+impl Watcher {
+    /// Polls every [`WATCH_POLL`] until the server shuts down.
+    fn run(&self, shutdown: &AtomicBool) {
+        while !shutdown.load(Ordering::Acquire) {
+            std::thread::sleep(WATCH_POLL);
+            self.poll();
+        }
+    }
+
+    /// One non-blocking `peek` per registered connection. End of stream or
+    /// a socket error cancels that job and drops it from the registry;
+    /// pending bytes (a pipelined request) or `WouldBlock` mean the client
+    /// is still there. `peek` never consumes pipelined request bytes.
+    fn poll(&self) {
+        let mut buf = [0u8; 1];
+        fault::lock_recover(&self.jobs).retain(|_, (conn, cancel)| match conn.peek(&mut buf) {
+            Ok(0) => {
+                cancel.cancel(); // orderly client EOF
+                false
+            }
+            Ok(_) => true,
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::Interrupted =>
+            {
+                true
+            }
+            Err(_) => {
+                cancel.cancel(); // connection reset
+                false
+            }
+        });
+    }
+
+    /// The cancel token of a job starting now (its deadline, if any, runs
+    /// from here), with the job's connection registered — non-blocking —
+    /// until the returned guard drops. A connection that cannot be cloned
+    /// or made non-blocking is not watched.
+    fn watch<'w>(
+        &'w self,
+        conn: &'w TcpStream,
+        timeout_ms: Option<u64>,
+    ) -> (CancelToken, Watched<'w>) {
+        let cancel = match timeout_ms {
+            Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
+            None => CancelToken::new(),
+        };
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        if let Ok(clone) = conn.try_clone() {
+            if conn.set_nonblocking(true).is_ok() {
+                fault::lock_recover(&self.jobs).insert(id, (clone, cancel.clone()));
+            }
+        }
+        let watched = Watched {
+            watcher: self,
+            conn,
+            id,
+        };
+        (cancel, watched)
+    }
+}
+
+/// A computing job's registration with the [`Watcher`]. Dropping it
+/// deregisters the job under the registry lock, so no poll touches the
+/// socket afterwards, and restores blocking mode: the response can be
+/// written at once.
+struct Watched<'w> {
+    watcher: &'w Watcher,
+    conn: &'w TcpStream,
+    id: u64,
+}
+
+impl Drop for Watched<'_> {
+    fn drop(&mut self) {
+        fault::lock_recover(&self.watcher.jobs).remove(&self.id);
+        let _ = self.conn.set_nonblocking(false);
+    }
+}
+
+/// The front-end memo: the hash of a request line → the fingerprint(s) an
+/// `ok` answer to that line is stored under (one for `analyze` and
+/// generated traces, one per cell for a sweep). A repeated line then skips
+/// the front end — FORTRAN parsing, inlining, normalisation and
+/// fingerprinting. At most `capacity` lines; the least recently used goes
+/// first.
+struct Memo {
+    lines: Mutex<Lru<Arc<[Fingerprint]>>>,
+}
+
+impl Memo {
+    fn new(capacity: usize) -> Memo {
+        Memo {
+            lines: Mutex::new(Lru::new(capacity)),
+        }
+    }
+
+    /// The memo key of a request line.
+    fn key(line: &str) -> u128 {
+        let mut h = FpHasher::new();
+        h.write_str(line);
+        h.finish().0
+    }
+
+    fn get(&self, key: u128) -> Option<Arc<[Fingerprint]>> {
+        fault::lock_recover(&self.lines).get(key).cloned()
+    }
+
+    /// Remembers `fps` under `key`; a `None` key (a request that bypasses
+    /// the store, or a trace file) is never remembered.
+    fn put(&self, key: Option<u128>, fps: &[Fingerprint]) {
+        if let Some(key) = key {
+            fault::lock_recover(&self.lines).insert(key, Arc::from(fps));
+        }
+    }
+}
+
+/// A timeout or cancellation, with the partial progress made.
+fn engine_error_response(err: EngineError) -> Json {
+    let (kind, points_done) = match err {
+        EngineError::Timeout { points_done } => ("timeout", points_done),
+        EngineError::Cancelled { points_done } => ("cancelled", points_done),
+    };
+    let mut resp = error_response(kind, &err.to_string());
+    if let Json::Obj(pairs) = &mut resp {
+        pairs.push(("points_done".to_string(), Json::Int(points_done as i64)));
+    }
+    resp
+}
+
+fn analyze_response(out: &Outcome, queue_wait: Duration, threads: usize) -> Json {
+    // Per-run counters are null on store hits and coalesced answers:
+    // nothing was classified.
+    let ran = !(out.from_store || out.coalesced);
+    let metrics = obj(vec![
+        (
+            "store",
+            Json::Str(
+                if out.from_store {
+                    "hit"
+                } else if out.coalesced {
+                    "coalesced"
+                } else {
+                    "miss"
                 }
+                .to_string(),
+            ),
+        ),
+        ("points", Json::Int(out.points as i64)),
+        ("wall_us", Json::Int(out.wall.as_micros() as i64)),
+        ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
+        ("threads", Json::Int(threads as i64)),
+        (
+            // Share of this run's points the pre-pass resolved; 100 means
+            // nothing was walked.
+            "prepass_resolved_pct",
+            if ran {
+                Json::Float(100.0 * out.prepass_resolved as f64 / out.points.max(1) as f64)
+            } else {
+                Json::Null
+            },
+        ),
+    ]);
+    obj(vec![
+        ("ok", Json::Bool(true)),
+        ("fingerprint", Json::Str(out.fingerprint.to_string())),
+        ("report", Json::Raw(out.payload.as_str().to_string())),
+        ("metrics", metrics),
+    ])
+}
+
+fn sweep_response(req: &SweepRequest, out: &SweepOutcome, queue_wait: Duration) -> Json {
+    let cells: Vec<Json> = out
+        .cells
+        .iter()
+        .map(|c| {
+            let mut pairs = vec![
+                (
+                    "geometry".to_string(),
+                    Json::Str(c.config.geometry_string()),
+                ),
+                (
+                    "fingerprint".to_string(),
+                    Json::Str(c.fingerprint.to_string()),
+                ),
+                ("miss_ratio".to_string(), Json::Float(c.miss_ratio)),
+                (
+                    "misses".to_string(),
+                    match c.misses {
+                        Some(m) => Json::Int(m as i64),
+                        None => Json::Null,
+                    },
+                ),
+                ("points".to_string(), Json::Int(c.points as i64)),
+                (
+                    "store".to_string(),
+                    Json::Str(if c.from_store { "hit" } else { "miss" }.to_string()),
+                ),
+            ];
+            if req.include_reports {
+                pairs.push((
+                    "report".to_string(),
+                    Json::Raw(c.payload.as_str().to_string()),
+                ));
             }
+            Json::Obj(pairs)
         })
-    });
-    Watch { done, watcher }
+        .collect();
+    let metrics = obj(vec![
+        ("cells", Json::Int(out.cells.len() as i64)),
+        ("store_hits", Json::Int(out.store_hits as i64)),
+        ("computed", Json::Int(out.computed as i64)),
+        ("wall_us", Json::Int(out.wall.as_micros() as i64)),
+        ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
+        ("threads", Json::Int(req.threads.count() as i64)),
+    ]);
+    obj(vec![
+        ("ok", Json::Bool(true)),
+        ("cells", Json::Arr(cells)),
+        ("metrics", metrics),
+    ])
 }
 
-impl Watch {
-    /// Stops the watcher once the job completes and restores blocking
-    /// reads (the watcher's read timeout is a property of the shared
-    /// socket) for the request loop.
-    fn finish(self, conn: &TcpStream) {
-        self.done.store(true, Ordering::Release);
-        if let Some(w) = self.watcher {
-            let _ = w.join();
-            let _ = conn.set_read_timeout(None);
-        }
-    }
-}
-
-fn run_sweep(
-    req: &SweepRequest,
-    engine: &Engine,
-    conn: &TcpStream,
-    queue_wait: Duration,
-    faults: &Faults,
-) -> Json {
-    let program = match req.spec.build() {
-        Ok(p) => p,
-        Err(e) => {
-            Metrics::bump(&engine.metrics().bad_requests);
-            return error_response("bad_request", &e);
-        }
-    };
-    let cancel = match req.timeout_ms {
-        Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
-        None => CancelToken::new(),
-    };
-    let watch = watch_disconnect(conn, &cancel);
-
-    let job = SweepJob {
-        program: &program,
-        geometries: req.geometries.clone(),
-        cancel: cancel.clone(),
-        use_store: req.use_store,
-        threads: req.threads,
-    };
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if fault::fires(faults, FaultSite::WorkerPanic) {
-            panic!("injected: worker panic");
-        }
-        engine.run_sweep(&job)
-    }));
-    watch.finish(conn);
-
-    let outcome = match caught {
-        Ok(out) => out,
-        Err(panic_payload) => return panic_response(engine, panic_payload.as_ref()),
-    };
-    match outcome {
-        Ok(out) => {
-            let cells: Vec<Json> = out
-                .cells
-                .iter()
-                .map(|c| {
-                    let mut pairs = vec![
-                        (
-                            "geometry".to_string(),
-                            Json::Str(c.config.geometry_string()),
-                        ),
-                        (
-                            "fingerprint".to_string(),
-                            Json::Str(c.fingerprint.to_string()),
-                        ),
-                        ("miss_ratio".to_string(), Json::Float(c.miss_ratio)),
-                        (
-                            "misses".to_string(),
-                            match c.misses {
-                                Some(m) => Json::Int(m as i64),
-                                None => Json::Null,
-                            },
-                        ),
-                        ("points".to_string(), Json::Int(c.points as i64)),
-                        (
-                            "store".to_string(),
-                            Json::Str(if c.from_store { "hit" } else { "miss" }.to_string()),
-                        ),
-                    ];
-                    if req.include_reports {
-                        pairs.push((
-                            "report".to_string(),
-                            Json::Raw(c.payload.as_str().to_string()),
-                        ));
-                    }
-                    Json::Obj(pairs)
-                })
-                .collect();
-            let metrics = obj(vec![
-                ("cells", Json::Int(out.cells.len() as i64)),
-                ("store_hits", Json::Int(out.store_hits as i64)),
-                ("computed", Json::Int(out.computed as i64)),
-                ("wall_us", Json::Int(out.wall.as_micros() as i64)),
-                ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
-                ("threads", Json::Int(req.threads.count() as i64)),
-            ]);
-            obj(vec![
-                ("ok", Json::Bool(true)),
-                ("cells", Json::Arr(cells)),
-                ("metrics", metrics),
-            ])
-        }
-        Err(err) => {
-            let (kind, points_done) = match err {
-                EngineError::Timeout { points_done } => ("timeout", points_done),
-                EngineError::Cancelled { points_done } => ("cancelled", points_done),
-            };
-            let mut resp = error_response(kind, &err.to_string());
-            if let Json::Obj(pairs) = &mut resp {
-                pairs.push(("points_done".to_string(), Json::Int(points_done as i64)));
-            }
-            resp
-        }
-    }
-}
-
-fn run_analyze(
-    req: &AnalyzeRequest,
-    engine: &Engine,
-    conn: &TcpStream,
-    queue_wait: Duration,
-    faults: &Faults,
-) -> Json {
-    let program = match req.spec.build() {
-        Ok(p) => p,
-        Err(e) => {
-            Metrics::bump(&engine.metrics().bad_requests);
-            return error_response("bad_request", &e);
-        }
-    };
-    let config = match req.geometry {
-        Some(g) => g,
-        None => match CacheConfig::new(req.size_bytes, req.line_bytes, req.assoc) {
-            Ok(c) => c,
-            Err(e) => {
-                Metrics::bump(&engine.metrics().bad_requests);
-                return error_response("bad_request", &e.to_string());
-            }
-        },
-    };
-    let cancel = match req.timeout_ms {
-        Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
-        None => CancelToken::new(),
-    };
-
-    let watch = watch_disconnect(conn, &cancel);
-
-    let job = Job {
-        program: &program,
-        config,
-        mode: match req.mode.sampling() {
-            Some(options) => AnalysisMode::Estimate(options),
-            None => AnalysisMode::Exact,
-        },
-        reuse_cap: None,
-        cancel: cancel.clone(),
-        use_store: req.use_store,
-        threads: req.threads,
-    };
-    // The engine call is the panic domain: an unwinding worker (injected
-    // or real) must not tear down the connection thread, skip watcher
-    // cleanup, or leak its admission permit — all of which live outside
-    // this closure.
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if fault::fires(faults, FaultSite::WorkerPanic) {
-            panic!("injected: worker panic");
-        }
-        engine.run(&job)
-    }));
-
-    watch.finish(conn);
-
-    let outcome = match caught {
-        Ok(out) => out,
-        Err(panic_payload) => return panic_response(engine, panic_payload.as_ref()),
-    };
-
-    match outcome {
-        Ok(out) => {
-            // Per-run counters are null on store hits and coalesced
-            // answers: nothing was classified.
-            let ran = !(out.from_store || out.coalesced);
-            let metrics = obj(vec![
-                (
-                    "store",
-                    Json::Str(
-                        if out.from_store {
-                            "hit"
-                        } else if out.coalesced {
-                            "coalesced"
-                        } else {
-                            "miss"
-                        }
-                        .to_string(),
-                    ),
-                ),
-                ("points", Json::Int(out.points as i64)),
-                ("wall_us", Json::Int(out.wall.as_micros() as i64)),
-                ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
-                ("threads", Json::Int(job.threads.count() as i64)),
-                (
-                    // Share of this run's points the pre-pass resolved;
-                    // 100 means nothing was walked.
-                    "prepass_resolved_pct",
-                    if ran {
-                        Json::Float(100.0 * out.prepass_resolved as f64 / out.points.max(1) as f64)
-                    } else {
-                        Json::Null
-                    },
-                ),
-            ]);
-            obj(vec![
-                ("ok", Json::Bool(true)),
-                ("fingerprint", Json::Str(out.fingerprint.to_string())),
-                ("report", Json::Raw(out.payload.as_str().to_string())),
-                ("metrics", metrics),
-            ])
-        }
-        Err(err) => {
-            let (kind, points_done) = match err {
-                EngineError::Timeout { points_done } => ("timeout", points_done),
-                EngineError::Cancelled { points_done } => ("cancelled", points_done),
-            };
-            let mut resp = error_response(kind, &err.to_string());
-            if let Json::Obj(pairs) = &mut resp {
-                pairs.push(("points_done".to_string(), Json::Int(points_done as i64)));
-            }
-            resp
-        }
-    }
-}
-
-fn run_trace(req: &TraceRequest, engine: &Engine, queue_wait: Duration, faults: &Faults) -> Json {
-    let bad = |engine: &Engine, msg: &str| {
-        Metrics::bump(&engine.metrics().bad_requests);
-        error_response("bad_request", msg)
-    };
-    let default_geometry =
-        || CacheConfig::new(32 * 1024, 32, 2).expect("default geometry is valid");
-
-    // Resolve the trace bytes and the replay geometry. Priority for the
-    // geometry: explicit request field, then a framed trace's embedded
-    // header, then the default. Generated traces are framed with the
-    // resolved geometry, so a `cme trace gen` file and a spec-sourced
-    // request over the same program share a fingerprint.
-    let (bytes, config) = match &req.source {
-        TraceSource::File(path) => {
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => return bad(engine, &format!("trace file `{path}`: {e}")),
-            };
-            let config = match req.geometry {
-                Some(g) => g,
-                None => match cme_trace::TraceReader::new(&bytes[..]) {
-                    Err(e) => return bad(engine, &format!("trace: {e}")),
-                    Ok(r) => match r.header().map(|h| h.geometry()) {
-                        Some(Ok(g)) => g,
-                        Some(Err(e)) => return bad(engine, &format!("trace header: {e}")),
-                        None => default_geometry(),
-                    },
-                },
-            };
-            (bytes, config)
-        }
-        TraceSource::Spec(spec) => {
-            let program = match spec.build() {
-                Ok(p) => p,
-                Err(e) => return bad(engine, &e),
-            };
-            let config = req.geometry.unwrap_or_else(default_geometry);
-            let words = match cme_trace::generate(&program) {
-                Ok(w) => w,
-                Err(e) => return bad(engine, &e.to_string()),
-            };
-            (cme_trace::frame_bytes(&config, &words), config)
-        }
-    };
-
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if fault::fires(faults, FaultSite::WorkerPanic) {
-            panic!("injected: worker panic");
-        }
-        engine.run_trace(&bytes, config, req.threads.count(), req.use_store)
-    }));
-    let ran = match caught {
-        Ok(ran) => ran,
-        Err(panic_payload) => return panic_response(engine, panic_payload.as_ref()),
-    };
-    match ran {
-        Ok(out) => {
-            let metrics = obj(vec![
-                (
-                    "store",
-                    Json::Str(if out.from_store { "hit" } else { "miss" }.to_string()),
-                ),
-                ("accesses", Json::Int(out.accesses as i64)),
-                ("wall_us", Json::Int(out.wall.as_micros() as i64)),
-                ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
-                ("threads", Json::Int(req.threads.count() as i64)),
-            ]);
-            obj(vec![
-                ("ok", Json::Bool(true)),
-                ("fingerprint", Json::Str(out.fingerprint.to_string())),
-                ("report", Json::Raw(out.payload.as_str().to_string())),
-                ("metrics", metrics),
-            ])
-        }
-        Err(e) => bad(engine, &e),
-    }
+fn trace_response(out: &TraceOutcome, queue_wait: Duration, threads: usize) -> Json {
+    let metrics = obj(vec![
+        (
+            "store",
+            Json::Str(if out.from_store { "hit" } else { "miss" }.to_string()),
+        ),
+        ("accesses", Json::Int(out.accesses as i64)),
+        ("wall_us", Json::Int(out.wall.as_micros() as i64)),
+        ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
+        ("threads", Json::Int(threads as i64)),
+    ]);
+    obj(vec![
+        ("ok", Json::Bool(true)),
+        ("fingerprint", Json::Str(out.fingerprint.to_string())),
+        ("report", Json::Raw(out.payload.as_str().to_string())),
+        ("metrics", metrics),
+    ])
 }

@@ -37,6 +37,7 @@
 //! after an unknown tail.
 
 use crate::fault::{self, FaultSite, Faults};
+use crate::lru::Lru;
 use cme_ir::Fingerprint;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -80,15 +81,8 @@ pub struct StoredResult {
 }
 
 #[derive(Debug)]
-struct MemEntry {
-    result: StoredResult,
-    last_used: u64,
-}
-
-#[derive(Debug)]
 struct Inner {
-    map: HashMap<u128, MemEntry>,
-    tick: u64,
+    map: Lru<StoredResult>,
     /// Fingerprint → byte length of its latest *valid* frame on disk
     /// (avoids duplicate appends and funds the live-bytes gauge).
     on_disk: HashMap<u128, u64>,
@@ -127,7 +121,6 @@ pub struct CompactStats {
 #[derive(Debug)]
 pub struct Store {
     inner: Mutex<Inner>,
-    capacity: usize,
     path: Option<PathBuf>,
     load_stats: LoadStats,
     faults: Faults,
@@ -211,14 +204,12 @@ impl Store {
     pub fn in_memory(capacity: usize) -> Store {
         Store {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
+                map: Lru::new(capacity),
                 on_disk: HashMap::new(),
                 file: None,
                 disk_bytes: 0,
                 live_bytes: 0,
             }),
-            capacity: capacity.max(1),
             path: None,
             load_stats: LoadStats::default(),
             faults: None,
@@ -228,7 +219,9 @@ impl Store {
         }
     }
 
-    /// Opens (creating if needed) a disk-backed store under `dir`.
+    /// Opens (creating if needed) a disk-backed store under `dir`. At most
+    /// `capacity` answers are held in memory; from a log holding more, the
+    /// most recently written load.
     pub fn open(dir: &Path, capacity: usize) -> io::Result<Store> {
         Store::open_with(dir, capacity, None)
     }
@@ -254,23 +247,18 @@ impl Store {
         file.seek(SeekFrom::End(0))?;
         let disk_bytes = scan.valid_len;
 
-        let mut map = HashMap::new();
+        let mut map = Lru::new(capacity);
         let mut on_disk = HashMap::new();
         let mut live_bytes = 0u64;
-        let mut tick = 0u64;
         for (fp, frame) in &scan.frames {
             let text = std::str::from_utf8(&frame[HEADER_LEN..]).unwrap();
             let (miss_ratio, points) = extract_summary(text);
-            tick += 1;
             map.insert(
                 *fp,
-                MemEntry {
-                    result: StoredResult {
-                        payload: Arc::new(text.to_string()),
-                        miss_ratio,
-                        points,
-                    },
-                    last_used: tick,
+                StoredResult {
+                    payload: Arc::new(text.to_string()),
+                    miss_ratio,
+                    points,
                 },
             );
             on_disk.insert(*fp, frame.len() as u64);
@@ -280,13 +268,11 @@ impl Store {
         Ok(Store {
             inner: Mutex::new(Inner {
                 map,
-                tick,
                 on_disk,
                 file: Some(file),
                 disk_bytes,
                 live_bytes,
             }),
-            capacity: capacity.max(1),
             path: Some(path),
             load_stats: scan.stats,
             faults,
@@ -341,12 +327,7 @@ impl Store {
 
     /// Looks up a result, refreshing its LRU position.
     pub fn get(&self, fp: Fingerprint) -> Option<StoredResult> {
-        let mut inner = fault::lock_recover(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.get_mut(&fp.0)?;
-        entry.last_used = tick;
-        Some(entry.result.clone())
+        fault::lock_recover(&self.inner).map.get(fp.0).cloned()
     }
 
     /// Inserts a result, evicting the least-recently-used entry past
@@ -356,9 +337,6 @@ impl Store {
     /// compaction.
     pub fn put(&self, fp: Fingerprint, result: StoredResult) {
         let mut inner = fault::lock_recover(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-
         if inner.file.is_some() && !inner.on_disk.contains_key(&fp.0) {
             let frame = encode_frame(fp.0, result.payload.as_bytes());
             let offset = inner.disk_bytes;
@@ -384,23 +362,7 @@ impl Store {
             }
         }
 
-        inner.map.insert(
-            fp.0,
-            MemEntry {
-                result,
-                last_used: tick,
-            },
-        );
-        if inner.map.len() > self.capacity {
-            if let Some(&oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                inner.map.remove(&oldest);
-            }
-        }
+        inner.map.insert(fp.0, result);
 
         let dead = inner.disk_bytes.saturating_sub(inner.live_bytes);
         if inner.file.is_some()
@@ -635,6 +597,26 @@ mod tests {
         assert_eq!(&*r.payload, r#"{"miss_ratio":0.25,"points":40}"#);
         assert_eq!(r.miss_ratio, 0.25);
         assert_eq!(r.points, 40);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Reopening a log that holds more answers than the capacity keeps the
+    /// most recently written in memory; the log keeps them all.
+    #[test]
+    fn reopen_holds_at_most_capacity() {
+        let dir = tmp_dir("cap");
+        let payload = r#"{"miss_ratio":0.5,"points":10}"#;
+        {
+            let s = Store::open(&dir, 16).unwrap();
+            for n in 1..=3 {
+                s.put(fp(n), result(payload));
+            }
+        }
+        let s = Store::open(&dir, 2).unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.disk_frames(), 3);
+        assert!(s.get(fp(1)).is_none());
+        assert!(s.get(fp(3)).is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

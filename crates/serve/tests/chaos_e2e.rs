@@ -207,6 +207,143 @@ fn overload_sheds_with_retry_after() {
     daemon.shutdown();
 }
 
+/// A stored answer needs no analysis permit: with the only worker busy and
+/// a zero-length queue, a repeat of a stored job is still a hit, and hits
+/// leave the service-time estimate alone.
+#[test]
+fn store_hits_bypass_admission() {
+    let daemon = Daemon::start("", |o| {
+        o.workers = 1;
+        o.max_queue = 0;
+    });
+    let stored = r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact"}"#;
+    let first = Json::parse(&daemon.client().request_line(stored).unwrap()).unwrap();
+    assert_eq!(first.get("ok"), Some(&Json::Bool(true)));
+
+    let busy = {
+        let mut c = daemon.client();
+        std::thread::spawn(move || {
+            c.request_line(
+                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000}"#,
+            )
+            .unwrap()
+        })
+    };
+    let mut client = daemon.client();
+    let gauge = |c: &mut Client, key: &str| {
+        c.request(&Json::parse(r#"{"cmd":"ping"}"#).unwrap())
+            .unwrap()
+            .get(key)
+            .unwrap()
+            .as_u64()
+            .unwrap()
+    };
+    // Wait until the busy job holds the only permit.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while gauge(&mut client, "queue_depth") == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "busy job never started"
+        );
+    }
+    let hit = Json::parse(&client.request_line(stored).unwrap()).unwrap();
+    assert_eq!(hit.get("ok"), Some(&Json::Bool(true)), "{hit:?}");
+    let metrics = hit.get("metrics").unwrap();
+    assert_eq!(metrics.get("store").unwrap().as_str(), Some("hit"));
+    assert_eq!(metrics.get("queue_wait_us").unwrap().as_u64(), Some(0));
+    let busy_resp = Json::parse(&busy.join().unwrap()).unwrap();
+    assert_eq!(busy_resp.get("kind").unwrap().as_str(), Some("timeout"));
+
+    let before = gauge(&mut client, "avg_service_us");
+    assert!(before > 0, "two computed jobs were timed");
+    for _ in 0..20 {
+        let line = client.request_line(stored).unwrap();
+        assert!(line.contains(r#""store":"hit""#), "{line}");
+    }
+    assert_eq!(
+        gauge(&mut client, "avg_service_us"),
+        before,
+        "hits must not enter the EWMA"
+    );
+    let stats = daemon.stats();
+    assert_eq!(stats.get("store_hits").unwrap().as_u64(), Some(21));
+    assert_eq!(stats.get("shed_requests").unwrap().as_u64(), Some(0));
+    daemon.shutdown();
+}
+
+/// A job that has to compute is admitted before its front end runs: with
+/// the only worker busy and a zero-length queue, a `"store":false` job and
+/// a trace the memo cannot answer are shed without building their program
+/// (a program that cannot be built would otherwise answer `bad_request`).
+/// A store-enabled `analyze` builds first, to look for its answer, and a
+/// repeated trace is answered by the memo without a permit.
+#[test]
+fn computing_jobs_are_shed_before_their_front_end() {
+    let daemon = Daemon::start("", |o| {
+        o.workers = 1;
+        o.max_queue = 0;
+    });
+    let stored = r#"{"cmd":"trace","workload":"mmt","n":8}"#;
+    let first = Json::parse(&daemon.client().request_line(stored).unwrap()).unwrap();
+    assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first:?}");
+
+    let busy = {
+        let mut c = daemon.client();
+        std::thread::spawn(move || {
+            c.request_line(
+                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000}"#,
+            )
+            .unwrap()
+        })
+    };
+    let mut client = daemon.client();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while client
+        .request(&Json::parse(r#"{"cmd":"ping"}"#).unwrap())
+        .unwrap()
+        .get("queue_depth")
+        .and_then(Json::as_u64)
+        == Some(0)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "busy job never started"
+        );
+    }
+    let kind = |c: &mut Client, line: &str| {
+        let resp = Json::parse(&c.request_line(line).unwrap()).unwrap();
+        resp.get("kind")
+            .and_then(Json::as_str)
+            .unwrap_or("ok")
+            .to_string()
+    };
+    for shed in [
+        r#"{"cmd":"trace","workload":"nope","n":8,"store":false}"#,
+        r#"{"cmd":"trace","workload":"nope","n":8}"#,
+        r#"{"cmd":"analyze","workload":"nope","n":8,"mode":"exact","store":false}"#,
+        r#"{"cmd":"sweep","workload":"nope","n":8,"grid":"8K:1:32","store":false}"#,
+    ] {
+        assert_eq!(kind(&mut client, shed), "retry_after", "{shed}");
+    }
+    assert_eq!(
+        kind(
+            &mut client,
+            r#"{"cmd":"analyze","workload":"nope","n":8,"mode":"exact"}"#
+        ),
+        "bad_request"
+    );
+    let hit = client.request_line(stored).unwrap();
+    assert!(hit.contains(r#""store":"hit""#), "{hit}");
+    let busy_resp = Json::parse(&busy.join().unwrap()).unwrap();
+    assert_eq!(busy_resp.get("kind").unwrap().as_str(), Some("timeout"));
+
+    let stats = daemon.stats();
+    assert_eq!(stats.get("shed_requests").unwrap().as_u64(), Some(4));
+    assert_eq!(stats.get("bad_requests").unwrap().as_u64(), Some(1));
+    assert_eq!(stats.get("trace_store_hits").unwrap().as_u64(), Some(1));
+    daemon.shutdown();
+}
+
 /// Injected dropped connections look like mid-stream EOF to the client;
 /// `call_with_retry` reconnects and lands the request.
 #[test]

@@ -127,6 +127,87 @@ fn cold_then_hot_is_byte_identical() {
     assert!(dump.get("requests").unwrap().as_u64().unwrap() >= 4);
 }
 
+/// A persistent client pays no Nagle/delayed-ACK stall: each request is
+/// one write and both ends have Nagle's algorithm off.
+#[test]
+fn persistent_client_pings_under_a_millisecond() {
+    let daemon = Daemon::start("ping");
+    let mut client = daemon.client();
+    let mut lat: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t = Instant::now();
+            let line = client.request_line(r#"{"cmd":"ping"}"#).unwrap();
+            assert!(line.contains(r#""pong":true"#), "{line}");
+            t.elapsed()
+        })
+        .collect();
+    lat.sort();
+    let p50 = lat[lat.len() / 2];
+    assert!(
+        p50 < Duration::from_millis(1),
+        "persistent ping p50 {p50:?} (want < 1 ms)"
+    );
+    daemon.shutdown();
+}
+
+/// A computed analysis and a ping written in one go on one connection are
+/// both answered, in order, and the connection stays usable. A ping sent
+/// while an analysis computes waits in the socket, where the watcher
+/// peeks at it: it must neither cancel the job nor consume the bytes.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    use std::io::{BufRead, BufReader, Write};
+    let daemon = Daemon::start("pipeline");
+    let analyze = |n: u32| {
+        format!(
+            r#"{{"cmd":"analyze","workload":"mmt","n":{n},"mode":"exact","cache":8192,"line":32,"assoc":1}}"#
+        )
+    };
+    let ping = r#"{"cmd":"ping"}"#;
+    let mut conn = std::net::TcpStream::connect(daemon.addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut read = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap()
+    };
+    let store = |v: &Json| {
+        let store = v.get("metrics").and_then(|m| m.get("store"));
+        store.and_then(Json::as_str).map(str::to_string)
+    };
+
+    conn.write_all(format!("{}\n{ping}\n", analyze(24)).as_bytes())
+        .unwrap();
+    let first = read();
+    assert_eq!(store(&first).as_deref(), Some("miss"), "{first:?}");
+    assert_eq!(read().get("pong"), Some(&Json::Bool(true)));
+
+    conn.write_all(format!("{}\n", analyze(64)).as_bytes())
+        .unwrap();
+    let mut gauges = daemon.client();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while gauges
+        .request(&Json::parse(ping).unwrap())
+        .unwrap()
+        .get("queue_depth")
+        != Some(&Json::Int(1))
+    {
+        assert!(Instant::now() < deadline, "the analysis never started");
+    }
+    conn.write_all(format!("{ping}\n").as_bytes()).unwrap();
+    let computed = read();
+    assert_eq!(store(&computed).as_deref(), Some("miss"), "{computed:?}");
+    assert_eq!(read().get("pong"), Some(&Json::Bool(true)));
+
+    // Still usable: the repeat is a store hit with the same report.
+    conn.write_all(format!("{}\n", analyze(24)).as_bytes())
+        .unwrap();
+    let hit = read();
+    assert_eq!(store(&hit).as_deref(), Some("hit"));
+    assert_eq!(hit.get("report"), first.get("report"));
+    daemon.shutdown();
+}
+
 #[test]
 fn timeout_returns_structured_error_and_releases_worker() {
     let daemon = Daemon::start("timeout");
