@@ -1,8 +1,8 @@
 //! Timing harness for the row engine (the definitely-hit/definitely-miss
-//! pre-pass): runs cold `FindMisses` (set-skip walk, serial) with the
-//! pre-pass off and on, verifies the reports agree point-for-point,
-//! records the resolution rate (share of points settled without an
-//! interference walk) and writes the numbers to `BENCH_prepass.json`.
+//! pre-pass): runs cold `FindMisses` (default counting evaluator, serial)
+//! with the pre-pass off and on, verifies the reports agree
+//! point-for-point, records the resolution rate (share of points settled
+//! without the classifier) and writes the numbers to `BENCH_prepass.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_prepass --release -- \
@@ -25,8 +25,9 @@
 //! * at every scale: byte-identical reports, stream3 fully resolved with
 //!   zero walked points, the padding sweeps pick identical plans, and the
 //!   never-seen-size serve job resolves every point;
-//! * MMT resolution rate ≥ 50%, and pre-pass-on wall ≤ pre-pass-off wall
-//!   on MMT (best of three each, interleaved; 10% slack at small scale);
+//! * resolution rate MMT ≥ 90% and MGRID ≥ 97%, and pre-pass-on wall ≤
+//!   pre-pass-off wall on MMT (best of three each, interleaved; 10% slack
+//!   at small scale);
 //! * at `--scale paper` only, where walking is expensive enough for the
 //!   ratios to mean anything: pre-pass on ≥ 100× faster than off on
 //!   stream3, and the padding sweep ≥ 10× faster than with the pre-pass
@@ -129,7 +130,7 @@ fn main() {
 
     let cfg = CacheConfig::new(32 * 1024, 32, 2).expect("valid geometry");
     eprintln!(
-        "bench_prepass: scale {}, cache {cfg}, serial set-skip",
+        "bench_prepass: scale {}, cache {cfg}, serial, counting evaluator",
         scale.label()
     );
 
@@ -280,17 +281,25 @@ fn main() {
     eprintln!("-> {out}");
 
     // CI floors. MMT is the workload the pre-pass was first built for:
-    // long streaming rows with uniform verdicts.
-    let mmt = rows
-        .iter()
-        .find(|r| r.workload.starts_with("mmt"))
-        .expect("mmt row");
-    assert!(
-        mmt.rate() >= 0.5,
-        "pre-pass resolution regressed on {}: {:.1}% < 50%",
-        mmt.workload,
-        100.0 * mmt.rate()
-    );
+    // long streaming rows with uniform verdicts, and windows that cross
+    // hundreds of rows; MGRID's stride-2 and transposed references need
+    // counting too.
+    let row_of = |prefix: &str| {
+        rows.iter()
+            .find(|r| r.workload.starts_with(prefix))
+            .unwrap_or_else(|| panic!("{prefix} row"))
+    };
+    for (prefix, floor) in [("mmt", 0.90), ("mgrid", 0.97)] {
+        let row = row_of(prefix);
+        assert!(
+            row.rate() >= floor,
+            "pre-pass resolution regressed on {}: {:.1}% < {:.0}%",
+            row.workload,
+            100.0 * row.rate(),
+            100.0 * floor
+        );
+    }
+    let mmt = row_of("mmt");
     // At small scale the MMT walls are single-digit milliseconds, where
     // scheduler noise swamps the real margin; allow 10% there and stay
     // strict where the measurement is meaningful.

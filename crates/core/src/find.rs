@@ -85,10 +85,12 @@ impl<'p> FindMisses<'p> {
         self
     }
 
-    /// Selects the interference-walk strategy (default
-    /// [`WalkStrategy::SetSkip`]). Verdicts — and therefore reports — are
-    /// bit-identical for every strategy; the knob exists for differential
-    /// testing and benchmarking against the legacy full scan.
+    /// Selects how the replacement equations evaluate interference windows
+    /// (default [`WalkStrategy::SetSkip`], the counting evaluator).
+    /// Verdicts — and therefore reports — are bit-identical for every
+    /// strategy; [`WalkStrategy::LegacyScan`] is the full interval scan,
+    /// kept for differential testing. The pre-pass always counts; the
+    /// strategy governs the points it leaves to the classifier.
     pub fn strategy(mut self, walk: WalkStrategy) -> Self {
         self.walk = walk;
         self

@@ -23,13 +23,19 @@
 //!   pre-screens with) is an interval with at most a few holes;
 //! * **same-line** — consumer and producer addresses are `base + stride·v`,
 //!   so the line match is one comparison per point;
-//! * **replacement** — decided by one of two *exact-or-nothing* devices:
-//!   a row-uniform contention bound (computed once per `(row, vector)`: if
+//! * **replacement** — decided, in this order, by the static window size
+//!   (a window that holds fewer than `k` accesses never evicts), by a
+//!   row-uniform contention bound (computed once per `(row, vector)`: if
 //!   even the widened whole-row interference window cannot supply `k`
 //!   distinct conflicting lines, every point of the row is a hit along that
-//!   vector), or, for vectors whose interference interval stays inside the
-//!   innermost loop row, a direct evaluation of the window in exactly the
-//!   interference walk's visit order.
+//!   vector), by a direct evaluation of the window in exactly the
+//!   interference walk's visit order for vectors whose interval stays
+//!   inside the innermost loop row and fits `WINDOW_BUDGET`, and
+//!   otherwise by the classifier's counting evaluator, one point at a time.
+//!   The first point of a row that counts along a vector walks the
+//!   window's rows; later points share them, stored per `(row, vector)` as
+//!   far as some point has needed them, so a window that crosses hundreds
+//!   of rows is described once per row, not once per point.
 //!
 //! # Closure: one evaluation per residue class
 //!
@@ -52,7 +58,7 @@
 //! Equal-stride line matches and the row-uniform bound repeat with `Q` by
 //! construction. A window repeats only when every leaf reference shares the
 //! consumer's innermost stride; a window over mixed leaf strides stays per
-//! point.
+//! point, and so does every counted window.
 //!
 //! The resulting per-point verdicts — `AlwaysHit`, always-miss
 //! ([`Verdict::Cold`] / [`Verdict::Replacement`]) or unknown — **equal the
@@ -64,12 +70,13 @@
 //! # Degradation rule (the Monniaux complexity-gap boundary)
 //!
 //! Anything the 1-D reduction cannot express *exactly* degrades to unknown,
-//! never to a guess. Concretely: interference intervals that cross the
-//! innermost row (all cross-nest and inlined-call-boundary reuse) are only
-//! resolved through the row-uniform contention bound; when that bound cannot
-//! prove a hit the point stays unknown and the exact walk decides it.
-//! Guards *within* the innermost row are evaluated exactly (inlined
-//! straight-line code is handled precisely).
+//! never to a guess. Every window is decided exactly — within a row by
+//! the window evaluation, across rows (all cross-nest and
+//! inlined-call-boundary reuse) by counting — so only two things leave
+//! points unknown: a row that needs more than `MAX_ROW_PIECES` pieces,
+//! and a row partition that fails its check. Guards *within* the innermost
+//! row are evaluated exactly (inlined straight-line code is handled
+//! precisely).
 //!
 //! # Pieces
 //!
@@ -82,7 +89,7 @@
 //! every caller skips that reference's walk.
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::classify::{Classifier, ConsumerPlan};
+use crate::classify::{reduce_guard, Classifier, ConsumerPlan, EvalScratch, WindowRows};
 use crate::parallel::Tally;
 use cme_cache::CacheConfig;
 use cme_ir::{Program, RefId};
@@ -105,8 +112,8 @@ pub enum Verdict {
 const CANCEL_GRAIN: u64 = 4096;
 
 /// Budget (window accesses) for the exact intra-row window evaluation; a
-/// window of `(dv + 1) · row_accesses` beyond this falls back to the
-/// contention bound or unknown.
+/// window of `(dv + 1) · row_accesses` beyond this is counted instead,
+/// which costs more per call on a short window.
 const WINDOW_BUDGET: usize = 1024;
 
 /// Pieces stored per row; a row needing more leaves its remainder unknown.
@@ -319,6 +326,11 @@ struct VecRow {
     pstride: i64,
     /// Lazily computed row-uniform contention-bound result.
     bound: Option<bool>,
+    /// A point of the row has counted along the vector.
+    counted: bool,
+    /// The slot of [`RowEngine::windows`] that stores the vector's window
+    /// rows for this row.
+    slot: Option<usize>,
 }
 
 const EXCLUDED: VecRow = VecRow {
@@ -329,6 +341,8 @@ const EXCLUDED: VecRow = VecRow {
     pbase: 0,
     pstride: 0,
     bound: None,
+    counted: false,
+    slot: None,
 };
 
 /// One statement of the innermost loop node, pre-resolved for window
@@ -439,51 +453,11 @@ fn build_vec_row(
         }
     }
     let mut ne: Vec<i64> = Vec::new();
-    for c in vs.pconstraints {
-        let a = c.expr.coeff(nprefix);
-        let mut rest = c.expr.constant_term();
-        for (d, &pp) in pprefix.iter().enumerate().take(nprefix) {
-            rest += c.expr.coeff(d) * pp;
-        }
-        // The constraint is `a·u + rest ⋈ 0` on the row.
-        match c.kind {
-            ConstraintKind::Ge => {
-                if a == 0 {
-                    if rest < 0 {
-                        return EXCLUDED;
-                    }
-                } else if a > 0 {
-                    ulo = ulo.max(div_ceil(-rest, a));
-                } else {
-                    uhi = uhi.min(div_floor(-rest, a));
-                }
-            }
-            ConstraintKind::Eq => {
-                if a == 0 {
-                    if rest != 0 {
-                        return EXCLUDED;
-                    }
-                } else if rest % a == 0 {
-                    let u0 = -rest / a;
-                    ulo = ulo.max(u0);
-                    uhi = uhi.min(u0);
-                } else {
-                    return EXCLUDED;
-                }
-            }
-            ConstraintKind::Ne => {
-                if a == 0 {
-                    if rest == 0 {
-                        return EXCLUDED;
-                    }
-                } else if rest % a == 0 {
-                    ne.push(-rest / a + vs.dv);
-                }
-            }
-        }
-    }
-    if ulo > uhi {
+    let Some((ulo, uhi)) = reduce_guard(vs.pconstraints, pprefix, ulo, uhi, &mut ne) else {
         return EXCLUDED;
+    };
+    for h in &mut ne {
+        *h += vs.dv;
     }
     let mut pbase = vs.paddr.constant_term();
     for (d, &pp) in pprefix.iter().enumerate().take(nprefix) {
@@ -499,6 +473,8 @@ fn build_vec_row(
         pbase,
         pstride,
         bound: None,
+        counted: false,
+        slot: None,
     }
 }
 
@@ -596,6 +572,15 @@ struct RowEngine<'a, 'p> {
     lines: Vec<i64>,
     from_buf: Vec<i64>,
     to_buf: Vec<i64>,
+    /// The counting evaluator's buffers.
+    scratch: EvalScratch,
+    /// Stored window rows, one slot per vector that shares them in the
+    /// current row: every point of the row that counts along the vector
+    /// reads them. Slots are reused row after row, so storage follows the
+    /// vectors one row needs, not every vector of the reference.
+    windows: Vec<WindowRows>,
+    /// Slots taken in the current row.
+    slots_used: usize,
     /// Leaf-guard change points of the current row, sorted; built by the
     /// first window that needs them.
     guard_cuts: Vec<i64>,
@@ -706,6 +691,7 @@ impl RowEngine<'_, '_> {
         // Vector rows are reduced lazily: most points decide at an early
         // vector, so later vectors' 1-D reductions are usually never built.
         self.vrows.clear();
+        self.slots_used = 0;
         self.guard_cuts_ready = false;
 
         let first = self.out.pieces.len();
@@ -958,7 +944,10 @@ impl RowEngine<'_, '_> {
                 (vs.window, vs.dv, vs.producer_rank)
             };
             if !window {
-                return Ok((UNKNOWN, horizon));
+                // A window that crosses rows, or outgrows the budget: count
+                // it, for this point only.
+                let evicted = self.count_point(vi, v, line_c);
+                return Ok((if evicted { REPL } else { HIT }, v + 1));
             }
             horizon = horizon.min(if self.leaf_uniform {
                 self.guard_horizon(v, dv)
@@ -980,6 +969,70 @@ impl RowEngine<'_, '_> {
             return Ok((code, horizon));
         }
         Ok((COLD, horizon))
+    }
+
+    /// The counting evaluator's verdict for point `v` along vector `vi`:
+    /// whether its window evicts the reused line `line_c`. The row's first
+    /// point to count along the vector walks the window's rows; later
+    /// points share them, stored as far as some point has needed them.
+    fn count_point(&mut self, vi: usize, v: i64, line_c: i64) -> bool {
+        for d in 0..self.n {
+            self.to_buf[2 * d] = self.label[d];
+            self.to_buf[2 * d + 1] = if d < self.nprefix { self.idx[d] } else { v };
+        }
+        let vs = &self.statics[vi];
+        for (pos, f) in self.from_buf.iter_mut().enumerate() {
+            *f = self.to_buf[pos] - vs.vector[pos];
+        }
+        let (dv, producer_rank) = (vs.dv, vs.producer_rank);
+        if !self.vrows[vi].counted {
+            self.vrows[vi].counted = true;
+            return self.cl.count_evicted(
+                &self.from_buf,
+                &self.to_buf,
+                line_c,
+                producer_rank,
+                self.consumer_rank,
+                &mut self.scratch,
+            );
+        }
+        let (slot, mut max_rows) = match self.vrows[vi].slot {
+            Some(slot) => (slot, self.windows[slot].len()),
+            None => {
+                let slot = self.slots_used;
+                self.slots_used += 1;
+                if self.windows.len() == slot {
+                    self.windows.push(WindowRows::default());
+                }
+                self.vrows[vi].slot = Some(slot);
+                (slot, 0)
+            }
+        };
+        loop {
+            if max_rows > 0 {
+                let counted = self.cl.count_evicted_in(
+                    &self.windows[slot],
+                    v - dv,
+                    v,
+                    line_c,
+                    producer_rank,
+                    self.consumer_rank,
+                    &mut self.scratch,
+                );
+                if let Some(evicted) = counted {
+                    return evicted;
+                }
+            }
+            // The stored rows end before the verdict: store twice as many.
+            max_rows = (2 * max_rows).max(4);
+            self.cl.window_rows(
+                &self.from_buf,
+                &self.to_buf,
+                max_rows,
+                &mut self.windows[slot],
+                &mut self.scratch,
+            );
+        }
     }
 }
 
@@ -1066,6 +1119,9 @@ pub fn analyze_reference(
         lines: Vec::new(),
         from_buf: vec![0; 2 * n],
         to_buf: vec![0; 2 * n],
+        scratch: EvalScratch::default(),
+        windows: Vec::new(),
+        slots_used: 0,
         guard_cuts: Vec::new(),
         guard_cuts_ready: false,
         block: Vec::new(),
@@ -1087,7 +1143,13 @@ pub fn analyze_reference(
         debug_assert_eq!(engine.covered, total, "row partition mismatch, ref {r}");
         return Ok(RefVerdicts::unresolved(nprefix, total));
     }
-    Ok(engine.out)
+    // The map lives as long as the analysis; drop the growth slack.
+    let mut out = engine.out;
+    out.prefixes.shrink_to_fit();
+    out.rows.shrink_to_fit();
+    out.pieces.shrink_to_fit();
+    out.codes.shrink_to_fit();
+    Ok(out)
 }
 
 /// The pre-pass for a whole program: one [`RefVerdicts`] per reference.

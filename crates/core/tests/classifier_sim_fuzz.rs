@@ -154,7 +154,7 @@ fn trace_replay_agrees_with_classifier_and_simulator() {
 }
 
 /// The legacy full-scan walk sees the same totals on the same seed
-/// stream, so a divergence pins the blame on the skip-walk.
+/// stream, so a divergence pins the blame on the counting evaluator.
 #[test]
 fn both_strategies_match_simulator() {
     let mut rng = SeededRng::seed_from_u64(0xD1FF + 1);

@@ -128,7 +128,7 @@ fn faithful_options_identical_across_thread_counts() {
 
 /// The walk strategy, the thread count and the hit/miss pre-pass are
 /// independent determinism axes: every (prepass, strategy, threads)
-/// combination — including the default set-conscious skip-walk with the
+/// combination — including the default counting evaluator with the
 /// pre-pass on at 1, 2 and 8 workers — yields a report identical to the
 /// legacy full scan run serially with the pre-pass off.
 #[test]

@@ -1,9 +1,8 @@
-//! Acceptance check for the set-conscious walk: per-point verdicts —
+//! Acceptance check for the counting evaluator: per-point verdicts —
 //! including the `vector_idx` payloads — are bit-identical between
 //! [`WalkStrategy::SetSkip`] and the legacy full-scan walk on the paper
-//! kernels (hydro, mgrid, mmt), a guarded-IF program, and a dense-tier
-//! program whose element size shares no power-of-two structure with the
-//! line. Geometries include a non-power-of-two set count.
+//! kernels (hydro, mgrid, mmt), a guarded-IF program, and a program
+//! whose element size shares no power-of-two structure with the line. Geometries include a non-power-of-two set count.
 
 use cme_analysis::{Classifier, Scratch, WalkStrategy};
 use cme_cache::CacheConfig;
@@ -63,7 +62,7 @@ fn guarded_program() -> Program {
 }
 
 /// elem_bytes = 12: address strides share no power-of-two structure with
-/// the 32-byte line, so every row falls to the dense congruence tier.
+/// the 32-byte line, so line boundaries fall at shifting offsets in a row.
 fn dense_tier_program() -> Program {
     let n = 10i64;
     let mut b = ProgramBuilder::new("dense");
@@ -95,7 +94,7 @@ fn configs() -> Vec<CacheConfig> {
         CacheConfig::new(1024, 32, 1).unwrap(),
         CacheConfig::new(2048, 32, 2).unwrap(),
         CacheConfig::new(4096, 64, 4).unwrap(),
-        // Non-power-of-two set count: division fallbacks + dense skipping.
+        // Non-power-of-two set count: the division fallbacks.
         CacheConfig::with_geometry(32, 12, 2).unwrap(),
     ]
 }

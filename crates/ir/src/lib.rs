@@ -58,4 +58,4 @@ pub use normalize::{normalize, normalize_subroutine, NormalizeOptions};
 pub use program::{
     AccessKind, Array, ArrayId, LoopNode, Program, RefId, Reference, Statement, StmtId, Storage,
 };
-pub use walk::{address_trace, for_each_address, Access, BoundaryTag, SetFilter, SetWalker};
+pub use walk::{address_trace, for_each_address, Access, BoundaryTag, RowSpan};

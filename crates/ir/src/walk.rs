@@ -9,7 +9,10 @@
 //! * [`walk_range`] visits the accesses of all iteration points between two
 //!   interleaved iteration vectors (inclusive), with boundary tagging — this
 //!   enumerates the interference set `J_{R_i}` of the replacement equations
-//!   (§4.1.2), where lexical positions decide the open/closed interval ends.
+//!   (§4.1.2), where lexical positions decide the open/closed interval ends;
+//! * [`walk_rows_rev`] visits the same interval one innermost row at a
+//!   time, backward — the unit the replacement equations count in closed
+//!   form.
 
 use crate::program::{LoopNode, Program, RefId, StmtId};
 use std::ops::ControlFlow;
@@ -380,483 +383,133 @@ where
     ControlFlow::Continue(())
 }
 
-/// Set-mapping geometry for [`SetWalker`]: line size, set count and the
-/// target cache set, with the same shift/mask fast paths as
-/// `cme_cache::CacheConfig` (kept here as plain integers so the walk layer
-/// stays independent of the cache crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SetFilter {
-    line_bytes: i64,
-    num_sets: i64,
-    target_set: i64,
-    /// `log2(line_bytes)` when a power of two, else `-1`.
-    line_shift: i8,
-    /// `num_sets − 1` when a power of two, else `-1`.
-    set_mask: i64,
-}
-
-impl SetFilter {
-    /// Creates a filter selecting accesses whose memory line maps to
-    /// `target_set` under `line_bytes`-byte lines and `num_sets` sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` or `num_sets` is not positive.
-    pub fn new(line_bytes: i64, num_sets: i64, target_set: i64) -> Self {
-        assert!(line_bytes > 0, "line size must be positive");
-        assert!(num_sets > 0, "set count must be positive");
-        SetFilter {
-            line_bytes,
-            num_sets,
-            target_set,
-            line_shift: if line_bytes.count_ones() == 1 {
-                line_bytes.trailing_zeros() as i8
-            } else {
-                -1
-            },
-            set_mask: if num_sets.count_ones() == 1 {
-                num_sets - 1
-            } else {
-                -1
-            },
-        }
-    }
-
-    /// The target cache set.
-    pub fn target_set(&self) -> i64 {
-        self.target_set
-    }
-
-    /// The memory line of a byte address (floor division; arithmetic shift
-    /// on the power-of-two fast path).
-    #[inline]
-    pub fn mem_line(&self, addr: i64) -> i64 {
-        if self.line_shift >= 0 {
-            addr >> self.line_shift
-        } else {
-            addr.div_euclid(self.line_bytes)
-        }
-    }
-
-    /// The cache set of a memory line.
-    #[inline]
-    pub fn set_of_line(&self, line: i64) -> i64 {
-        if self.set_mask >= 0 {
-            line & self.set_mask
-        } else {
-            line.rem_euclid(self.num_sets)
-        }
-    }
-
-    /// Whether a byte address belongs to the target set.
-    #[inline]
-    pub fn matches_addr(&self, addr: i64) -> bool {
-        self.set_of_line(self.mem_line(addr)) == self.target_set
-    }
-}
-
-/// Which innermost-loop iterations of one reference map to the target set.
-///
-/// Along the innermost dimension a reference's byte address is
-/// `A + s·v` (its address plan evaluated at the row's outer prefix), so its
-/// cache set is *periodic in `v`*: the matching iterations — solutions of
-/// `Cache_Set(A + s·v) = target` — form runs of `run` consecutive values
-/// repeating with `period`, or degenerate to all/none of the row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowMatch {
-    /// The reference never touches the target set in this row.
-    Never,
-    /// Every iteration of the row touches the target set.
-    Always,
-    /// `v` matches iff `(v − anchor) mod period < run`.
-    Periodic { anchor: i64, period: i64, run: i64 },
-    /// Stride/line geometry without exploitable periodicity (e.g. a stride
-    /// that neither divides nor is divided by the line size): every `v` is
-    /// a candidate, membership is tested by address.
-    Dense,
-}
-
-impl RowMatch {
-    /// Solves the congruence for base address `base` and byte stride
-    /// `stride` per innermost iteration.
-    fn solve(base: i64, stride: i64, filter: &SetFilter) -> RowMatch {
-        let ls = filter.line_bytes;
-        let s = filter.num_sets;
-        if stride == 0 {
-            return if filter.matches_addr(base) {
-                RowMatch::Always
-            } else {
-                RowMatch::Never
-            };
-        }
-        if stride % ls == 0 {
-            // Line number is affine in v: line(v) = ⌊base/L⌋ + (stride/L)·v.
-            // Solve σ·v ≡ target − l₀ (mod S).
-            let sigma = (stride / ls).rem_euclid(s);
-            let delta = (filter.target_set - filter.mem_line(base)).rem_euclid(s);
-            if sigma == 0 {
-                return if delta == 0 {
-                    RowMatch::Always
-                } else {
-                    RowMatch::Never
-                };
-            }
-            let g = cme_poly::vector::gcd(sigma, s);
-            if delta % g != 0 {
-                return RowMatch::Never;
-            }
-            let period = s / g;
-            let anchor = (delta / g) * mod_inverse(sigma / g, period) % period;
-            return RowMatch::Periodic {
-                anchor,
-                period,
-                run: 1,
-            };
-        }
-        if ls % stride == 0 {
-            // Sub-line stride dividing the line size: line(v) is a
-            // staircase of width λ = L/|s|, so matches are λ-long runs
-            // every λ·S iterations. Negative strides solve the mirrored
-            // (ascending) row and reflect the anchor.
-            let (a, st, reflect) = if stride > 0 {
-                (base, stride, false)
-            } else {
-                (base, -stride, true)
-            };
-            let lambda = ls / st;
-            // With A = a_q·L + a_r (Euclidean), line(v) = a_q + ⌊(v + c)/λ⌋
-            // for c = ⌊a_r/s⌋; runs start where (v + c) ≡ λ·δ (mod λ·S).
-            let a_q = a.div_euclid(ls);
-            let a_r = a.rem_euclid(ls);
-            let c = a_r.div_euclid(st);
-            let delta = (filter.target_set - filter.set_of_line(a_q)).rem_euclid(s);
-            let period = lambda * s;
-            let mut anchor = (lambda * delta - c).rem_euclid(period);
-            if reflect {
-                // v matches the mirrored row at −v: runs of length λ
-                // anchored at −anchor reflect to runs anchored at
-                // −anchor − λ + 1.
-                anchor = (-anchor - lambda + 1).rem_euclid(period);
-            }
-            return RowMatch::Periodic {
-                anchor,
-                period,
-                run: lambda,
-            };
-        }
-        RowMatch::Dense
-    }
-
-    /// Whether iteration `v` matches (patterns only; `Dense` callers test
-    /// the address instead).
-    #[inline]
-    fn matches(&self, v: i64) -> bool {
-        match *self {
-            RowMatch::Never => false,
-            RowMatch::Always | RowMatch::Dense => true,
-            RowMatch::Periodic {
-                anchor,
-                period,
-                run,
-            } => (v - anchor).rem_euclid(period) < run,
-        }
-    }
-
-    /// The largest matching iteration `≤ v`, ignoring row bounds
-    /// (`None` = never matches).
-    #[inline]
-    fn next_at_or_below(&self, v: i64) -> Option<i64> {
-        match *self {
-            RowMatch::Never => None,
-            RowMatch::Always | RowMatch::Dense => Some(v),
-            RowMatch::Periodic {
-                anchor,
-                period,
-                run,
-            } => {
-                let d = (v - anchor).rem_euclid(period);
-                if d < run {
-                    Some(v)
-                } else {
-                    // The previous run's last element sits at offset
-                    // `run − 1` past the block start `v − d`.
-                    Some(v - d + run - 1)
-                }
-            }
-        }
-    }
-}
-
-/// `x⁻¹ mod m` for coprime `x`, `m` (`m ≥ 1`), via extended Euclid.
-fn mod_inverse(x: i64, m: i64) -> i64 {
-    if m == 1 {
-        return 0;
-    }
-    let (mut old_r, mut r) = (x.rem_euclid(m), m);
-    let (mut old_t, mut t) = (1i64, 0i64);
-    while r != 0 {
-        let q = old_r / r;
-        (old_r, r) = (r, old_r - q * r);
-        (old_t, t) = (t, old_t - q * t);
-    }
-    debug_assert_eq!(old_r, 1, "mod_inverse of non-coprime arguments");
-    old_t.rem_euclid(m)
-}
-
-/// One reference's plan for the current innermost row: base address at
-/// `v = 0`, byte stride per iteration, and the congruence solution.
+/// One innermost row of an interval, as [`walk_rows_rev`] visits it: the
+/// statements of one innermost loop node at one outer-index prefix, over
+/// the innermost indices `lo..=hi` that lie inside the interval.
 #[derive(Debug, Clone, Copy)]
-struct RowRefPlan {
-    r: RefId,
-    base: i64,
-    stride: i64,
-    pattern: RowMatch,
+pub struct RowSpan<'a> {
+    /// The innermost loop node whose statements execute in this row.
+    pub node: &'a LoopNode,
+    /// The outer indices `(I₁, …, I_{n−1})` of the row.
+    pub prefix: &'a [i64],
+    /// First innermost index inside the interval.
+    pub lo: i64,
+    /// Last innermost index inside the interval.
+    pub hi: i64,
+    /// Index `lo` is the interval's `from` point: its accesses carry the
+    /// `at_start` tag.
+    pub starts_at_from: bool,
+    /// Index `hi` is the interval's `to` point: its accesses carry the
+    /// `at_end` tag.
+    pub ends_at_to: bool,
 }
 
-/// Reusable state for [`SetWalker::walk_range_rev_in_set`]: the iteration
-/// index buffer and the per-row reference plans. Hot paths (one walk per
-/// classified point) hold one walker per worker so walks are allocation-free
-/// after warm-up.
-#[derive(Debug, Default, Clone)]
-pub struct SetWalker {
-    idx: Vec<i64>,
-    plans: Vec<RowRefPlan>,
-    /// `(stmt, plan_start, plan_end)` per statement of the current row.
-    spans: Vec<(StmtId, usize, usize)>,
-}
-
-impl SetWalker {
-    /// Creates a walker; buffers size themselves on first use.
-    pub fn new() -> Self {
-        SetWalker::default()
+/// Visits the non-empty innermost rows of the interval `from ⪯ p ⪯ to`
+/// in *reverse* program order: exactly the innermost loop rows that
+/// [`walk_range_rev`] traverses, in the same order, each once, with the
+/// boundary tags reduced to the row's ends. Guards are not evaluated; a
+/// row holds every statement of its loop node. `idx` is a reusable index
+/// buffer.
+///
+/// # Panics
+///
+/// Panics if the program has depth 0 or `from`/`to` do not have length
+/// `2 · depth`.
+pub fn walk_rows_rev<F>(program: &Program, from: &[i64], to: &[i64], idx: &mut Vec<i64>, mut f: F)
+where
+    F: FnMut(RowSpan<'_>) -> ControlFlow<()>,
+{
+    let n = program.depth();
+    assert!(n > 0, "a row needs an innermost loop");
+    assert_eq!(from.len(), 2 * n, "`from` must be an interleaved vector");
+    assert_eq!(to.len(), 2 * n, "`to` must be an interleaved vector");
+    if cme_poly::lex::cmp(from, to) == std::cmp::Ordering::Greater {
+        return;
     }
-
-    /// Like [`walk_range_rev`], but visits **only** the accesses whose
-    /// memory line maps to `filter`'s target set — exactly the subsequence
-    /// of the plain reverse walk that survives a
-    /// `set_of_line(mem_line(addr)) == target_set` test, in the same order
-    /// and with the same boundary tags.
-    ///
-    /// Along each innermost row the walker solves, once per reference, the
-    /// linear congruence `Cache_Set(addr(v)) = target_set` and then jumps
-    /// directly between matching iterations; references that can never
-    /// reach the target set in a row are dropped from it entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from`/`to` do not have length `2 · depth`.
-    pub fn walk_range_rev_in_set<F>(
-        &mut self,
-        program: &Program,
-        from: &[i64],
-        to: &[i64],
-        filter: &SetFilter,
-        mut f: F,
-    ) where
-        F: FnMut(Access<'_>, BoundaryTag) -> ControlFlow<()>,
-    {
-        let n = program.depth();
-        assert_eq!(from.len(), 2 * n, "`from` must be an interleaved vector");
-        assert_eq!(to.len(), 2 * n, "`to` must be an interleaved vector");
-        if cme_poly::lex::cmp(from, to) == std::cmp::Ordering::Greater {
+    idx.clear();
+    idx.resize(n, 0);
+    for (pos, root) in program.roots().iter().enumerate().rev() {
+        let label = pos as i64 + 1;
+        if label < from[0] {
+            break;
+        }
+        if label > to[0] {
+            continue;
+        }
+        let (tf, tt) = (label == from[0], label == to[0]);
+        if rows_rev(root, 1, idx, from, to, tf, tt, &mut f).is_break() {
             return;
         }
-        self.idx.clear();
-        self.idx.resize(n, 0);
-        let mut idx = std::mem::take(&mut self.idx);
-        let roots = program.roots();
-        for (pos, root) in roots.iter().enumerate().rev() {
-            let label = pos as i64 + 1;
-            if label < from[0] {
-                break;
-            }
-            if label > to[0] {
-                continue;
-            }
-            let tf = label == from[0];
-            let tt = label == to[0];
-            if self
-                .walk_node(program, root, 1, &mut idx, from, to, tf, tt, filter, &mut f)
-                .is_break()
-            {
-                break;
-            }
-        }
-        self.idx = idx;
     }
+}
 
-    /// Reverse range walk with set skipping at the innermost depth; the
-    /// outer levels mirror `walk_ranged_rev` exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_node<F>(
-        &mut self,
-        program: &Program,
-        node: &LoopNode,
-        depth: usize,
-        idx: &mut [i64],
-        from: &[i64],
-        to: &[i64],
-        tf: bool,
-        tt: bool,
-        filter: &SetFilter,
-        f: &mut F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(Access<'_>, BoundaryTag) -> ControlFlow<()>,
-    {
-        let mut lb = node.lb.eval(idx);
-        let mut ub = node.ub.eval(idx);
-        let fi = from[2 * depth - 1];
-        let ti = to[2 * depth - 1];
-        if tf {
-            lb = lb.max(fi);
-        }
-        if tt {
-            ub = ub.min(ti);
-        }
-        if node.inner.is_empty() {
-            return self.walk_row(
-                program,
-                node,
-                depth,
-                idx,
-                (lb, ub),
-                (fi, ti),
-                tf,
-                tt,
-                filter,
-                f,
-            );
-        }
-        let mut v = ub;
-        while v >= lb {
-            idx[depth - 1] = v;
-            let tf2 = tf && v == fi;
-            let tt2 = tt && v == ti;
-            for (pos, inner) in node.inner.iter().enumerate().rev() {
-                let label = pos as i64 + 1;
-                let fl = from[2 * depth];
-                let tl = to[2 * depth];
-                if tf2 && label < fl {
-                    break;
-                }
-                if tt2 && label > tl {
-                    continue;
-                }
-                let tf3 = tf2 && label == fl;
-                let tt3 = tt2 && label == tl;
-                self.walk_node(
-                    program,
-                    inner,
-                    depth + 1,
-                    idx,
-                    from,
-                    to,
-                    tf3,
-                    tt3,
-                    filter,
-                    f,
-                )?;
-            }
-            v -= 1;
-        }
-        ControlFlow::Continue(())
+/// The outer levels of [`walk_rows_rev`]; they mirror `walk_ranged_rev`.
+#[allow(clippy::too_many_arguments)]
+fn rows_rev<F>(
+    node: &LoopNode,
+    depth: usize,
+    idx: &mut [i64],
+    from: &[i64],
+    to: &[i64],
+    tf: bool,
+    tt: bool,
+    f: &mut F,
+) -> ControlFlow<()>
+where
+    F: FnMut(RowSpan<'_>) -> ControlFlow<()>,
+{
+    let mut lb = node.lb.eval(idx);
+    let mut ub = node.ub.eval(idx);
+    let fi = from[2 * depth - 1];
+    let ti = to[2 * depth - 1];
+    if tf {
+        lb = lb.max(fi);
     }
-
-    /// The innermost row `[lb, ub]` at the outer prefix `idx[..depth−1]`:
-    /// solve each reference's congruence once, then jump between matching
-    /// iterations in descending order.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_row<F>(
-        &mut self,
-        program: &Program,
-        node: &LoopNode,
-        depth: usize,
-        idx: &mut [i64],
-        (lb, ub): (i64, i64),
-        (fi, ti): (i64, i64),
-        tf: bool,
-        tt: bool,
-        filter: &SetFilter,
-        f: &mut F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(Access<'_>, BoundaryTag) -> ControlFlow<()>,
-    {
+    if tt {
+        ub = ub.min(ti);
+    }
+    if node.inner.is_empty() {
         if lb > ub {
             return ControlFlow::Continue(());
         }
-        self.plans.clear();
-        self.spans.clear();
-        for &sid in &node.stmts {
-            let start = self.plans.len();
-            for &rid in &program.statement(sid).refs {
-                let plan = program.addr_plan(rid);
-                // Base address of the row: the plan evaluated with the
-                // innermost index zeroed.
-                let mut base = plan.constant_term();
-                for (d, &x) in idx[..depth - 1].iter().enumerate() {
-                    base += plan.coeff(d) * x;
-                }
-                let stride = plan.coeff(depth - 1);
-                self.plans.push(RowRefPlan {
-                    r: rid,
-                    base,
-                    stride,
-                    pattern: RowMatch::solve(base, stride, filter),
-                });
-            }
-            self.spans.push((sid, start, self.plans.len()));
-        }
-        let mut v = ub;
-        while v >= lb {
-            // Jump to the next iteration where *any* reference can match.
-            let mut best: Option<i64> = None;
-            for p in &self.plans {
-                if let Some(m) = p.pattern.next_at_or_below(v) {
-                    best = Some(best.map_or(m, |b: i64| b.max(m)));
-                    if m == v {
-                        break; // cannot do better than v itself
-                    }
-                }
-            }
-            let Some(v2) = best else { break };
-            if v2 < lb {
+        return f(RowSpan {
+            node,
+            prefix: &idx[..depth - 1],
+            lo: lb,
+            hi: ub,
+            starts_at_from: tf && lb == fi,
+            ends_at_to: tt && ub == ti,
+        });
+    }
+    let mut v = ub;
+    while v >= lb {
+        idx[depth - 1] = v;
+        let tf2 = tf && v == fi;
+        let tt2 = tt && v == ti;
+        for (pos, inner) in node.inner.iter().enumerate().rev() {
+            let label = pos as i64 + 1;
+            let fl = from[2 * depth];
+            let tl = to[2 * depth];
+            if tf2 && label < fl {
                 break;
             }
-            idx[depth - 1] = v2;
-            let tag = BoundaryTag {
-                at_start: tf && v2 == fi,
-                at_end: tt && v2 == ti,
-            };
-            for &(sid, start, end) in self.spans.iter().rev() {
-                let stmt = program.statement(sid);
-                if !stmt.guard.iter().all(|c| c.holds(idx)) {
-                    continue;
-                }
-                for p in self.plans[start..end].iter().rev() {
-                    let addr = p.base + p.stride * v2;
-                    let hit = match p.pattern {
-                        RowMatch::Dense => filter.matches_addr(addr),
-                        ref pat => pat.matches(v2),
-                    };
-                    if !hit {
-                        continue;
-                    }
-                    f(
-                        Access {
-                            r: p.r,
-                            point: idx,
-                            addr,
-                        },
-                        tag,
-                    )?;
-                }
+            if tt2 && label > tl {
+                continue;
             }
-            v = v2 - 1;
+            rows_rev(
+                inner,
+                depth + 1,
+                idx,
+                from,
+                to,
+                tf2 && label == fl,
+                tt2 && label == tl,
+                f,
+            )?;
         }
-        ControlFlow::Continue(())
+        v -= 1;
     }
+    ControlFlow::Continue(())
 }
 
 /// Collects the full access trace as `(reference, byte address)` pairs.
@@ -1053,109 +706,72 @@ mod tests {
         assert!(!fwd.is_empty());
     }
 
-    /// Brute-force check of the congruence solver: for a grid of
-    /// (base, stride, line size, set count, target) the pattern must agree
-    /// with directly computing each iteration's cache set.
+    /// The row walk covers exactly the points of `walk_range_rev`: each
+    /// visited access lies in the row that the row walk reports for its
+    /// prefix and loop node, rows come in the same order, and the boundary
+    /// tags sit at the reported row ends.
     #[test]
-    fn row_match_agrees_with_direct_computation() {
-        for &ls in &[8i64, 32, 24] {
-            for &nsets in &[4i64, 16, 12] {
-                for &stride in &[0i64, 8, -8, 16, 64, -64, 40, -40, 24] {
-                    for &base in &[0i64, 5, 17, 1000, -64, -13] {
-                        for target in 0..nsets {
-                            let filter = SetFilter::new(ls, nsets, target);
-                            let pattern = RowMatch::solve(base, stride, &filter);
-                            for v in -3 * ls * nsets..3 * ls * nsets {
-                                let addr = base + stride * v;
-                                let want = filter.matches_addr(addr);
-                                let got = match pattern {
-                                    RowMatch::Dense => filter.matches_addr(addr),
-                                    ref pat => pat.matches(v),
-                                };
-                                assert_eq!(
-                                    got, want,
-                                    "base={base} stride={stride} L={ls} S={nsets} \
-                                     t={target} v={v} pattern={pattern:?}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// `next_at_or_below` lands on the nearest matching iteration.
-    #[test]
-    fn next_at_or_below_is_tight() {
-        let pat = RowMatch::Periodic {
-            anchor: 2,
-            period: 12,
-            run: 3,
-        };
-        for v in -40i64..40 {
-            let next = pat.next_at_or_below(v).unwrap();
-            assert!(next <= v);
-            assert!(pat.matches(next), "v={v} next={next}");
-            for w in next + 1..=v {
-                assert!(!pat.matches(w), "v={v} skipped matching {w}");
-            }
-        }
-        assert_eq!(RowMatch::Never.next_at_or_below(5), None);
-        assert_eq!(RowMatch::Always.next_at_or_below(5), Some(5));
-    }
-
-    /// The skip walk visits exactly the subsequence of `walk_range_rev`
-    /// whose line maps to the target set — same order, addresses and tags.
-    #[test]
-    fn set_walk_is_filtered_reverse_walk() {
+    fn row_walk_groups_the_reverse_walk() {
         let p = two_nest_program();
-        let (ls, nsets) = (8i64, 4i64);
         let endpoints = [
             (vec![1, 1, 1, 1], vec![2, 2, 1, 1]),
             (vec![1, 2, 1, 1], vec![2, 1, 1, 1]),
-            (vec![1, 1, 2, 2], vec![1, 3, 2, 1]),
+            (vec![1, 1, 1, 2], vec![1, 3, 1, 1]),
+            (vec![1, 2, 1, 2], vec![1, 2, 1, 2]),
             (vec![0, 0, 0, 0], vec![9, 9, 9, 9]),
         ];
-        let mut walker = SetWalker::new();
+        let mut idx = Vec::new();
         for (from, to) in &endpoints {
-            for target in 0..nsets {
-                let filter = SetFilter::new(ls, nsets, target);
-                let mut expect: Vec<(RefId, Vec<i64>, i64, BoundaryTag)> = Vec::new();
-                walk_range_rev(&p, from, to, |a, tag| {
-                    if filter.matches_addr(a.addr) {
-                        expect.push((a.r, a.point.to_vec(), a.addr, tag));
-                    }
-                    ControlFlow::Continue(())
-                });
-                let mut got: Vec<(RefId, Vec<i64>, i64, BoundaryTag)> = Vec::new();
-                walker.walk_range_rev_in_set(&p, from, to, &filter, |a, tag| {
-                    assert!(filter.matches_addr(a.addr), "visited a non-matching access");
-                    got.push((a.r, a.point.to_vec(), a.addr, tag));
-                    ControlFlow::Continue(())
-                });
-                assert_eq!(got, expect, "from={from:?} to={to:?} target={target}");
-            }
+            // (prefix, loop node, index, at_start, at_end), deduplicated
+            // per point.
+            type Seen = (Vec<i64>, *const LoopNode, i64, bool, bool);
+            let mut expect: Vec<Seen> = Vec::new();
+            walk_range_rev(&p, from, to, |a, tag| {
+                let label = &p.statement(p.reference(a.r).stmt).label;
+                let node: *const LoopNode = *p.loop_path(label).last().unwrap();
+                let seen = (
+                    a.point[..1].to_vec(),
+                    node,
+                    a.point[1],
+                    tag.at_start,
+                    tag.at_end,
+                );
+                if expect.last() != Some(&seen) {
+                    expect.push(seen);
+                }
+                ControlFlow::Continue(())
+            });
+            let mut got: Vec<Seen> = Vec::new();
+            walk_rows_rev(&p, from, to, &mut idx, |row| {
+                for w in (row.lo..=row.hi).rev() {
+                    got.push((
+                        row.prefix.to_vec(),
+                        row.node,
+                        w,
+                        row.starts_at_from && w == row.lo,
+                        row.ends_at_to && w == row.hi,
+                    ));
+                }
+                ControlFlow::Continue(())
+            });
+            assert_eq!(got, expect, "from={from:?} to={to:?}");
         }
     }
 
-    /// Early break works through the skip walk too.
+    /// A break from the callback stops the row walk.
     #[test]
-    fn set_walk_early_break() {
+    fn row_walk_early_break() {
         let p = two_nest_program();
-        let filter = SetFilter::new(8, 1, 0); // one set: every access matches
-        let from = vec![0, 0, 0, 0];
-        let to = vec![9, 9, 9, 9];
-        let mut count = 0;
-        SetWalker::new().walk_range_rev_in_set(&p, &from, &to, &filter, |_, _| {
-            count += 1;
-            if count == 3 {
+        let mut rows = 0;
+        walk_rows_rev(&p, &[0, 0, 0, 0], &[9, 9, 9, 9], &mut Vec::new(), |_| {
+            rows += 1;
+            if rows == 2 {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
             }
         });
-        assert_eq!(count, 3);
+        assert_eq!(rows, 2);
     }
 
     #[test]

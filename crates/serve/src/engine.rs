@@ -51,11 +51,12 @@ pub enum AnalysisMode {
     Estimate(SamplingOptions),
 }
 
-/// One unit of work for the engine. The engine always runs the set-skip
-/// walk, and the hit/miss pre-pass on every wire request; the slower
-/// reference paths are reachable only in process: `PrepassMode::Off`
-/// through an estimate job's [`SamplingOptions`], `WalkStrategy::LegacyScan`
-/// through `cme_analysis` directly.
+/// One unit of work for the engine. The engine always runs the counting
+/// evaluator ([`cme_analysis::WalkStrategy::SetSkip`]) with the hit/miss
+/// pre-pass on, for every wire request; the slower reference paths are
+/// reachable only in process: `PrepassMode::Off` through an estimate job's
+/// [`SamplingOptions`], `WalkStrategy::LegacyScan` through `cme_analysis`
+/// directly.
 #[derive(Debug)]
 pub struct Job<'p> {
     pub program: &'p Program,

@@ -23,8 +23,9 @@
 //! optional `"confidence"`, `"width"`, `"seed"`. Optional knobs:
 //! `"timeout_ms"`, `"store":false` (bypass the result store),
 //! `"threads"` (0 = one per hardware thread). The engine always runs the
-//! set-skip walk with the hit/miss pre-pass on, so a kernel the pre-pass
-//! resolves in full answers any problem size without walking a point.
+//! counting evaluator with the hit/miss pre-pass on, so a kernel the
+//! pre-pass resolves in full answers any problem size without walking a
+//! point.
 //! Unknown keys are ignored.
 //!
 //! The cache geometry may also be given as a single

@@ -52,16 +52,11 @@ fi
 cargo run -p cme-bench --bin bench_parallel --release --offline -- \
     "${ARGS[@]}" --out "$OUT/BENCH_parallel.json"
 
-echo "== classify walk-strategy harness =="
-# Smoke at small scale: times the set-conscious skip-walk against the
-# legacy full scan and asserts the reports are bit-identical.
-cargo run -p cme-bench --bin bench_classify --release --offline -- \
-    --scale "${BENCH_SCALE:-small}" --out "$OUT/BENCH_classify.json"
-
 echo "== row-engine (hit/miss pre-pass) harness =="
 # Always at paper scale: times cold FindMisses with the pre-pass off vs on
-# (serial set-skip), asserts the reports are bit-identical, and enforces
-# the floors: MMT resolution rate >= 50% and pre-pass-on wall <= off wall;
+# (serial, counting evaluator), asserts the reports are bit-identical, and
+# enforces the floors: resolution rate MMT >= 90% and MGRID >= 97%,
+# pre-pass-on wall <= off wall on MMT;
 # stream3 resolved in full with zero walked points and >= 100x over the
 # walk; a >= 10x stream3 padding sweep over the pre-pass-off sweep with an
 # identical plan; and an exact serve job that answers a never-seen stream3

@@ -29,7 +29,7 @@ fn usage_errors_exit_1() {
         Some(1),
         "malformed chaos spec"
     );
-    // The engine always runs the set-skip walk with the pre-pass on, so
+    // The engine always runs the counting evaluator with the pre-pass on, so
     // neither is a flag.
     for (verb, flag) in [("query", "--strategy"), ("sweep", "--prepass")] {
         let out = cme(&[verb, flag, "on"]);
