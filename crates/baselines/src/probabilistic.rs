@@ -93,13 +93,13 @@ pub fn estimate(program: &Program, config: CacheConfig) -> ProbEstimate {
             }
             // Geometric coverage of the vector: per-dimension overlap of
             // the consumer box with the producer box shifted by r.
-            let f = coverage_fraction(program, rv.producer, r, &rv.vector);
+            let f = coverage_fraction(program, rv.producer, r, rv.vector);
             // Spatial vectors only hit when the two elements share a line:
             // alignment factor (L − d)/L for first-dimension distance d.
             let align = match rv.kind {
                 ReuseKind::Temporal => 1.0,
                 ReuseKind::Spatial | ReuseKind::CrossColumnSpatial => {
-                    let d = first_dim_distance(program, rv.producer, r, &rv.vector);
+                    let d = first_dim_distance(program, rv.producer, r, rv.vector);
                     ((ls_elems - d.abs() as f64) / ls_elems).max(0.0)
                 }
             };
@@ -110,7 +110,7 @@ pub fn estimate(program: &Program, config: CacheConfig) -> ProbEstimate {
             // Representative interference volume: distinct lines touched in
             // the interval ending at the representative point.
             let v = match &rep {
-                Some(point) => interval_footprint(program, r, point, &rv.vector),
+                Some(point) => interval_footprint(program, r, point, rv.vector),
                 None => WALK_CAP,
             };
             let lambda = v as f64 / sets;

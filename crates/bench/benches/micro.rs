@@ -41,6 +41,16 @@ fn bench_reuse_generation() {
     bench("reuse_generation/mmt_32", 10, || {
         ReuseAnalysis::analyze(black_box(&mmt), 32)
     });
+    // Whole programs: most pairs share a candidate set, and applu-like's
+    // inlined copies yield 1.8M vectors.
+    let tomcatv = cme_workloads::tomcatv_like(256, 10);
+    let applu = cme_workloads::applu_like(6, 2);
+    bench("reuse_generation/tomcatv_like_256", 3, || {
+        ReuseAnalysis::analyze(black_box(&tomcatv), 32)
+    });
+    bench("reuse_generation/applu_like_6_2", 3, || {
+        ReuseAnalysis::analyze(black_box(&applu), 32)
+    });
 }
 
 fn bench_polyhedra() {

@@ -279,7 +279,7 @@ impl<'p> Classifier<'p> {
                     .for_consumer(r)
                     .map(|rv| VectorPlan {
                         producer: rv.producer,
-                        vector: rv.vector.as_slice(),
+                        vector: rv.vector,
                         producer_bbox: program.ris(rv.producer).bounding_box(),
                         producer_rank: program.reference(rv.producer).lex_rank,
                     })

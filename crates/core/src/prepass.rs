@@ -82,7 +82,7 @@
 //!
 //! Each row stores its verdicts as pieces `(last v, period, pattern)`: the
 //! pattern repeats from the piece's first position, and a run is a piece
-//! with period 1. A row needing more than [`MAX_ROW_PIECES`] pieces stops
+//! with period 1. A row needing more than `MAX_ROW_PIECES` (48) pieces stops
 //! there and leaves its remainder unknown, so memory stays proportional to
 //! the number of rows, not points. When no point of a reference is unknown
 //! its cold/replacement/hit totals are known ([`RefVerdicts::totals`]) and
@@ -1038,7 +1038,7 @@ impl RowEngine<'_, '_> {
 
 /// Runs the row engine for one reference: enumerates its rows, decides
 /// them through the exact 1-D screens, and stores the verdicts as pieces.
-/// Checked against `cancel` on entry and every [`CANCEL_GRAIN`]
+/// Checked against `cancel` on entry and every `CANCEL_GRAIN` (4096)
 /// evaluations.
 pub fn analyze_reference(
     cl: &Classifier<'_>,

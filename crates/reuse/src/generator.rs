@@ -21,19 +21,36 @@
 //! it (enumerated exhaustively where a line-window bounds them). Multi-basis
 //! combinations are not explored; this matches the "usually self reuse
 //! covers the facets" observation in §3.5.
+//!
+//! A pair's candidates depend only on its statements' shape (label
+//! distance, feasibility window, difference constraints), the line size in
+//! elements, the array's fixed first dimension, the subscript matrix and
+//! the offset delta. Each distinct combination is solved once per program —
+//! abstract inlining and stencils repeat them across thousands of pairs —
+//! and every consumer merges its pairs' sets straight into one flat arena.
 
 use crate::ugr::subscript_parts;
 use crate::vector::{ReuseClass, ReuseKind, ReuseVector};
-use cme_ir::{DimSize, Program, RefId};
+use cme_ir::{DimSize, Program, RefId, StmtId};
 use cme_poly::{lex, linear::SmithSolver, vector as vecs, ConstraintKind, IMat};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-/// All reuse vectors of a program, indexed by consumer.
+/// All reuse vectors of a program, stored flat and indexed by consumer.
+///
+/// Vector `i` is components `i·2n .. (i+1)·2n` of one arena, with its
+/// producer and kind in two parallel arrays; consumer `r` owns vectors
+/// `starts[r] .. starts[r+1]`, consumers in `RefId` order. Readers get
+/// borrowed [`ReuseVector`] views, so a vector costs `16n + 5` bytes and
+/// no allocation of its own.
 #[derive(Debug, Clone)]
 pub struct ReuseAnalysis {
-    vectors: Vec<ReuseVector>,
-    by_consumer: Vec<Vec<usize>>,
+    /// Components per vector: `2n`.
+    width: usize,
+    comps: Vec<i64>,
+    producers: Vec<u32>,
+    kinds: Vec<ReuseKind>,
+    starts: Vec<usize>,
 }
 
 impl ReuseAnalysis {
@@ -48,29 +65,101 @@ impl ReuseAnalysis {
     /// (the nearest producers). Distant vectors almost never decide a
     /// point — a nearer same-line access shadows them — so capping trades
     /// a bounded amount of conservative overestimation for analysis speed
-    /// on reference-dense programs.
+    /// on reference-dense programs. A cap of 0 keeps no vector, so every
+    /// point is cold.
     pub fn analyze_capped(program: &Program, line_bytes: u64, max_per_consumer: usize) -> Self {
         let gen = Generator::new(program, line_bytes);
         gen.run(max_per_consumer)
     }
 
-    /// Every generated vector.
-    pub fn vectors(&self) -> &[ReuseVector] {
-        &self.vectors
+    /// Every generated vector, consumer by consumer in `RefId` order.
+    pub fn vectors(&self) -> Vectors<'_> {
+        Vectors {
+            analysis: self,
+            consumer: 0,
+            next: 0,
+            end: self.producers.len(),
+        }
     }
 
     /// The vectors consumed by `r`, sorted by increasing lexicographic
     /// order of the interleaved vector (the order `FindMisses` and
     /// `EstimateMisses` must try them in).
-    pub fn for_consumer(&self, r: RefId) -> impl Iterator<Item = &ReuseVector> {
-        self.by_consumer[r].iter().map(|&i| &self.vectors[i])
+    pub fn for_consumer(&self, r: RefId) -> Vectors<'_> {
+        Vectors {
+            analysis: self,
+            consumer: r,
+            next: self.starts[r],
+            end: self.starts[r + 1],
+        }
     }
 
     /// Number of vectors for a consumer.
     pub fn consumer_len(&self, r: RefId) -> usize {
-        self.by_consumer[r].len()
+        self.starts[r + 1] - self.starts[r]
+    }
+
+    /// Bytes this analysis holds on the heap: the capacity of its four
+    /// buffers, which are all it allocates.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.comps.capacity() * size_of::<i64>()
+            + self.producers.capacity() * size_of::<u32>()
+            + self.kinds.capacity() * size_of::<ReuseKind>()
+            + self.starts.capacity() * size_of::<usize>()
+    }
+
+    /// The view of vector `i`, which `consumer` owns.
+    fn view(&self, consumer: RefId, i: usize) -> ReuseVector<'_> {
+        let producer = self.producers[i] as RefId;
+        ReuseVector {
+            producer,
+            consumer,
+            vector: &self.comps[i * self.width..(i + 1) * self.width],
+            kind: self.kinds[i],
+            class: if producer == consumer {
+                ReuseClass::SelfReuse
+            } else {
+                ReuseClass::Group
+            },
+        }
     }
 }
+
+/// An iterator over the vectors of a [`ReuseAnalysis`] in consumer order,
+/// yielding borrowed views.
+#[derive(Debug, Clone)]
+pub struct Vectors<'a> {
+    analysis: &'a ReuseAnalysis,
+    /// The consumer owning vector `next` (or an earlier one, when the
+    /// consumers in between own none).
+    consumer: RefId,
+    next: usize,
+    end: usize,
+}
+
+impl<'a> Iterator for Vectors<'a> {
+    type Item = ReuseVector<'a>;
+
+    fn next(&mut self) -> Option<ReuseVector<'a>> {
+        if self.next == self.end {
+            return None;
+        }
+        let i = self.next;
+        self.next += 1;
+        while self.analysis.starts[self.consumer + 1] <= i {
+            self.consumer += 1;
+        }
+        Some(self.analysis.view(self.consumer, i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Vectors<'_> {}
 
 struct Generator<'p> {
     program: &'p Program,
@@ -85,109 +174,149 @@ impl<'p> Generator<'p> {
         }
     }
 
+    /// Solves every distinct candidate set once (pass 1), then merges each
+    /// consumer's candidates straight into the flat arena (pass 2).
     fn run(self, max_per_consumer: usize) -> ReuseAnalysis {
-        let nrefs = self.program.references().len();
+        let program = self.program;
+        let nrefs = program.references().len();
 
         // Guard-substituted subscript variants per reference: two references
         // pair up when *any* variant matrices coincide — i.e. they are
         // uniformly generated once their RIS equalities are substituted in.
-        let variants: Vec<Vec<RefForm>> = (0..nrefs).map(|r| self.ref_variants(r)).collect();
-        let mut by_array: HashMap<cme_ir::ArrayId, Vec<RefId>> = HashMap::new();
+        // Matrices are interned, so matching compares two ids.
+        let mut form_ids: HashMap<IMat, u32> = HashMap::new();
+        let mut forms: Vec<IMat> = Vec::new();
+        let mut variants: Vec<Vec<(u32, Vec<i64>)>> = Vec::with_capacity(nrefs);
         for r in 0..nrefs {
-            by_array
-                .entry(self.program.reference(r).array)
-                .or_default()
-                .push(r);
+            let mut mine = Vec::new();
+            for (m, off) in self.ref_variants(r) {
+                let form = *form_ids.entry(m).or_insert_with_key(|m| {
+                    forms.push(m.clone());
+                    id(forms.len() - 1)
+                });
+                mine.push((form, off));
+            }
+            variants.push(mine);
+        }
+        let mut by_array: Vec<Vec<RefId>> = vec![Vec::new(); program.arrays().len()];
+        for r in 0..nrefs {
+            by_array[program.reference(r).array].push(r);
         }
 
-        // Memoisation: difference constraints depend only on the statement
-        // pair, and candidate generation only on (statement pair, array,
-        // matched form, delta) — stencil programs repeat those massively.
-        let mut diff_cache: DiffMap = HashMap::new();
-        let mut cand_cache: CandMap = HashMap::new();
+        // Pass 1: per consumer, the (producer, candidate set) pairs it
+        // merges, consumer-major. A candidate set depends only on its
+        // `CandKey`, so each distinct key is solved once per program, however
+        // many reference pairs (inlined copies, stencil neighbours) share it.
+        let mut shapes = Shapes::default();
+        let mut deltas: HashMap<Vec<i64>, u32> = HashMap::new();
+        let mut set_ids: HashMap<CandKey, u32> = HashMap::new();
+        let mut sets = CandidateSets::new(2 * program.depth());
         let mut solvers: SolverMap = HashMap::new();
-
-        // Consumer-major: each consumer keeps only the `max_per_consumer`
-        // lexicographically smallest (vector, producer) entries, maintained
-        // in a bounded max-heap so reference-dense programs never
-        // materialise the full candidate cross product.
-        let mut vectors: Vec<ReuseVector> = Vec::new();
-        let mut by_consumer: Vec<Vec<usize>> = vec![Vec::new(); nrefs];
-        use std::collections::BinaryHeap;
-        for members in by_array.values() {
-            for &c in members {
-                let mut heap: BinaryHeap<(Vec<i64>, RefId, ReuseKind)> = BinaryHeap::new();
-                for &p in members {
-                    let sp = self.program.reference(p).stmt;
-                    let sc = self.program.reference(c).stmt;
-                    let array = self.program.reference(c).array;
-                    if let std::collections::hash_map::Entry::Vacant(e) = diff_cache.entry((sp, sc))
-                    {
-                        e.insert(self.difference_constraints(p, c));
-                    }
-                    let diff = &diff_cache[&(sp, sc)];
-                    // Candidates over all matched forms (deduped per pair).
-                    let mut keys: Vec<CandKey> = Vec::new();
-                    let mut matched: HashSet<(&[i64], Vec<i64>)> = HashSet::new();
-                    for vp in &variants[p] {
-                        for vc in &variants[c] {
-                            if vp.m != vc.m {
-                                continue;
-                            }
-                            let delta = vecs::sub(&vp.off, &vc.off);
-                            if !matched.insert((vp.flat.as_slice(), delta.clone())) {
-                                continue;
-                            }
-                            let key = (sp, sc, array, vp.flat.clone(), delta.clone());
-                            if !cand_cache.contains_key(&key) {
-                                let cands =
-                                    self.pair_candidates(&vp.m, &delta, p, c, diff, &mut solvers);
-                                cand_cache.insert(key.clone(), cands);
-                            }
-                            keys.push(key);
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut pair_starts: Vec<usize> = Vec::with_capacity(nrefs + 1);
+        pair_starts.push(0);
+        // An upper bound on the vectors pass 2 keeps (it ignores dedup), so
+        // the arena is allocated once instead of growing by doubling.
+        let mut bound = 0usize;
+        let mut delta: Vec<i64> = Vec::new();
+        for c in 0..nrefs {
+            let rc = program.reference(c);
+            let arr = program.array(rc.array);
+            let ls_elems = (self.line_bytes / arr.elem_bytes as u64).max(1) as i64;
+            let d1 = match arr.dims.first() {
+                Some(DimSize::Fixed(d1)) => Some(*d1),
+                _ => None,
+            };
+            let mut admitted = 0usize;
+            for &p in &by_array[rc.array] {
+                let shape = shapes.of(&self, p, c);
+                let zero_ok = self.zero_admitted(p, c);
+                let first = pairs.len();
+                for (fp, off_p) in &variants[p] {
+                    for (fc, off_c) in &variants[c] {
+                        if fp != fc {
+                            continue;
                         }
-                    }
-                    for key in &keys {
-                        for (vector, kind) in &cand_cache[key] {
-                            if !self.admit_zero(p, c, vector) {
-                                continue;
+                        delta.clear();
+                        delta.extend(off_p.iter().zip(off_c).map(|(a, b)| a - b));
+                        let delta_id = match deltas.get(delta.as_slice()) {
+                            Some(&id) => id,
+                            None => {
+                                let next = id(deltas.len());
+                                deltas.insert(delta.clone(), next);
+                                next
                             }
-                            if heap.len() >= max_per_consumer {
-                                // Only admit if strictly smaller than the
-                                // current worst.
-                                let worst = heap.peek().expect("non-empty");
-                                if (vector, p, *kind) >= (&worst.0, worst.1, worst.2) {
-                                    continue;
-                                }
-                                heap.pop();
+                        };
+                        let key = CandKey {
+                            shape,
+                            ls_elems,
+                            d1,
+                            form: *fp,
+                            delta: delta_id,
+                        };
+                        let set = match set_ids.get(&key) {
+                            Some(&set) => set,
+                            None => {
+                                let cands = self.pair_candidates(
+                                    shapes.get(shape),
+                                    &forms[*fp as usize],
+                                    &delta,
+                                    ls_elems,
+                                    d1,
+                                    &mut solvers,
+                                );
+                                let set = sets.push(cands);
+                                set_ids.insert(key, set);
+                                set
                             }
-                            heap.push((vector.clone(), p, *kind));
+                        };
+                        // Matched forms are deduped per pair: a set counts
+                        // once in this consumer's multiset.
+                        if pairs[first..].iter().any(|&(_, s)| s == set) {
+                            continue;
                         }
+                        pairs.push((id(p), set));
+                        admitted += sets.admitted_len(set, zero_ok);
                     }
-                }
-                // Drain in ascending lexicographic order.
-                let mut list = heap.into_sorted_vec();
-                list.dedup();
-                for (vector, p, kind) in list {
-                    by_consumer[c].push(vectors.len());
-                    vectors.push(ReuseVector {
-                        producer: p,
-                        consumer: c,
-                        vector,
-                        kind,
-                        class: if p == c {
-                            ReuseClass::SelfReuse
-                        } else {
-                            ReuseClass::Group
-                        },
-                    });
                 }
             }
+            bound += admitted.min(max_per_consumer);
+            pair_starts.push(pairs.len());
         }
-        ReuseAnalysis {
-            vectors,
-            by_consumer,
+
+        // Pass 2: each consumer keeps the `max_per_consumer` smallest
+        // (vector, producer, kind) entries of its candidate multiset, then
+        // drops duplicates — sorted borrowed entries, no per-entry copy.
+        let width = sets.width;
+        let mut out = ReuseAnalysis {
+            width,
+            comps: Vec::with_capacity(bound * width),
+            producers: Vec::with_capacity(bound),
+            kinds: Vec::with_capacity(bound),
+            starts: Vec::with_capacity(nrefs + 1),
+        };
+        out.starts.push(0);
+        let mut merged: Vec<(&[i64], u32, ReuseKind)> = Vec::new();
+        for c in 0..nrefs {
+            merged.clear();
+            for &(p, set) in &pairs[pair_starts[c]..pair_starts[c + 1]] {
+                let zero_ok = self.zero_admitted(p as RefId, c);
+                merged.extend(sets.admitted(set, zero_ok).map(|(v, k)| (v, p, k)));
+            }
+            if merged.len() > max_per_consumer {
+                merged.select_nth_unstable(max_per_consumer);
+                merged.truncate(max_per_consumer);
+            }
+            merged.sort_unstable();
+            merged.dedup();
+            for &(vector, p, kind) in &merged {
+                out.comps.extend_from_slice(vector);
+                out.producers.push(p);
+                out.kinds.push(kind);
+            }
+            out.starts.push(out.producers.len());
         }
+        out
     }
 
     /// Subscript-form variants of a reference: the original `(M, m)` plus
@@ -196,10 +325,9 @@ impl<'p> Generator<'p> {
     /// Each variant equals the original on the reference's RIS, so pairing
     /// through variants is sound — cold equations re-verify addresses with
     /// the *original* subscripts anyway.
-    fn ref_variants(&self, r: RefId) -> Vec<RefForm> {
+    fn ref_variants(&self, r: RefId) -> Vec<(IMat, Vec<i64>)> {
         let program = self.program;
-        let (m, off) = subscript_parts(program, r);
-        let mut out = vec![RefForm::new(m, off)];
+        let mut out = vec![subscript_parts(program, r)];
         // Substitutions from equality constraints of the RIS.
         let subs: Vec<(usize, Vec<i64>, i64)> = program
             .ris(r)
@@ -227,14 +355,14 @@ impl<'p> Generator<'p> {
         // Closure under single substitutions, capped to keep things tiny.
         let mut frontier = 0;
         while frontier < out.len() && out.len() < 8 {
-            let form = out[frontier].clone();
+            let (m, off) = out[frontier].clone();
             frontier += 1;
             for (d, repl, k) in &subs {
-                let mut rows: Vec<Vec<i64>> = Vec::with_capacity(form.m.rows());
-                let mut offs = form.off.clone();
+                let mut rows: Vec<Vec<i64>> = Vec::with_capacity(m.rows());
+                let mut offs = off.clone();
                 let mut changed = false;
-                for (row_i, off_i) in (0..form.m.rows()).zip(0..) {
-                    let row = form.m.row(row_i);
+                for (row_i, off_i) in (0..m.rows()).zip(0..) {
+                    let row = m.row(row_i);
                     let cd = row[*d];
                     let mut nr = row.to_vec();
                     if cd != 0 {
@@ -248,7 +376,7 @@ impl<'p> Generator<'p> {
                     rows.push(nr);
                 }
                 if changed {
-                    let cand = RefForm::new(IMat::from_row_vecs(rows), offs);
+                    let cand = (IMat::from_row_vecs(rows), offs);
                     if !out.contains(&cand) && out.len() < 8 {
                         out.push(cand);
                     }
@@ -313,56 +441,45 @@ impl<'p> Generator<'p> {
     }
 
     /// All candidate vectors for one matched subscript form
-    /// `(M, δ = m_p − m_c)` and the pair's difference constraints. The
-    /// result depends only on the *statements* (labels, guards), the array
-    /// and the form, so callers memoise it; the per-reference zero-vector
-    /// rule is applied separately ([`Generator::admit_zero`]).
+    /// `(M, δ = m_p − m_c)` of a pair with the given shape, sorted and
+    /// deduplicated. It reads nothing else — the line size in elements and
+    /// the array's fixed first dimension aside — which is what lets callers
+    /// memoise it per [`CandKey`]; the per-reference zero-vector rule is
+    /// applied separately ([`Generator::zero_admitted`]).
     fn pair_candidates(
         &self,
+        shape: &Shape,
         m: &IMat,
         delta: &[i64],
-        p: RefId,
-        c: RefId,
-        diff: &[(Vec<i64>, i64)],
+        ls_elems: i64,
+        d1: Option<i64>,
         solvers: &mut SolverMap,
     ) -> Vec<(Vec<i64>, ReuseKind)> {
-        let program = self.program;
-        let label_p = &program.statement(program.reference(p).stmt).label;
-        let label_c = &program.statement(program.reference(c).stmt).label;
-        let ld = vecs::sub(label_c, label_p);
-        // Feasible window for the index part: for any consumer point i and
-        // producer point i − x to exist, x_d must lie within the difference
-        // of the two bounding boxes.
-        let bounds = self.pair_feasibility(p, c);
-
+        let Shape { ld, feas, diff } = shape;
         let mut out = Vec::new();
         let mut push = |xs: Vec<Vec<i64>>, kind: ReuseKind| {
             for x in xs {
-                let r = lex::interleave(&ld, &x);
-                if vecs::lex_nonneg(&r) && in_bounds(&x, &bounds) {
+                let r = lex::interleave(ld, &x);
+                if vecs::lex_nonneg(&r) && in_bounds(&x, feas) {
                     out.push((r, kind));
                 }
             }
         };
 
         push(
-            self.temporal_candidates(m, delta, diff, &bounds, solvers),
+            self.temporal_candidates(m, delta, diff, feas, solvers),
             ReuseKind::Temporal,
         );
 
-        let arr = program.array(program.reference(c).array);
-        let ls_elems = (self.line_bytes / arr.elem_bytes as u64).max(1) as i64;
         if ls_elems > 1 && m.rows() >= 1 {
             push(
-                self.spatial_candidates(m, delta, ls_elems, diff, &bounds, solvers),
+                self.spatial_candidates(m, delta, ls_elems, diff, feas, solvers),
                 ReuseKind::Spatial,
             );
             if m.rows() >= 2 {
-                if let Some(DimSize::Fixed(d1)) = arr.dims.first().copied() {
+                if let Some(d1) = d1 {
                     push(
-                        self.cross_column_candidates(
-                            m, delta, ls_elems, d1, diff, &bounds, solvers,
-                        ),
+                        self.cross_column_candidates(m, delta, ls_elems, d1, diff, feas, solvers),
                         ReuseKind::CrossColumnSpatial,
                     );
                 }
@@ -405,13 +522,10 @@ impl<'p> Generator<'p> {
         Feas { bounds, uniform }
     }
 
-    /// The zero vector denotes loop-independent reuse within one iteration
-    /// point, which is only real when the producer executes lexically
-    /// before the consumer.
-    fn admit_zero(&self, p: RefId, c: RefId, r: &[i64]) -> bool {
-        if !vecs::is_zero(r) {
-            return true;
-        }
+    /// Whether the pair admits the zero vector. It denotes
+    /// loop-independent reuse within one iteration point, which is only
+    /// real when the producer executes lexically before the consumer.
+    fn zero_admitted(&self, p: RefId, c: RefId) -> bool {
         self.program.reference(p).lex_rank < self.program.reference(c).lex_rank
     }
 
@@ -500,13 +614,135 @@ const CAND_CAP: usize = 512;
 /// uniformly generated set, so the expensive decomposition runs once.
 type SolverMap = HashMap<(usize, usize, Vec<i64>), Rc<SmithSolver>>;
 
-/// Candidate-memo key: (producer stmt, consumer stmt, array, matched form,
-/// offset delta).
-type CandKey = (usize, usize, cme_ir::ArrayId, Vec<i64>, Vec<i64>);
-/// Difference constraints memo per (producer stmt, consumer stmt).
-type DiffMap = HashMap<(usize, usize), Vec<(Vec<i64>, i64)>>;
-/// Memoised candidates per [`CandKey`].
-type CandMap = HashMap<CandKey, Vec<(Vec<i64>, ReuseKind)>>;
+/// A `u32` id for the `i`-th reference or interned item. Ids halve the
+/// memo keys and the arena's producer column; nothing that fits in memory
+/// comes near 2³² of them.
+fn id(i: usize) -> u32 {
+    u32::try_from(i).expect("fewer than 2^32 ids")
+}
+
+/// Everything a candidate set depends on, as interned ids: it is a pure
+/// function of this key ([`Generator::pair_candidates`] reads nothing
+/// else), so one solve serves every reference pair with the same key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct CandKey {
+    /// The statement pair's [`Shape`].
+    shape: u32,
+    /// The line size in elements (the only way the element size enters).
+    ls_elems: i64,
+    /// The array's fixed first dimension, if it has one.
+    d1: Option<i64>,
+    /// The matched subscript matrix `M`.
+    form: u32,
+    /// The offset delta `m_p − m_c`.
+    delta: u32,
+}
+
+/// What a candidate set takes from its statement pair: the label distance
+/// `ℓ_c − ℓ_p`, the feasibility window with its uniform flags, and the
+/// difference constraints. Each depends on the two statements alone (a
+/// reference's RIS is its statement's), so it is computed and interned
+/// once per statement pair.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Shape {
+    ld: Vec<i64>,
+    feas: Feas,
+    diff: Vec<(Vec<i64>, i64)>,
+}
+
+/// Interned [`Shape`]s, with the id of every statement pair seen.
+#[derive(Default)]
+struct Shapes {
+    by_stmts: HashMap<(StmtId, StmtId), u32>,
+    ids: HashMap<Shape, u32>,
+    shapes: Vec<Shape>,
+}
+
+impl Shapes {
+    /// The shape id of the pair `(p, c)`'s statements.
+    fn of(&mut self, gen: &Generator<'_>, p: RefId, c: RefId) -> u32 {
+        let program = gen.program;
+        let stmts = (program.reference(p).stmt, program.reference(c).stmt);
+        if let Some(&known) = self.by_stmts.get(&stmts) {
+            return known;
+        }
+        let shape = Shape {
+            ld: vecs::sub(
+                &program.statement(stmts.1).label,
+                &program.statement(stmts.0).label,
+            ),
+            feas: gen.pair_feasibility(p, c),
+            diff: gen.difference_constraints(p, c),
+        };
+        let next = id(self.shapes.len());
+        let interned = *self.ids.entry(shape).or_insert_with_key(|shape| {
+            self.shapes.push(shape.clone());
+            next
+        });
+        self.by_stmts.insert(stmts, interned);
+        interned
+    }
+
+    fn get(&self, id: u32) -> &Shape {
+        &self.shapes[id as usize]
+    }
+}
+
+/// Every solved candidate set, stored flat: set `s` is vectors
+/// `first .. first + len` of `sets[s]`, `2n` components each, sorted, its
+/// `zeros` all-zero vectors (if any) first.
+struct CandidateSets {
+    width: usize,
+    comps: Vec<i64>,
+    kinds: Vec<ReuseKind>,
+    /// Per set: `(first, len, zeros)`.
+    sets: Vec<(usize, usize, usize)>,
+}
+
+impl CandidateSets {
+    fn new(width: usize) -> Self {
+        CandidateSets {
+            width,
+            comps: Vec::new(),
+            kinds: Vec::new(),
+            sets: Vec::new(),
+        }
+    }
+
+    /// Stores one sorted candidate list and returns its id.
+    fn push(&mut self, cands: Vec<(Vec<i64>, ReuseKind)>) -> u32 {
+        let first = self.kinds.len();
+        // Lex-non-negative vectors sort after the zero vector.
+        let zeros = cands.iter().take_while(|(v, _)| vecs::is_zero(v)).count();
+        for (v, kind) in &cands {
+            self.comps.extend_from_slice(v);
+            self.kinds.push(*kind);
+        }
+        self.sets.push((first, cands.len(), zeros));
+        id(self.sets.len() - 1)
+    }
+
+    /// The vectors of `set` a pair keeps: all, or all but the zero vectors.
+    fn admitted(&self, set: u32, zero_ok: bool) -> impl Iterator<Item = (&[i64], ReuseKind)> {
+        let (first, len, zeros) = self.sets[set as usize];
+        let skip = if zero_ok { 0 } else { zeros };
+        (first + skip..first + len).map(|i| {
+            (
+                &self.comps[i * self.width..(i + 1) * self.width],
+                self.kinds[i],
+            )
+        })
+    }
+
+    fn admitted_len(&self, set: u32, zero_ok: bool) -> usize {
+        let (_, len, zeros) = self.sets[set as usize];
+        if zero_ok {
+            len
+        } else {
+            len - zeros
+        }
+    }
+}
 
 fn solver_for(cache: &mut SolverMap, m: &IMat) -> Rc<SmithSolver> {
     let mut flat = Vec::with_capacity(m.rows() * m.cols());
@@ -521,6 +757,7 @@ fn solver_for(cache: &mut SolverMap, m: &IMat) -> Rc<SmithSolver> {
 
 /// The per-pair feasibility window: per-dimension step bounds plus the
 /// box-uniformity flags (see `pair_feasibility`).
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct Feas {
     bounds: Vec<(i64, i64)>,
     uniform: Vec<bool>,
@@ -651,25 +888,6 @@ fn finish(mut out: Vec<Vec<i64>>) -> Vec<Vec<i64>> {
     out.sort_unstable();
     out.dedup();
     out
-}
-
-/// A subscript form of a reference: matrix, offsets and a flattened matrix
-/// key for dedup.
-#[derive(Clone, PartialEq, Eq)]
-struct RefForm {
-    m: IMat,
-    off: Vec<i64>,
-    flat: Vec<i64>,
-}
-
-impl RefForm {
-    fn new(m: IMat, off: Vec<i64>) -> Self {
-        let mut flat = Vec::with_capacity(m.rows() * m.cols());
-        for r in 0..m.rows() {
-            flat.extend_from_slice(m.row(r));
-        }
-        RefForm { m, off, flat }
-    }
 }
 
 /// Stacks difference-constraint rows under a system.
@@ -876,7 +1094,7 @@ mod tests {
         let spatial: Vec<Vec<i64>> = ra
             .for_consumer(cons)
             .filter(|v| v.producer == prod && v.kind == ReuseKind::Spatial)
-            .map(|v| v.vector.clone())
+            .map(|v| v.vector.to_vec())
             .collect();
         assert!(spatial.contains(&vec![0, 0, 1, -2]), "{spatial:?}");
         assert!(spatial.contains(&vec![0, 0, 1, -3]), "{spatial:?}");
@@ -894,7 +1112,7 @@ mod tests {
         let cross: Vec<Vec<i64>> = ra
             .for_consumer(b_cons)
             .filter(|v| v.kind == ReuseKind::CrossColumnSpatial && v.class == ReuseClass::SelfReuse)
-            .map(|v| v.vector.clone())
+            .map(|v| v.vector.to_vec())
             .collect();
         assert!(
             cross.contains(&vec![0, 1, 0, 1 - n]),
@@ -915,7 +1133,7 @@ mod tests {
         let vs: Vec<Vec<i64>> = ra
             .for_consumer(cons)
             .filter(|v| v.producer == prod && v.kind == ReuseKind::Temporal)
-            .map(|v| v.vector.clone())
+            .map(|v| v.vector.to_vec())
             .collect();
         assert!(
             vs.iter().any(|v| v[0] == 1 && v[1] == -2),
@@ -933,7 +1151,7 @@ mod tests {
         let vs: Vec<Vec<i64>> = ra
             .for_consumer(r)
             .filter(|v| v.class == ReuseClass::SelfReuse && v.kind == ReuseKind::Temporal)
-            .map(|v| v.vector.clone())
+            .map(|v| v.vector.to_vec())
             .collect();
         assert!(vs.contains(&vec![0, 1, 0, 0]), "{vs:?}");
     }
@@ -944,16 +1162,16 @@ mod tests {
         let p = figure2_program(8);
         let ra = ReuseAnalysis::analyze(&p, 32);
         for r in 0..p.references().len() {
-            let vs: Vec<&ReuseVector> = ra.for_consumer(r).collect();
+            let vs: Vec<ReuseVector> = ra.for_consumer(r).collect();
             for w in vs.windows(2) {
                 assert_ne!(
-                    vecs::lex_cmp(&w[0].vector, &w[1].vector),
+                    vecs::lex_cmp(w[0].vector, w[1].vector),
                     std::cmp::Ordering::Greater
                 );
             }
             // All lex-nonnegative.
             for v in &vs {
-                assert!(vecs::lex_nonneg(&v.vector), "{:?}", v.vector);
+                assert!(vecs::lex_nonneg(v.vector), "{:?}", v.vector);
             }
         }
     }
@@ -1003,10 +1221,58 @@ mod tests {
         ));
         let p = b.build().unwrap();
         let ra = ReuseAnalysis::analyze(&p, 32);
-        let vs: Vec<Vec<i64>> = ra.for_consumer(0).map(|v| v.vector.clone()).collect();
+        let vs: Vec<Vec<i64>> = ra.for_consumer(0).map(|v| v.vector.to_vec()).collect();
         // Innermost step (0,0,0,1) must be first in lex order.
         assert_eq!(vs[0], vec![0, 0, 0, 1]);
         assert!(vs.contains(&vec![0, 1, 0, 0]) || vs.contains(&vec![0, 1, 0, -1]));
+    }
+
+    /// A cap keeps each consumer's nearest vectors: its list is a prefix of
+    /// the uncapped one, and a cap of 0 keeps none (every point is cold).
+    #[test]
+    fn capped_lists_are_prefixes_of_the_uncapped_ones() {
+        let p = cme_workloads::hydro(10, 10);
+        let full = ReuseAnalysis::analyze(&p, 32);
+        for cap in [0, 1, 4, 16, 128] {
+            let capped = ReuseAnalysis::analyze_capped(&p, 32, cap);
+            let mut total = 0;
+            for r in 0..p.references().len() {
+                let kept: Vec<ReuseVector> = capped.for_consumer(r).collect();
+                let all: Vec<ReuseVector> = full.for_consumer(r).collect();
+                assert!(kept.len() <= cap, "cap {cap}, R{r}: {} kept", kept.len());
+                assert_eq!(kept[..], all[..kept.len()], "cap {cap}, R{r}");
+                // Dedup runs after the cap, so duplicates may leave fewer
+                // than `cap`, but any positive cap keeps the nearest vector.
+                assert_eq!(
+                    kept.is_empty(),
+                    cap == 0 || all.is_empty(),
+                    "cap {cap}, R{r}"
+                );
+                total += kept.len();
+            }
+            assert_eq!(capped.vectors().len(), total);
+        }
+        assert_eq!(ReuseAnalysis::analyze_capped(&p, 32, 0).vectors().len(), 0);
+    }
+
+    /// The view iterators agree with the per-consumer counts, and the
+    /// analysis reports its flat buffers' bytes.
+    #[test]
+    fn flat_storage_views_and_bytes() {
+        let p = figure2_program(10);
+        let ra = ReuseAnalysis::analyze(&p, 32);
+        let mut seen = 0;
+        for r in 0..p.references().len() {
+            assert_eq!(ra.for_consumer(r).len(), ra.consumer_len(r));
+            for v in ra.for_consumer(r) {
+                assert_eq!(v.consumer, r);
+                assert_eq!(v.vector.len(), 2 * p.depth());
+                assert_eq!(Some(v), ra.vectors().nth(seen));
+                seen += 1;
+            }
+        }
+        assert_eq!(ra.vectors().len(), seen);
+        assert!(ra.heap_bytes() >= seen * (16 * p.depth() + 5));
     }
 
     /// MMT situation: references to the same array with *different*

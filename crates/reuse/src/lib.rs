@@ -8,8 +8,9 @@
 //! * [`ugr`] partitions references into uniformly generated sets;
 //! * [`generator`] solves the reuse equations (1) and (2) over the integers
 //!   and emits temporal, spatial and cross-column candidate vectors;
-//! * [`ReuseAnalysis`] indexes the vectors per consumer, sorted in the
-//!   lexicographic order the miss analysis consumes them in.
+//! * [`ReuseAnalysis`] stores the vectors flat, indexed per consumer and
+//!   sorted in the lexicographic order the miss analysis consumes them in;
+//!   readers borrow [`ReuseVector`] views.
 //!
 //! # Example
 //!
@@ -39,6 +40,6 @@ pub mod generator;
 pub mod ugr;
 pub mod vector;
 
-pub use generator::ReuseAnalysis;
+pub use generator::{ReuseAnalysis, Vectors};
 pub use ugr::{subscript_parts, ugr_sets, UgrSet};
 pub use vector::{ReuseClass, ReuseKind, ReuseVector};

@@ -26,36 +26,37 @@ pub enum ReuseClass {
     Group,
 }
 
-/// A reuse vector from a producer reference to a consumer reference.
+/// A reuse vector from a producer reference to a consumer reference: a
+/// view into the flat storage of a [`crate::ReuseAnalysis`].
 ///
 /// The vector is *interleaved*: `(ℓ₁ᶜ−ℓ₁ᵖ, x₁, …, ℓ_nᶜ−ℓ_nᵖ, x_n)`, always
 /// lexicographically non-negative. The consumer at iteration `i` may reuse
 /// the line the producer touched at `i − r` (subject to the cold and
 /// replacement equations — a reuse vector is a *candidate*, verified during
 /// analysis).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ReuseVector {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReuseVector<'a> {
     /// The producing reference `R_p`.
     pub producer: RefId,
     /// The consuming reference `R_c`.
     pub consumer: RefId,
     /// The interleaved vector of length `2n`.
-    pub vector: Vec<i64>,
+    pub vector: &'a [i64],
     /// Temporal / spatial / cross-column.
     pub kind: ReuseKind,
     /// Self or group.
     pub class: ReuseClass,
 }
 
-impl ReuseVector {
+impl ReuseVector<'_> {
     /// The index components `(x₁, …, x_n)`.
     pub fn index_part(&self) -> Vec<i64> {
-        cme_poly::lex::indices_of(&self.vector)
+        cme_poly::lex::indices_of(self.vector)
     }
 
     /// The label-difference components.
     pub fn label_part(&self) -> Vec<i64> {
-        cme_poly::lex::labels_of(&self.vector)
+        cme_poly::lex::labels_of(self.vector)
     }
 
     /// Whether the vector is all-zero (loop-independent reuse inside one
@@ -65,7 +66,7 @@ impl ReuseVector {
     }
 }
 
-impl fmt::Display for ReuseVector {
+impl fmt::Display for ReuseVector<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let kind = match self.kind {
             ReuseKind::Temporal => "T",
@@ -93,7 +94,7 @@ mod tests {
         let r = ReuseVector {
             producer: 0,
             consumer: 1,
-            vector: vec![0, 0, 1, -1],
+            vector: &[0, 0, 1, -1],
             kind: ReuseKind::Temporal,
             class: ReuseClass::Group,
         };

@@ -396,6 +396,13 @@ impl Engine {
         &self.metrics
     }
 
+    /// The reuse cache's gauges: cached analyses, and the heap bytes they
+    /// hold (exact: an analysis is four flat buffers).
+    pub fn reuse_cache_usage(&self) -> (usize, usize) {
+        let cache = fault::lock_recover(&self.reuse_cache);
+        (cache.len(), cache.values().map(|r| r.heap_bytes()).sum())
+    }
+
     fn reuse_for(&self, job: &Job) -> Arc<ReuseAnalysis> {
         self.reuse_for_line(job.program, job.config.line_bytes(), job.reuse_cap)
     }

@@ -283,7 +283,7 @@ impl Server {
         if let Some(path) = &self.options.metrics_dump {
             let mut snap = self.engine.metrics().snapshot();
             if let Json::Obj(pairs) = &mut snap {
-                push_store_stats(pairs, &self.engine);
+                push_gauges(pairs, &self.engine);
             }
             std::fs::write(path, format!("{}\n", snap.render()))?;
         }
@@ -407,7 +407,7 @@ impl Shared {
             Request::Stats => {
                 let mut snap = self.engine.metrics().snapshot();
                 if let Json::Obj(pairs) = &mut snap {
-                    push_store_stats(pairs, &self.engine);
+                    push_gauges(pairs, &self.engine);
                 }
                 obj(vec![("ok", Json::Bool(true)), ("stats", snap)])
             }
@@ -714,9 +714,18 @@ fn run_compact(engine: &Engine) -> Json {
     }
 }
 
-/// Appends store-shape fields to a metrics snapshot (the `stats` verb and
-/// the shutdown dump).
-fn push_store_stats(pairs: &mut Vec<(String, Json)>, engine: &Engine) {
+/// Appends the store's and the reuse cache's gauges to a metrics snapshot
+/// (the `stats` verb and the shutdown dump).
+fn push_gauges(pairs: &mut Vec<(String, Json)>, engine: &Engine) {
+    let (reuse_entries, reuse_bytes) = engine.reuse_cache_usage();
+    pairs.push((
+        "reuse_cache_entries".to_string(),
+        Json::Int(reuse_entries as i64),
+    ));
+    pairs.push((
+        "reuse_cache_bytes".to_string(),
+        Json::Int(reuse_bytes as i64),
+    ));
     let store = engine.store();
     pairs.push(("store_entries".to_string(), Json::Int(store.len() as i64)));
     pairs.push((

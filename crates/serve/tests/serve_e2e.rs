@@ -127,6 +127,37 @@ fn cold_then_hot_is_byte_identical() {
     assert!(dump.get("requests").unwrap().as_u64().unwrap() >= 4);
 }
 
+/// `stats` gauges the reuse cache: one analysis per line size, holding
+/// exactly the heap bytes of the analyses it caches.
+#[test]
+fn stats_gauge_the_reuse_cache() {
+    let daemon = Daemon::start("reusegauge");
+    let mut client = daemon.client();
+    for line in [16, 32] {
+        let req = format!(
+            r#"{{"cmd":"analyze","workload":"hydro","n":12,"mode":"estimate","cache":4096,"line":{line},"assoc":1,"threads":1}}"#
+        );
+        let resp = client.request_line(&req).unwrap();
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+    }
+    let stats = client
+        .request(&Json::parse(r#"{"cmd":"stats"}"#).unwrap())
+        .unwrap();
+    let s = stats.get("stats").unwrap();
+    let program = cme_workloads::hydro(12, 12);
+    let bytes: usize = [16, 32]
+        .map(|line| cme_reuse::ReuseAnalysis::analyze(&program, line).heap_bytes())
+        .iter()
+        .sum();
+    assert_eq!(s.get("reuse_cache_entries").unwrap().as_u64(), Some(2));
+    assert_eq!(
+        s.get("reuse_cache_bytes").unwrap().as_u64(),
+        Some(bytes as u64)
+    );
+    let dump = daemon.shutdown();
+    assert_eq!(dump.get("reuse_cache_entries").unwrap().as_u64(), Some(2));
+}
+
 /// A persistent client pays no Nagle/delayed-ACK stall: each request is
 /// one write and both ends have Nagle's algorithm off.
 #[test]

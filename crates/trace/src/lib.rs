@@ -4,7 +4,7 @@
 //! This crate closes the loop between the analytical engine and ground
 //! truth. It has three layers:
 //!
-//! * [`format`] — the compact binary trace format: a plain sequence of
+//! * [`format`](mod@format) — the compact binary trace format: a plain sequence of
 //!   big-endian 4-byte addresses (interoperable with external tracers),
 //!   plus an optional framed variant (`CMET` magic) that carries the cache
 //!   geometry the trace was generated for, the access count and a CRC-32.

@@ -31,6 +31,10 @@ cargo fmt --check
 echo "== lint gate: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== lint gate: rustdoc (warnings are errors) =="
+# Broken or ambiguous intra-doc links fail here, not in a reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== tier-1 gate: offline release build =="
 cargo build --release --offline
 
