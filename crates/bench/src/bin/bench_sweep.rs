@@ -1,21 +1,24 @@
-//! Timing harness for the amortized geometry-sweep engine: evaluates a
-//! 24-cell design-space grid (sizes × associativities × line sizes) once
-//! through [`SweepPlan`] and naively — an independent cold `FindMisses`
-//! per geometry, once with the pre-pass off (the walk every point takes
-//! without it) and once at the defaults — verifies every grid cell is
-//! byte-identical to its walked twin, measures the amortization, exercises
-//! the serve engine's sweep/store round trip, and writes the numbers to
-//! `BENCH_sweep.json`.
+//! Timing harness for geometry sweeps: evaluates a 24-cell design-space
+//! grid (sizes × associativities × line sizes) once as a sweep — one
+//! reuse analysis per distinct line size, then a `FindMisses` per cell
+//! over the shared analysis, the loop `Engine::run_sweep` runs through
+//! the engine's reuse cache — and naively — an independent cold
+//! `FindMisses` per geometry, once with the pre-pass off (the walk every
+//! point takes without it) and once at the defaults. It verifies every
+//! grid cell is byte-identical to its walked twin, measures the sharing,
+//! exercises the serve engine's sweep/store round trip, and writes the
+//! numbers to `BENCH_sweep.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_sweep --release -- \
 //!     [--scale small|medium|paper] [--out BENCH_sweep.json]
 //! ```
 //!
-//! All sides run serially (`Threads::Fixed(1)`): the amortization is a
-//! per-geometry work reduction — one reuse analysis per distinct line
-//! size instead of one per cell, and no walk for references the pre-pass
-//! resolves in full — not a parallel speedup.
+//! All sides run serially (`Threads::Fixed(1)`) and compare core
+//! `Report`s, with no fingerprint or payload on either side: the sweep's
+//! saving is a per-geometry work reduction — one reuse analysis per
+//! distinct line size instead of one per cell, and no walk for references
+//! the pre-pass resolves in full — not a parallel speedup.
 //!
 //! Floors (hard process-exit failures, used by `scripts/ci.sh`):
 //! * at every scale: each of the 24 cells renders bytes identical to an
@@ -25,15 +28,18 @@
 //!   sweep is no slower than the default per-geometry loop (best of three
 //!   runs on each side);
 //! * at `--scale paper` only (where per-geometry work is expensive enough
-//!   for the ratio to be meaningful): the shared-plan sweep must beat the
-//!   pre-pass-off per-geometry loop by ≥ 5× on the streaming workload.
+//!   for the ratio to be meaningful): the sweep must beat the pre-pass-off
+//!   per-geometry loop by ≥ 5× on the streaming workload.
 
-use cme_analysis::{FindMisses, PrepassMode, Report, SweepOptions, SweepPlan, Threads};
+use cme_analysis::{FindMisses, PrepassMode, Report, Threads};
 use cme_bench::{best_of, secs, stream3, timed, Scale};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
+use cme_reuse::ReuseAnalysis;
 use cme_serve::engine::render_payload;
 use cme_serve::{AnalysisMode, Engine, SweepJob};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The benchmark grid: 4 sizes × 3 associativities × 2 line sizes.
@@ -69,19 +75,30 @@ fn per_geometry(program: &Program, grid: &[CacheConfig], prepass: PrepassMode) -
         .collect()
 }
 
-/// Runs both per-geometry loops and the shared-plan sweep over `grid`
-/// (the default loop and the sweep best of `reps`), asserts byte-identity
-/// cell by cell, and returns the timing row.
+/// The sweep: a serial `FindMisses` per geometry over one reuse analysis
+/// per distinct line size, shared by every geometry of that line size.
+fn run_sweep(program: &Program, grid: &[CacheConfig]) -> Vec<Report> {
+    let mut reuse: HashMap<u64, Arc<ReuseAnalysis>> = HashMap::new();
+    grid.iter()
+        .map(|&g| {
+            let line = g.line_bytes();
+            let shared = reuse
+                .entry(line)
+                .or_insert_with(|| Arc::new(ReuseAnalysis::analyze(program, line)));
+            FindMisses::with_reuse(program, g, shared.clone())
+                .threads(Threads::Fixed(1))
+                .run()
+        })
+        .collect()
+}
+
+/// Runs both per-geometry loops and the sweep over `grid` (the default
+/// loop and the sweep best of `reps`), asserts byte-identity cell by cell,
+/// and returns the timing row.
 fn measure(name: &str, program: &Program, grid: &[CacheConfig], reps: usize) -> Row {
     let (walked_reports, walked) = timed(|| per_geometry(program, grid, PrepassMode::Off));
     let (naive_reports, naive) = best_of(reps, || per_geometry(program, grid, PrepassMode::On));
-
-    // Amortized: one plan (reuse per distinct line size), one fan-out.
-    let opts = SweepOptions {
-        threads: Threads::Fixed(1),
-        ..SweepOptions::default()
-    };
-    let (sweep_reports, sweep) = best_of(reps, || SweepPlan::new(program, grid).run(grid, &opts));
+    let (sweep_reports, sweep) = best_of(reps, || run_sweep(program, grid));
 
     let mut points = 0u64;
     for (((g, walked_r), naive_r), sweep_r) in grid
@@ -207,9 +224,9 @@ fn main() {
     std::fs::write(&out, &json).expect("write BENCH_sweep.json");
     eprintln!("bench_sweep: wrote {out}");
 
-    // CI floors. Sharing one plan must never cost more than the default
-    // per-geometry loop, and the amortization must be real where walking
-    // is expensive (paper scale, streaming workload).
+    // CI floors. Sharing reuse across a line size must never cost more
+    // than the default per-geometry loop, and the sweep must beat the walk
+    // where walking is expensive (paper scale, streaming workload).
     let stream_row = &rows[0];
     assert!(
         stream_row.sweep <= stream_row.naive,
@@ -220,7 +237,7 @@ fn main() {
     if scale == Scale::Paper {
         assert!(
             stream_row.speedup() >= 5.0,
-            "amortization floor: sweep must be >=5x the walked loop at paper scale, got {:.2}x",
+            "sweep floor: sweep must be >=5x the walked loop at paper scale, got {:.2}x",
             stream_row.speedup()
         );
     }

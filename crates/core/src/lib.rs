@@ -49,7 +49,6 @@ pub mod options;
 pub mod parallel;
 pub mod prepass;
 pub mod report;
-pub mod sweep;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use classify::{Classifier, PointClass, Scratch, WalkStrategy};
@@ -58,4 +57,3 @@ pub use find::FindMisses;
 pub use options::{PrepassMode, SamplingOptions, Threads};
 pub use prepass::{Prepass, RefVerdicts, Verdict};
 pub use report::{Coverage, RefReport, Report};
-pub use sweep::{SweepOptions, SweepPlan};

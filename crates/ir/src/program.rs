@@ -395,9 +395,7 @@ impl Program {
     /// Materialises `RIS_r` as one contiguous row-major buffer
     /// ([`Program::depth`] entries per point, lexicographic order) and
     /// returns it with the point count. This is the segmentation every
-    /// chunked classification engine indexes by fixed-size windows; a
-    /// caller that evaluates many cache geometries can enumerate the
-    /// constraint system once and share the rows across all of them.
+    /// chunked classification engine indexes by fixed-size windows.
     /// Zero-depth programs return an empty buffer and zero points.
     ///
     /// # Panics

@@ -1,12 +1,13 @@
-//! Cache-geometry selection driven by the amortized sweep engine.
+//! Cache-geometry selection through the serve engine's sweeps.
 //!
 //! The paper's design-space story: once miss counts are analytical, "which
 //! cache should this loop nest get?" becomes a query, not a simulation
-//! campaign. This module asks it through [`Engine::run_sweep`], so the
-//! whole grid shares one reuse analysis per distinct line size and every
-//! cell lands in the content-addressed store — a later padding or tiling
-//! search over any swept geometry starts from hot results, and re-ranking
-//! after adding candidates only pays for the new cells.
+//! campaign. This module asks it through [`Engine::run_sweep`], a loop of
+//! ordinary exact queries: cells of one line size share one reuse analysis
+//! through the engine's reuse cache, and every cell lands in the
+//! content-addressed store — a later padding or tiling search over any
+//! swept geometry starts from hot results, and re-ranking after adding
+//! candidates only pays for the new cells.
 
 use cme_cache::CacheConfig;
 use cme_ir::Program;

@@ -8,11 +8,16 @@
 //! and line size, so padded layout variants of one program share them) and
 //! the service [`Metrics`].
 //!
+//! A sweep is a loop of single queries: [`Engine::run_sweep`] sends each
+//! distinct grid cell through the path [`Engine::run`] takes, so a cell is
+//! looked up, coalesced, computed and stored exactly as a lone exact
+//! query of its geometry, and answers that query's bytes.
+//!
 //! The store lookup on its own is `Engine::recall` (and `recall_sweep`,
 //! `recall_trace`). The server calls it before admission, so a stored
-//! answer costs one store read; `run` and `run_trace` start with the same
-//! routine, and `run_sweep` builds its stored cells as `recall_sweep`
-//! does, so every hit is counted the same way.
+//! answer costs one store read; `run` (so every sweep cell) and
+//! `run_trace` start with the same routine, so every hit is counted the
+//! same way.
 //!
 //! Identical store-backed jobs that arrive while one is already computing
 //! are *coalesced*: one leader runs the analysis, followers block on its
@@ -30,10 +35,7 @@
 use crate::fault::{self, FaultSite, Faults};
 use crate::metrics::Metrics;
 use crate::store::{Store, StoredResult};
-use cme_analysis::{
-    CancelToken, EstimateMisses, FindMisses, Report, SamplingOptions, SweepOptions, SweepPlan,
-    Threads,
-};
+use cme_analysis::{CancelToken, EstimateMisses, FindMisses, Report, SamplingOptions, Threads};
 use cme_cache::CacheConfig;
 use cme_ir::{fingerprint_program, structural_fingerprint, Fingerprint, FpHasher, Program};
 use cme_reuse::ReuseAnalysis;
@@ -219,8 +221,8 @@ pub struct TraceOutcome {
 }
 
 /// One unit of design-space exploration: a geometry grid over one
-/// program, evaluated exactly. Each grid cell is content-addressed by
-/// its ordinary single-geometry [`job_fingerprint`], so a sweep both
+/// program, evaluated exactly. Each grid cell is an ordinary exact
+/// [`Job`] under its single-geometry [`job_fingerprint`], so a sweep both
 /// *answers from* and *populates* the same store as single queries.
 #[derive(Debug)]
 pub struct SweepJob<'p> {
@@ -262,6 +264,21 @@ pub struct SweepCell {
     pub misses: Option<u64>,
 }
 
+impl SweepCell {
+    /// The cell of `config`, answered by its single query's outcome.
+    fn new(config: CacheConfig, out: Outcome) -> SweepCell {
+        SweepCell {
+            config,
+            fingerprint: out.fingerprint,
+            misses: exact_misses_of(&out.payload),
+            payload: out.payload,
+            from_store: out.from_store,
+            points: out.points,
+            miss_ratio: out.miss_ratio,
+        }
+    }
+}
+
 /// A finished sweep: cells ranked by ascending miss ratio (ties keep grid
 /// order).
 #[derive(Debug, Clone)]
@@ -270,7 +287,8 @@ pub struct SweepOutcome {
     pub wall: Duration,
     /// Cells answered from the store.
     pub store_hits: u64,
-    /// Distinct cells actually computed (duplicates and hits excluded).
+    /// Distinct cells this sweep computed: neither stored nor coalesced
+    /// onto an identical job in flight.
     pub computed: u64,
 }
 
@@ -403,32 +421,24 @@ impl Engine {
         (cache.len(), cache.values().map(|r| r.heap_bytes()).sum())
     }
 
+    /// The cached reuse analysis for the job's `(program structure, line
+    /// size, cap)` key — the geometry-independent half of every analysis,
+    /// shared across capacities, associativities and padded layouts.
     fn reuse_for(&self, job: &Job) -> Arc<ReuseAnalysis> {
-        self.reuse_for_line(job.program, job.config.line_bytes(), job.reuse_cap)
-    }
-
-    /// The cached reuse analysis for one `(program structure, line size,
-    /// cap)` key — the geometry-independent half of every analysis, shared
-    /// across capacities, associativities and padded layouts.
-    fn reuse_for_line(
-        &self,
-        program: &Program,
-        line_bytes: u64,
-        reuse_cap: Option<usize>,
-    ) -> Arc<ReuseAnalysis> {
+        let line_bytes = job.config.line_bytes();
         let key: ReuseKey = (
-            structural_fingerprint(program).0,
+            structural_fingerprint(job.program).0,
             line_bytes,
-            reuse_cap.map_or(u64::MAX, |c| c as u64),
+            job.reuse_cap.map_or(u64::MAX, |c| c as u64),
         );
         if let Some(hit) = fault::lock_recover(&self.reuse_cache).get(&key) {
             Metrics::bump(&self.metrics.reuse_hits);
             return hit.clone();
         }
         Metrics::bump(&self.metrics.reuse_misses);
-        let reuse = Arc::new(match reuse_cap {
-            Some(cap) => ReuseAnalysis::analyze_capped(program, line_bytes, cap),
-            None => ReuseAnalysis::analyze(program, line_bytes),
+        let reuse = Arc::new(match job.reuse_cap {
+            Some(cap) => ReuseAnalysis::analyze_capped(job.program, line_bytes, cap),
+            None => ReuseAnalysis::analyze(job.program, line_bytes),
         });
         fault::lock_recover(&self.reuse_cache).insert(key, reuse.clone());
         reuse
@@ -438,22 +448,18 @@ impl Engine {
     pub(crate) fn recall(&self, fp: Fingerprint) -> Option<Outcome> {
         let hit = self.store.get(fp)?;
         Metrics::bump(&self.metrics.store_hits);
-        Some(Outcome {
-            fingerprint: fp,
-            payload: hit.payload,
-            from_store: true,
-            points: hit.points,
-            wall: Duration::ZERO,
-            miss_ratio: hit.miss_ratio,
-            prepass_resolved: 0,
-            coalesced: false,
-        })
+        Some(stored_outcome(fp, hit))
     }
 
     /// Runs (or recalls) one job: store lookup, then single-flight
     /// coalescing onto an identical in-flight job, then the analysis.
     pub fn run(&self, job: &Job) -> Result<Outcome, EngineError> {
         let fp = job_fingerprint(job.program, job.config, &job.mode, job.reuse_cap);
+        self.run_keyed(job, fp)
+    }
+
+    /// [`Engine::run`] for a job whose fingerprint `fp` is already known.
+    fn run_keyed(&self, job: &Job, fp: Fingerprint) -> Result<Outcome, EngineError> {
         loop {
             if job.use_store {
                 if let Some(hit) = self.recall(fp) {
@@ -668,25 +674,26 @@ impl Engine {
             .iter()
             .map(|&fp| self.store.get(fp))
             .collect::<Option<_>>()?;
-        let cells: Vec<SweepCell> = geometries
+        Metrics::bump(&self.metrics.sweep_requests);
+        Metrics::add(&self.metrics.store_hits, hits.len() as u64);
+        let cells = geometries
             .iter()
             .zip(fps)
             .zip(hits)
-            .map(|((&config, &fp), hit)| stored_cell(config, fp, hit))
+            .map(|((&config, &fp), hit)| SweepCell::new(config, stored_outcome(fp, hit)))
             .collect();
-        Metrics::bump(&self.metrics.sweep_requests);
-        Metrics::add(&self.metrics.sweep_cell_store_hits, cells.len() as u64);
         Some(self.ranked(cells, start, 0))
     }
 
-    /// Finishes a sweep: counts its cells and wall time, and ranks the
-    /// cells by ascending miss ratio (a stable sort keeps grid order on
-    /// ties).
+    /// Finishes a sweep: counts its cells, store hits and wall time, and
+    /// ranks the cells by ascending miss ratio (a stable sort keeps grid
+    /// order on ties).
     fn ranked(&self, mut cells: Vec<SweepCell>, start: Instant, computed: u64) -> SweepOutcome {
         let wall = start.elapsed();
-        Metrics::add(&self.metrics.sweep_cells, cells.len() as u64);
-        Metrics::add(&self.metrics.sweep_wall_us, wall.as_micros() as u64);
         let store_hits = cells.iter().filter(|c| c.from_store).count() as u64;
+        Metrics::add(&self.metrics.sweep_cells, cells.len() as u64);
+        Metrics::add(&self.metrics.sweep_cell_store_hits, store_hits);
+        Metrics::add(&self.metrics.sweep_wall_us, wall.as_micros() as u64);
         cells.sort_by(|a, b| {
             a.miss_ratio
                 .partial_cmp(&b.miss_ratio)
@@ -700,144 +707,59 @@ impl Engine {
         }
     }
 
-    /// Evaluates a geometry grid from one shared reuse analysis per
-    /// distinct line size ([`SweepPlan`]).
-    ///
-    /// Flow per cell: single-geometry fingerprint → store lookup (swept
-    /// cells and lone queries share the address space, so prior queries
-    /// pre-fill the grid and a repeat sweep is near-free) → one plan-wide
-    /// compute of the distinct missing cells → store write-through.
-    /// Sweep cells skip single-flight coalescing: store writes are
-    /// idempotent (equal fingerprints render equal bytes), so a
-    /// concurrent lone query at worst duplicates one cell's work.
+    /// Evaluates a geometry grid as a loop of single queries: each
+    /// distinct cell, in grid order, runs as an exact [`Job`] with the
+    /// sweep's cancel token, store flag and thread count, so it is looked
+    /// up, coalesced onto an identical job in flight, computed and stored
+    /// exactly as a lone query of its geometry. A duplicate geometry
+    /// copies its twin's cell. The engine's reuse cache gives every cell
+    /// of one line size the same reuse analysis.
     ///
     /// # Errors
     ///
     /// [`EngineError`] when the deadline passes or the client hangs up
-    /// mid-sweep; per-cell partial progress is discarded (completed
-    /// cells already written to the store stay).
+    /// mid-sweep; cells completed before it stay in the store.
     pub fn run_sweep(&self, job: &SweepJob) -> Result<SweepOutcome, EngineError> {
         let fps = sweep_fingerprints(job.program, &job.geometries);
         let start = Instant::now();
         Metrics::bump(&self.metrics.sweep_requests);
-        let n = job.geometries.len();
-        let mut cells: Vec<Option<SweepCell>> = job
-            .geometries
-            .iter()
-            .zip(&fps)
-            .map(|(&g, &fp)| {
-                let hit = job.use_store.then(|| self.store.get(fp)).flatten()?;
-                Some(stored_cell(g, fp, hit))
-            })
-            .collect();
-        let hits = cells.iter().flatten().count() as u64;
-        Metrics::add(&self.metrics.sweep_cell_store_hits, hits);
-
-        // Distinct missing cells, in grid order (duplicate geometries in
-        // one grid compute once and share the result).
-        let mut missing: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if cells[i].is_none() && !missing.iter().any(|&j| fps[j] == fps[i]) {
-                missing.push(i);
+        let mut cells: Vec<SweepCell> = Vec::with_capacity(fps.len());
+        let mut computed = 0;
+        for (i, (&config, &fp)) in job.geometries.iter().zip(&fps).enumerate() {
+            if let Some(twin) = fps[..i].iter().position(|&f| f == fp) {
+                cells.push(cells[twin].clone());
+                continue;
             }
-        }
-        let computed = missing.len() as u64;
-        if !missing.is_empty() {
-            fault::maybe_sleep(&self.faults, FaultSite::AnalysisDelay);
-            // One shared reuse analysis per distinct line size, via the
-            // engine-wide reuse cache (a prior single query on any line
-            // size makes this a cache hit).
-            let mut reuse: Vec<(u64, Arc<ReuseAnalysis>)> = Vec::new();
-            for &i in &missing {
-                let line = job.geometries[i].line_bytes();
-                if !reuse.iter().any(|&(l, _)| l == line) {
-                    reuse.push((line, self.reuse_for_line(job.program, line, None)));
-                }
-            }
-            let plan = SweepPlan::with_reuse(job.program, reuse);
-            let opts = SweepOptions {
+            let cell = Job {
+                cancel: job.cancel.clone(),
+                use_store: job.use_store,
                 threads: job.threads,
-                ..SweepOptions::default()
+                ..Job::exact(job.program, config)
             };
-            let grid: Vec<CacheConfig> = missing.iter().map(|&i| job.geometries[i]).collect();
-            let reports = plan
-                .run_cancellable(&grid, &opts, &job.cancel)
-                .map_err(|c| {
-                    if job.cancel.deadline_exceeded() {
-                        Metrics::bump(&self.metrics.timeouts);
-                        EngineError::Timeout {
-                            points_done: c.points_done,
-                        }
-                    } else {
-                        Metrics::bump(&self.metrics.cancelled);
-                        EngineError::Cancelled {
-                            points_done: c.points_done,
-                        }
-                    }
-                })?;
-            for (&i, report) in missing.iter().zip(&reports) {
-                let g = job.geometries[i];
-                let points: u64 = report.references().iter().map(|r| r.analyzed).sum();
-                let payload =
-                    Arc::new(render_payload(job.program, g, &AnalysisMode::Exact, report));
-                self.metrics
-                    .add_classified(points, report.prepass_resolved());
-                if job.use_store {
-                    self.store.put(
-                        fps[i],
-                        StoredResult {
-                            payload: payload.clone(),
-                            miss_ratio: report.miss_ratio(),
-                            points,
-                        },
-                    );
-                }
-                cells[i] = Some(SweepCell {
-                    config: g,
-                    fingerprint: fps[i],
-                    payload,
-                    from_store: false,
-                    points,
-                    miss_ratio: report.miss_ratio(),
-                    misses: report.exact_misses(),
-                });
-            }
-            // Duplicate cells copy their computed twin.
-            for i in 0..n {
-                if cells[i].is_none() {
-                    let twin = missing
-                        .iter()
-                        .find(|&&j| fps[j] == fps[i])
-                        .copied()
-                        .expect("every missing fingerprint has a computed twin");
-                    cells[i] = cells[twin].clone();
-                }
-            }
+            let out = self.run_keyed(&cell, fp)?;
+            computed += u64::from(!(out.from_store || out.coalesced));
+            cells.push(SweepCell::new(config, out));
         }
-
-        let cells = cells
-            .into_iter()
-            .map(|c| c.expect("every cell is filled"))
-            .collect();
         Ok(self.ranked(cells, start, computed))
     }
 }
 
-/// A sweep cell answered by the store.
-fn stored_cell(config: CacheConfig, fingerprint: Fingerprint, hit: StoredResult) -> SweepCell {
-    SweepCell {
-        config,
+/// The outcome of a stored answer.
+fn stored_outcome(fingerprint: Fingerprint, hit: StoredResult) -> Outcome {
+    Outcome {
         fingerprint,
-        misses: exact_misses_of(&hit.payload),
         payload: hit.payload,
         from_store: true,
         points: hit.points,
+        wall: Duration::ZERO,
         miss_ratio: hit.miss_ratio,
+        prepass_resolved: 0,
+        coalesced: false,
     }
 }
 
-/// The `exact_misses` field of a stored payload (sweep cells answered
-/// from the store report it without recomputation).
+/// The `exact_misses` field of a report payload (a sweep cell reports it
+/// from its single query's bytes, stored or computed).
 fn exact_misses_of(payload: &str) -> Option<u64> {
     crate::json::Json::parse(payload)
         .ok()?
@@ -1023,7 +945,7 @@ mod tests {
         assert_eq!(&*a.payload, &*b.payload);
     }
 
-    /// The pre-pass always runs on fresh analyses and sweeps, and its
+    /// The pre-pass always runs on fresh analyses and sweep cells, and its
     /// counters add up to the classified points; store hits classify
     /// nothing and add nothing.
     #[test]
@@ -1086,7 +1008,7 @@ mod tests {
         }
         assert_eq!(engine.metrics().reuse_misses.load(Ordering::Relaxed), 1);
         assert_eq!(engine.metrics().reuse_hits.load(Ordering::Relaxed), 1);
-        let cached = engine.reuse_for_line(&p, 32, None);
+        let cached = engine.reuse_for(&Job::exact(&p, geometries[0]));
         assert_eq!(Arc::strong_count(&cached), 2, "no analysis kept a share");
         for cfg in geometries {
             let job = Job::estimate(&p, cfg, SamplingOptions::paper_default());
@@ -1230,40 +1152,44 @@ mod tests {
 
     /// Sweep-then-query store addressing: after a grid sweep, a single
     /// query on any swept geometry is a store hit, byte-identical to its
-    /// sweep cell — and a repeat sweep computes nothing.
+    /// sweep cell — and a repeat sweep computes nothing. A cell counts as
+    /// the query it is: a store miss when computed, a store hit (and a
+    /// sweep cell store hit) when recalled.
     #[test]
     fn sweep_populates_store_for_single_queries() {
-        use std::sync::atomic::Ordering;
+        use std::sync::atomic::{AtomicU64, Ordering};
         let p = small_program();
         let grid = sweep_grid();
+        let k = grid.len() as u64;
         let engine = Engine::in_memory(64);
+        let m = engine.metrics();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let out = engine
             .run_sweep(&SweepJob::exact(&p, grid.clone()))
             .unwrap();
         assert_eq!(out.store_hits, 0);
-        assert_eq!(out.computed, grid.len() as u64);
+        assert_eq!(out.computed, k);
+        assert_eq!(load(&m.store_misses), k, "a computed cell is a store miss");
+        assert_eq!(load(&m.store_hits), 0);
         for cell in &out.cells {
             let hot = engine.run(&Job::exact(&p, cell.config)).unwrap();
             assert!(hot.from_store, "{} must be a store hit", cell.config);
             assert_eq!(&*hot.payload, &*cell.payload, "{}", cell.config);
         }
+        let hits_before = load(&m.store_hits);
         let repeat = engine
             .run_sweep(&SweepJob::exact(&p, grid.clone()))
             .unwrap();
         assert_eq!(repeat.computed, 0, "repeat sweep is all store hits");
-        assert_eq!(repeat.store_hits, grid.len() as u64);
+        assert_eq!(repeat.store_hits, k);
         for (a, b) in out.cells.iter().zip(&repeat.cells) {
             assert_eq!(a.fingerprint, b.fingerprint);
             assert_eq!(&*a.payload, &*b.payload);
             assert_eq!(a.misses, b.misses, "store hits recover exact misses");
         }
-        assert_eq!(
-            engine
-                .metrics()
-                .sweep_cell_store_hits
-                .load(Ordering::Relaxed),
-            grid.len() as u64
-        );
+        assert_eq!(load(&m.store_hits) - hits_before, k);
+        assert_eq!(load(&m.sweep_cell_store_hits), k);
+        assert_eq!(load(&m.store_misses), k, "the repeat computed nothing");
         // The converse direction: a lone query pre-fills its sweep cell.
         let fresh = Engine::in_memory(64);
         fresh.run(&Job::exact(&p, grid[3])).unwrap();
@@ -1300,6 +1226,41 @@ mod tests {
         let twins: Vec<&SweepCell> = out.cells.iter().filter(|c| c.config == grid[0]).collect();
         assert_eq!(twins.len(), 2);
         assert_eq!(&*twins[0].payload, &*twins[1].payload);
+    }
+
+    /// A sweep cell and a concurrent lone query of the same geometry are
+    /// one job: the cell coalesces onto the query in flight (or reads its
+    /// stored answer if it already finished), so the geometry is computed
+    /// once and both answers carry the same bytes.
+    #[test]
+    fn sweep_cell_and_concurrent_query_compute_once() {
+        use crate::fault::FaultPlan;
+        use std::sync::atomic::Ordering;
+        let p = cme_workloads::hydro(24, 24);
+        let g = CacheConfig::parse_geometry("4K:1:32").unwrap();
+        let h = CacheConfig::parse_geometry("8K:2:32").unwrap();
+        // Every analysis first sleeps; with this seed the first sleep is
+        // 99 ms, so the query is still computing when the sweep reaches g.
+        let plan = FaultPlan::with_rates(188, &[(FaultSite::AnalysisDelay, 1000)]);
+        let engine = Engine::with_faults(Store::in_memory(8), Some(Arc::new(plan)));
+        let m = engine.metrics();
+        let (single, sweep) = std::thread::scope(|s| {
+            let single = s.spawn(|| engine.run(&Job::exact(&p, g)).unwrap());
+            // The query leads g's flight once it has counted its miss.
+            while m.store_misses.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let sweep = engine.run_sweep(&SweepJob::exact(&p, vec![g, h]));
+            (single.join().unwrap(), sweep.unwrap())
+        });
+        let cell = |c: CacheConfig| sweep.cells.iter().find(|x| x.config == c).unwrap();
+        assert_eq!(&*cell(g).payload, &*single.payload, "same bytes for g");
+        assert_eq!(
+            m.points_classified.load(Ordering::Relaxed),
+            single.points + cell(h).points,
+            "g was computed once"
+        );
+        assert_eq!(sweep.computed, 1);
     }
 
     /// A sweep under an expired deadline fails with a timeout.

@@ -13,9 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct Metrics {
     /// Requests received (any verb).
     pub requests: AtomicU64,
-    /// `analyze` requests answered from the result store.
+    /// `analyze` requests and sweep cells answered from the result store.
     pub store_hits: AtomicU64,
-    /// `analyze` requests that ran the analysis.
+    /// `analyze` requests and distinct sweep cells that ran the analysis
+    /// (single-flight followers are counted in `single_flight_waits`).
     pub store_misses: AtomicU64,
     /// Reuse-analysis cache hits (shared across layouts of one program).
     pub reuse_hits: AtomicU64,
@@ -46,7 +47,8 @@ pub struct Metrics {
     pub prepass_unresolved_points: AtomicU64,
     /// Total microseconds requests waited in the accept queue.
     pub queue_wait_us: AtomicU64,
-    /// Total microseconds of analysis wall time (store misses only).
+    /// Total microseconds of analysis wall time: every analysis that ran,
+    /// `analyze` requests and sweep cells alike.
     pub analysis_wall_us: AtomicU64,
     /// `sweep` requests received.
     pub sweep_requests: AtomicU64,

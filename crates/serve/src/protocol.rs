@@ -34,8 +34,8 @@
 //! non-power-of-two set counts.
 //!
 //! `{"cmd":"sweep", ...}` evaluates a whole geometry *grid* over one
-//! program from one shared reuse analysis per line size, returning a
-//! ranked miss-count table. The grid is `"grid":"8K,16K,32K:1,2:16,32"`
+//! program as a loop of exact single queries, returning a ranked
+//! miss-count table. The grid is `"grid":"8K,16K,32K:1,2:16,32"`
 //! (comma-lists per `SIZE:ASSOC:LINE` field, cartesian product) and/or an
 //! explicit `"geometries":["32K:2:32", ...]` array. Program spec and knobs
 //! (`"timeout_ms"`, `"store"`, `"threads"`) match `analyze`; each cell is

@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
-# Offline CI gate + parallel-engine timing harness.
+# Offline CI gate + benchmark harnesses.
 #
-#   scripts/ci.sh            # tier-1 gate, then a reduced-size timing run
-#   BENCH_SCALE=paper scripts/ci.sh   # paper-size MMT (N=BJ=100, BK=50; minutes)
+#   scripts/ci.sh            # tier-1 gate, then the harnesses
+#   BENCH_SCALE=paper scripts/ci.sh   # bench_serve at paper scale as well
 #
 # The gate is the repo's tier-1 contract: an offline release build plus the
-# full workspace test suite, no registry access required. The timing run
-# exercises bench_parallel, which asserts that serial and parallel
-# FindMisses reports are identical before writing BENCH_parallel.json.
-# On a single-CPU host the measured speedup will sit near 1.0x — the
-# harness reports honest wall-clock, not a simulated core count.
+# full workspace test suite, no registry access required. Serial and
+# parallel reports are held equal by the workspace tests
+# (crates/core/tests/parallel_determinism.rs).
 #
 # Committed BENCH_*.json files are paper scale. Small-scale harness runs
 # are smoke tests, so their outputs go under target/ci-bench/ instead;
@@ -47,15 +45,6 @@ echo "== benchmark self-tests (perfbench) =="
 # catches a change that would break it.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== parallel timing harness =="
-if [ "${BENCH_SCALE:-small}" = "paper" ]; then
-    ARGS=(--n 100 --bj 100 --bk 50)
-else
-    ARGS=(--n 48 --bj 48 --bk 24)
-fi
-cargo run -p cme-bench --bin bench_parallel --release --offline -- \
-    "${ARGS[@]}" --out "$OUT/BENCH_parallel.json"
-
 echo "== row-engine (hit/miss pre-pass) harness =="
 # Always at paper scale: times cold FindMisses with the pre-pass off vs on
 # (serial, counting evaluator), asserts the reports are bit-identical, and
@@ -84,13 +73,13 @@ cargo run -p cme-bench --bin bench_serve --release --offline -- \
     --scale "${BENCH_SCALE:-small}" --out "$OUT/BENCH_serve.json"
 
 echo "== geometry-sweep harness =="
-# Always at paper scale: a 24-cell grid (sizes x assocs x line sizes)
-# through one shared SweepPlan vs per-geometry loops. Asserts every grid
-# cell byte-identical to its independent pre-pass-off run, a repeat sweep
-# answered entirely from the store, and on the streaming workload the
-# amortization floors: the shared-plan sweep >=5x faster than the
-# pre-pass-off loop and no slower than the default loop (a serial win —
-# every side runs one thread).
+# Always at paper scale: a 24-cell grid (sizes x assocs x line sizes) as a
+# sweep (one reuse analysis per line size, then FindMisses per cell) vs
+# per-geometry loops. Asserts every grid cell byte-identical to its
+# independent pre-pass-off run, a repeat engine sweep answered entirely
+# from the store, and on the streaming workload the floors: the sweep
+# >=5x faster than the pre-pass-off loop and no slower than the default
+# loop (a serial win — every side runs one thread).
 cargo run -p cme-bench --bin bench_sweep --release --offline -- \
     --scale paper --out BENCH_sweep.json
 
