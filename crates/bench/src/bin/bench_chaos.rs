@@ -188,6 +188,7 @@ fn crash_point_sweep() -> u64 {
                         payload: Arc::new(p.clone()),
                         miss_ratio: 0.5,
                         points: 1,
+                        exact_misses: None,
                     },
                 );
             }

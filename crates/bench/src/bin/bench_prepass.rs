@@ -195,9 +195,9 @@ fn main() {
     let engine = Engine::in_memory(64);
     let new_elems = stream_elems + 1111;
     let novel = stream3(new_elems);
-    let mut job = Job::exact(&novel, cfg);
-    job.threads = Threads::Fixed(1);
-    let outcome = engine.run(&job).expect("serve job carries no deadline");
+    let outcome = engine
+        .run(&Job::exact(&novel, cfg))
+        .expect("serve job carries no deadline");
     assert!(!outcome.from_store, "a new size cannot be a store hit");
     assert_eq!(
         outcome.prepass_resolved, outcome.points,

@@ -1,8 +1,8 @@
 //! Timing harness for the analysis service, at two levels:
 //!
 //! 1. **Engine.** The same exact MMT analysis through one `Engine`, cold
-//!    (full classification) and then 200 times hot (store fetch); every
-//!    hot payload byte-identical to the cold one.
+//!    (full serial classification) and then 200 times hot (store fetch);
+//!    every hot payload byte-identical to the cold one.
 //! 2. **Wire.** An in-process daemon answers one stored job 200 times over
 //!    fresh connections, as `cme query` does, and 200 pings over one
 //!    persistent `Client`. The job is the Hydro (N=60) estimate: its hits
@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_serve --release -- \
-//!     [--scale small|medium|paper] [--threads N] [--out BENCH_serve.json]
+//!     [--scale small|medium|paper] [--out BENCH_serve.json]
 //! ```
 //!
 //! Gates at every scale: wire hot p95 under 10 ms and persistent ping p50
@@ -129,7 +129,6 @@ fn main() {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let scale = Scale::from_args();
-    let threads = cme_bench::threads_from_args();
     let out = get("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
 
     let (n, bj, bk) = match scale {
@@ -140,17 +139,12 @@ fn main() {
     let cfg = CacheConfig::new(32 * 1024, 32, 2).expect("valid geometry");
     let program = cme_workloads::mmt(n, bj, bk);
     eprintln!(
-        "MMT (N={n}, BJ={bj}, BK={bk}): {} accesses, cache {cfg}, {} threads",
+        "MMT (N={n}, BJ={bj}, BK={bk}): {} accesses, cache {cfg}",
         program.total_accesses(),
-        threads.count()
     );
 
     let engine = Engine::in_memory(16);
-    let job = {
-        let mut j = Job::exact(&program, cfg);
-        j.threads = threads;
-        j
-    };
+    let job = Job::exact(&program, cfg);
 
     let (cold, cold_t) = timed(|| engine.run(&job).expect("no deadline"));
     assert!(!cold.from_store, "first run must be cold");
@@ -203,12 +197,11 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"workload\": \"mmt(N={n},BJ={bj},BK={bk})\",\n  \"scale\": \"{}\",\n  \"cache\": \"32KB/32B/2-way\",\n  \"mode\": \"exact\",\n  \"points\": {},\n  \"cold_ms\": {:.3},\n  \"hot_ms\": {:.3},\n  \"hot_queries\": {QUERIES},\n  \"hot_p50_us\": {p50_us:.1},\n  \"hot_p99_us\": {p99_us:.1},\n  \"speedup\": {speedup:.1},\n  \"threads\": {},\n  \"hw_threads\": {},\n  \"strategy\": \"set-skip\",\n  \"fingerprint\": \"{}\",\n  \"wire_job\": \"hydro(N={WIRE_N}) estimate seed={WIRE_SEED}, 32KB/32B/2-way\",\n  \"wire_cold_ms\": {:.3},\n  \"wire_hot_queries\": {QUERIES},\n  \"wire_hot_p50_ms\": {wire_p50:.3},\n  \"wire_hot_p95_ms\": {wire_p95:.3},\n  \"persistent_pings\": {QUERIES},\n  \"persistent_ping_p50_ms\": {ping_p50:.3}\n}}\n",
+        "{{\n  \"workload\": \"mmt(N={n},BJ={bj},BK={bk})\",\n  \"scale\": \"{}\",\n  \"cache\": \"32KB/32B/2-way\",\n  \"mode\": \"exact\",\n  \"points\": {},\n  \"cold_ms\": {:.3},\n  \"hot_ms\": {:.3},\n  \"hot_queries\": {QUERIES},\n  \"hot_p50_us\": {p50_us:.1},\n  \"hot_p99_us\": {p99_us:.1},\n  \"speedup\": {speedup:.1},\n  \"threads\": 1,\n  \"hw_threads\": {},\n  \"strategy\": \"set-skip\",\n  \"fingerprint\": \"{}\",\n  \"wire_job\": \"hydro(N={WIRE_N}) estimate seed={WIRE_SEED}, 32KB/32B/2-way\",\n  \"wire_cold_ms\": {:.3},\n  \"wire_hot_queries\": {QUERIES},\n  \"wire_hot_p50_ms\": {wire_p50:.3},\n  \"wire_hot_p95_ms\": {wire_p95:.3},\n  \"persistent_pings\": {QUERIES},\n  \"persistent_ping_p50_ms\": {ping_p50:.3}\n}}\n",
         scale.label(),
         cold.points,
         cold_t.as_secs_f64() * 1e3,
         hot_t.as_secs_f64() * 1e3,
-        threads.count(),
         cme_bench::hw_threads(),
         cold.fingerprint,
         w.cold.as_secs_f64() * 1e3,

@@ -9,6 +9,9 @@
 //!     [--scale small|medium|paper] [--threads N] [--out BENCH_trace.json]
 //! ```
 //!
+//! `--threads` sets the `FindMisses` worker count (0 or absent = auto);
+//! replay is one serial streaming pass.
+//!
 //! Checks enforced (exit 2 on failure):
 //! * framed encode → decode returns the generated words bit-for-bit, and
 //!   re-encoding is byte-identical (the store fingerprint hangs off these
@@ -81,7 +84,7 @@ fn main() -> ExitCode {
 
     let nthreads = threads.count();
     eprintln!(
-        "bench_trace: scale {}, {nthreads} worker threads",
+        "bench_trace: scale {}, {nthreads} analysis threads",
         scale.label()
     );
 
@@ -106,18 +109,14 @@ fn main() -> ExitCode {
         let is_mmt = name.starts_with("mmt");
         for cfg in &geometries {
             // Serial replay, timed: this is the throughput number.
-            let (serial, serial_t) = timed(|| cme_trace::replay_parallel(*cfg, &words, 1));
+            let (serial, serial_t) = timed(|| {
+                let mut sim = cme_trace::TraceSim::new(*cfg);
+                sim.replay(&words);
+                sim.stats()
+            });
             let per_sec = serial.accesses as f64 / serial_t.as_secs_f64().max(1e-9);
             if is_mmt && *cfg == geometries[0] {
                 mmt_throughput = per_sec;
-            }
-
-            // Parallel replay must reproduce the serial stats exactly.
-            let parallel = cme_trace::replay_parallel(*cfg, &words, nthreads);
-            if parallel != serial {
-                return fail(&format!(
-                    "{name} {cfg}: parallel replay diverges from serial"
-                ));
             }
 
             // Replay must agree with the in-memory reference simulator.
@@ -184,10 +183,10 @@ fn main() -> ExitCode {
     let words = cme_trace::generate(program).expect("addresses fit u32");
     let bytes = cme_trace::frame_bytes(&geometries[0], &words);
     let cold = engine
-        .run_trace(&bytes, geometries[0], nthreads, true)
+        .run_trace(&bytes, geometries[0])
         .expect("cold trace replay");
     let hot = engine
-        .run_trace(&bytes, geometries[0], nthreads, true)
+        .run_trace(&bytes, geometries[0])
         .expect("hot trace replay");
     if cold.from_store || !hot.from_store {
         return fail(&format!("{name}: engine store cold/hot sequence broken"));

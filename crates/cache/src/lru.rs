@@ -41,20 +41,11 @@ pub struct Cache {
 impl Cache {
     /// An empty (all-cold) cache.
     pub fn new(config: CacheConfig) -> Self {
-        Cache::with_sets(config, config.num_sets() as usize)
-    }
-
-    /// An empty cache holding only `sets` sets of `config`'s ways, indexed
-    /// `0..sets` — the unit of set-partitioned replay, which maps its set
-    /// range onto that index space and drives [`Cache::access_line`].
-    /// [`Cache::access`] and [`Cache::is_resident`] need every set
-    /// ([`Cache::new`]).
-    pub fn with_sets(config: CacheConfig, sets: usize) -> Self {
         let assoc = config.assoc() as usize;
         Cache {
             config,
             assoc,
-            lines: vec![EMPTY; sets * assoc],
+            lines: vec![EMPTY; config.num_sets() as usize * assoc],
         }
     }
 
@@ -74,7 +65,7 @@ impl Cache {
 
     /// Touches memory line `line` in set `set`; returns `true` on a miss.
     /// The caller has already split the address (`set` must be the line's
-    /// set, relative to this cache's first set).
+    /// set).
     #[inline]
     pub fn access_line(&mut self, line: i64, set: usize) -> bool {
         let ways = &mut self.lines[set * self.assoc..(set + 1) * self.assoc];
@@ -179,23 +170,6 @@ mod tests {
             // One more distinct contention: evicted.
             c.access(victim + (sets as i64) * (line as i64) * k as i64);
             assert!(!c.is_resident(victim), "k={k}: not evicted after k");
-        }
-    }
-
-    #[test]
-    fn partition_indexes_its_sets_from_zero() {
-        // 4 sets, 2 ways; a two-set partition sees global sets 2 and 3 as
-        // local 0 and 1, and behaves exactly like those sets of a full cache.
-        let cfg = cfg(256, 32, 2);
-        let mut full = Cache::new(cfg);
-        let mut part = Cache::with_sets(cfg, 2);
-        for line in [2i64, 6, 3, 10, 2, 7, 6, 14, 3] {
-            let set = cfg.set_of_line(line) as usize;
-            assert_eq!(
-                part.access_line(line, set - 2),
-                full.access(line * 32),
-                "line {line}"
-            );
         }
     }
 

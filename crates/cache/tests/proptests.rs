@@ -7,7 +7,7 @@
 
 use cme_cache::{Cache, CacheConfig};
 use cme_poly::rng::{Rng, SeededRng};
-use cme_trace::{replay_parallel, TraceSim, TraceStats};
+use cme_trace::{TraceSim, TraceStats};
 use std::collections::HashSet;
 
 /// A deliberately simple (and slow) LRU model: one global list of
@@ -85,8 +85,8 @@ fn lru_matches_reference_model() {
     assert!(odd_sets > 64, "only {odd_sets} non-power-of-two geometries");
 }
 
-/// Trace replay's cold/replacement split, serial and set-partitioned,
-/// equals the naive model's misses split by first touch of the line.
+/// Trace replay's cold/replacement split equals the naive model's misses
+/// split by first touch of the line.
 #[test]
 fn trace_replay_split_matches_reference_model() {
     let mut rng = SeededRng::seed_from_u64(0x7ACE);
@@ -114,18 +114,11 @@ fn trace_replay_split_matches_reference_model() {
             }
         }
 
-        let mut serial = TraceSim::new(cfg);
+        let mut sim = TraceSim::new(cfg);
         for chunk in trace.chunks(97) {
-            serial.replay(chunk);
+            sim.replay(chunk);
         }
-        assert_eq!(serial.stats(), want, "case {case} cfg {cfg} serial");
-        for threads in [2usize, 3] {
-            assert_eq!(
-                replay_parallel(cfg, &trace, threads),
-                want,
-                "case {case} cfg {cfg} at {threads} threads"
-            );
-        }
+        assert_eq!(sim.stats(), want, "case {case} cfg {cfg}");
     }
 }
 

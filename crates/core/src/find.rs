@@ -79,7 +79,10 @@ impl<'p> FindMisses<'p> {
 
     /// Sets the worker-thread count. The report is byte-identical for every
     /// setting (the parallel reduction is deterministic); `Fixed(1)` runs
-    /// the legacy serial path.
+    /// the legacy serial path. With the pre-pass on (the default) it
+    /// governs only the points the row engine leaves to the classifier —
+    /// none on the paper's kernels, where the row engine counts every
+    /// window; with [`PrepassMode::Off`] it governs every point.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
         self
@@ -90,7 +93,8 @@ impl<'p> FindMisses<'p> {
     /// Verdicts — and therefore reports — are bit-identical for every
     /// strategy; [`WalkStrategy::LegacyScan`] is the full interval scan,
     /// kept for differential testing. The pre-pass always counts; the
-    /// strategy governs the points it leaves to the classifier.
+    /// strategy governs only the points it leaves to the classifier (none
+    /// on the paper's kernels), or every point with [`PrepassMode::Off`].
     pub fn strategy(mut self, walk: WalkStrategy) -> Self {
         self.walk = walk;
         self

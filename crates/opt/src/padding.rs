@@ -12,7 +12,7 @@
 //! order, each trying every multiple of the line size up to one set span;
 //! a couple of rounds converge in practice.
 
-use cme_analysis::{parallel, SamplingOptions, Threads};
+use cme_analysis::{parallel, SamplingOptions};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_serve::{Engine, Job};
@@ -111,8 +111,7 @@ pub fn search_padding_in(
         let mut job = Job::estimate(p, config, opts.sampling.clone());
         job.reuse_cap = Some(PADDING_REUSE_CAP);
         // One level of parallelism only: the candidate sweep below gets
-        // the workers, so each model evaluation classifies serially.
-        job.threads = Threads::Fixed(1);
+        // the workers, and the engine classifies each model serially.
         engine
             .run(&job)
             .expect("padding evaluations carry no deadline")

@@ -10,7 +10,7 @@
 //! `f(tile parameters) → Program` and the candidate grid; the searcher
 //! returns the predicted-best point and the full sweep.
 
-use cme_analysis::{parallel, SamplingOptions, Threads};
+use cme_analysis::{parallel, SamplingOptions};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_serve::{Engine, Job};
@@ -86,12 +86,10 @@ where
         || (),
         |_, i| {
             let program = build(&candidates[i]);
-            let mut job = Job::estimate(&program, config, sampling.clone());
             // One level of parallelism only: the candidate sweep gets the
-            // workers, each evaluation classifies serially.
-            job.threads = Threads::Fixed(1);
+            // workers, and the engine classifies each evaluation serially.
             engine
-                .run(&job)
+                .run(&Job::estimate(&program, config, sampling.clone()))
                 .expect("tile evaluations carry no deadline")
                 .miss_ratio
         },

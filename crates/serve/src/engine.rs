@@ -19,7 +19,12 @@
 //! `run_trace` start with the same routine, so every hit is counted the
 //! same way.
 //!
-//! Identical store-backed jobs that arrive while one is already computing
+//! Every job reads the store first, classifies on one thread and stores
+//! its answer: results are byte-identical for every thread count, so the
+//! daemon's parallelism is its `--workers`, across jobs, and no job
+//! carries a thread count or a store switch.
+//!
+//! Identical jobs that arrive while one is already computing
 //! are *coalesced*: one leader runs the analysis, followers block on its
 //! flight slot and receive the same payload `Arc` — safe because equal
 //! fingerprints render equal bytes by construction. A leader that fails
@@ -45,8 +50,8 @@ use std::time::{Duration, Instant};
 
 /// Exact or sampled analysis. The embedded options' `threads` and
 /// `prepass` fields are *ignored* for fingerprinting — neither changes
-/// results. `threads` is overridden at run time by [`Job::threads`];
-/// `prepass` is honoured (wire requests always run it on).
+/// results. `threads` is overridden at run time (the engine classifies
+/// serially); `prepass` is honoured (wire requests always run it on).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisMode {
     Exact,
@@ -69,13 +74,10 @@ pub struct Job<'p> {
     /// can change results.
     pub reuse_cap: Option<usize>,
     pub cancel: CancelToken,
-    /// Consult/populate the result store for this job.
-    pub use_store: bool,
-    pub threads: Threads,
 }
 
 impl<'p> Job<'p> {
-    /// A default job: estimate mode, store on, auto threads.
+    /// A default estimate job.
     pub fn estimate(program: &'p Program, config: CacheConfig, options: SamplingOptions) -> Self {
         Job {
             program,
@@ -83,8 +85,6 @@ impl<'p> Job<'p> {
             mode: AnalysisMode::Estimate(options),
             reuse_cap: None,
             cancel: CancelToken::never(),
-            use_store: true,
-            threads: Threads::Auto,
         }
     }
 
@@ -96,8 +96,6 @@ impl<'p> Job<'p> {
             mode: AnalysisMode::Exact,
             reuse_cap: None,
             cancel: CancelToken::never(),
-            use_store: true,
-            threads: Threads::Auto,
         }
     }
 }
@@ -115,6 +113,8 @@ pub struct Outcome {
     /// Analysis wall time (zero for store hits).
     pub wall: Duration,
     pub miss_ratio: f64,
+    /// The report's exact miss count (`None` for estimates).
+    pub exact_misses: Option<u64>,
     /// Points the hit/miss pre-pass resolved (zero for store hits: the
     /// stored payload carries no mode-dependent diagnostics). Equal to
     /// `points` when nothing was walked.
@@ -122,6 +122,19 @@ pub struct Outcome {
     /// Whether this outcome was coalesced onto an identical in-flight job
     /// (single-flight follower: same bytes, no recomputation).
     pub coalesced: bool,
+}
+
+impl Outcome {
+    /// What the store keeps of this outcome (and a flight hands its
+    /// followers).
+    fn summary(&self) -> StoredResult {
+        StoredResult {
+            payload: self.payload.clone(),
+            miss_ratio: self.miss_ratio,
+            points: self.points,
+            exact_misses: self.exact_misses,
+        }
+    }
 }
 
 /// Why an analysis did not complete.
@@ -149,8 +162,9 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// The content-addressed job key: program (including layout), cache
-/// geometry, analysis mode and reuse cap. The thread count is deliberately
-/// excluded — results are byte-identical across it.
+/// geometry, analysis mode and reuse cap. The sampling options' thread
+/// count and pre-pass mode are deliberately excluded — results are
+/// byte-identical across both.
 pub fn job_fingerprint(
     program: &Program,
     config: CacheConfig,
@@ -229,20 +243,15 @@ pub struct SweepJob<'p> {
     pub program: &'p Program,
     pub geometries: Vec<CacheConfig>,
     pub cancel: CancelToken,
-    /// Consult/populate the result store per cell.
-    pub use_store: bool,
-    pub threads: Threads,
 }
 
 impl<'p> SweepJob<'p> {
-    /// A default sweep job: exact mode, store on, auto threads.
+    /// A sweep job with no deadline.
     pub fn exact(program: &'p Program, geometries: Vec<CacheConfig>) -> Self {
         SweepJob {
             program,
             geometries,
             cancel: CancelToken::never(),
-            use_store: true,
-            threads: Threads::Auto,
         }
     }
 }
@@ -270,7 +279,7 @@ impl SweepCell {
         SweepCell {
             config,
             fingerprint: out.fingerprint,
-            misses: exact_misses_of(&out.payload),
+            misses: out.exact_misses,
             payload: out.payload,
             from_store: out.from_store,
             points: out.points,
@@ -292,16 +301,12 @@ pub struct SweepOutcome {
     pub computed: u64,
 }
 
-/// What a single-flight leader hands its followers: the payload bytes and
-/// the summary numbers that ride on a response.
-type FlightResult = (Arc<String>, u64, f64);
-
 /// The state of one in-flight job fingerprint.
 enum FlightState {
     Running,
     /// `Ok`: the leader's bytes. `Err`: the leader failed (timeout, cancel
     /// or panic) — followers retry under their own deadlines.
-    Done(Result<FlightResult, ()>),
+    Done(Result<StoredResult, ()>),
 }
 
 /// One single-flight slot: followers block on `cv` until the leader
@@ -318,7 +323,7 @@ impl Flight {
     fn wait(
         &self,
         cancel: &cme_analysis::CancelToken,
-    ) -> Result<Option<FlightResult>, EngineError> {
+    ) -> Result<Option<StoredResult>, EngineError> {
         let mut state = fault::lock_recover(&self.state);
         loop {
             match &*state {
@@ -348,11 +353,11 @@ struct FlightGuard<'e> {
     engine: &'e Engine,
     fp: u128,
     flight: Arc<Flight>,
-    result: Option<Result<FlightResult, ()>>,
+    result: Option<Result<StoredResult, ()>>,
 }
 
 impl FlightGuard<'_> {
-    fn finish(mut self, result: Result<FlightResult, ()>) {
+    fn finish(mut self, result: Result<StoredResult, ()>) {
         self.result = Some(result);
     }
 }
@@ -452,7 +457,8 @@ impl Engine {
     }
 
     /// Runs (or recalls) one job: store lookup, then single-flight
-    /// coalescing onto an identical in-flight job, then the analysis.
+    /// coalescing onto an identical in-flight job, then the analysis and
+    /// the store write.
     pub fn run(&self, job: &Job) -> Result<Outcome, EngineError> {
         let fp = job_fingerprint(job.program, job.config, &job.mode, job.reuse_cap);
         self.run_keyed(job, fp)
@@ -461,15 +467,8 @@ impl Engine {
     /// [`Engine::run`] for a job whose fingerprint `fp` is already known.
     fn run_keyed(&self, job: &Job, fp: Fingerprint) -> Result<Outcome, EngineError> {
         loop {
-            if job.use_store {
-                if let Some(hit) = self.recall(fp) {
-                    return Ok(hit);
-                }
-            } else {
-                // Store-less callers asked for a real run (benches measure
-                // it) — no coalescing either.
-                Metrics::bump(&self.metrics.store_misses);
-                return self.compute(job, fp);
+            if let Some(hit) = self.recall(fp) {
+                return Ok(hit);
             }
 
             // Claim the flight slot or join an existing one.
@@ -499,10 +498,7 @@ impl Engine {
                     };
                     Metrics::bump(&self.metrics.store_misses);
                     let outcome = self.compute(job, fp);
-                    match &outcome {
-                        Ok(o) => guard.finish(Ok((o.payload.clone(), o.points, o.miss_ratio))),
-                        Err(_) => guard.finish(Err(())),
-                    }
+                    guard.finish(outcome.as_ref().map(Outcome::summary).map_err(|_| ()));
                     return outcome;
                 }
                 Err(flight) => {
@@ -511,16 +507,11 @@ impl Engine {
                     // populated meanwhile, or we become the leader).
                     Metrics::bump(&self.metrics.single_flight_waits);
                     match flight.wait(&job.cancel)? {
-                        Some((payload, points, miss_ratio)) => {
+                        Some(result) => {
                             return Ok(Outcome {
-                                fingerprint: fp,
-                                payload,
                                 from_store: false,
-                                points,
-                                wall: Duration::ZERO,
-                                miss_ratio,
-                                prepass_resolved: 0,
                                 coalesced: true,
+                                ..stored_outcome(fp, result)
                             })
                         }
                         None => continue,
@@ -530,19 +521,19 @@ impl Engine {
         }
     }
 
-    /// The actual analysis: reuse vectors, cancellable walk, canonical
-    /// payload, store write-through.
+    /// The actual analysis: reuse vectors, cancellable serial
+    /// classification, canonical payload, store write-through.
     fn compute(&self, job: &Job, fp: Fingerprint) -> Result<Outcome, EngineError> {
         let start = Instant::now();
         fault::maybe_sleep(&self.faults, FaultSite::AnalysisDelay);
         let reuse = self.reuse_for(job);
         let report = match &job.mode {
             AnalysisMode::Exact => FindMisses::with_reuse(job.program, job.config, reuse)
-                .threads(job.threads)
+                .threads(Threads::Fixed(1))
                 .run_cancellable(&job.cancel),
             AnalysisMode::Estimate(options) => {
                 let options = SamplingOptions {
-                    threads: job.threads,
+                    threads: Threads::Fixed(1),
                     ..options.clone()
                 };
                 EstimateMisses::with_reuse(job.program, job.config, options, reuse)
@@ -570,71 +561,57 @@ impl Engine {
         let payload = Arc::new(render_payload(job.program, job.config, &job.mode, &report));
         self.metrics.add_classified(points, prepass_resolved);
         Metrics::add(&self.metrics.analysis_wall_us, wall.as_micros() as u64);
-        if job.use_store {
-            self.store.put(
-                fp,
-                StoredResult {
-                    payload: payload.clone(),
-                    miss_ratio,
-                    points,
-                },
-            );
-        }
-        Ok(Outcome {
+        let outcome = Outcome {
             fingerprint: fp,
             payload,
             from_store: false,
             points,
             wall,
             miss_ratio,
+            exact_misses: report.exact_misses(),
             prepass_resolved,
             coalesced: false,
-        })
+        };
+        self.store.put(fp, outcome.summary());
+        Ok(outcome)
     }
 
     /// Replays a binary trace (raw or framed bytes, exactly as on the
-    /// wire) against `config`, memoised under the trace fingerprint — the
-    /// FNV-1a/128 of the bytes plus the geometry, so a repeat replay of
-    /// the same trace content is answered from the store without decoding.
-    /// `threads = 1` replays serially; more run the set-partitioned
-    /// parallel replay (identical results at any count, so the thread
-    /// count is — like analyze jobs — excluded from the fingerprint).
+    /// wire) against `config` in one streaming pass, memoised under the
+    /// trace fingerprint — the FNV-1a/128 of the bytes plus the geometry,
+    /// so a repeat replay of the same trace content is answered from the
+    /// store without decoding.
     ///
     /// Errors (a malformed trace) are client-facing strings.
     pub fn run_trace(
         &self,
         trace_bytes: &[u8],
         config: CacheConfig,
-        threads: usize,
-        use_store: bool,
     ) -> Result<TraceOutcome, String> {
         let fp = cme_trace::trace_fingerprint(trace_bytes, &config);
-        if use_store {
-            if let Some(hit) = self.recall_trace(fp) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.recall_trace(fp) {
+            return Ok(hit);
         }
         Metrics::bump(&self.metrics.trace_store_misses);
 
         let start = Instant::now();
-        let reader = cme_trace::TraceReader::new(trace_bytes).map_err(|e| format!("trace: {e}"))?;
-        let words = reader.read_to_end().map_err(|e| format!("trace: {e}"))?;
-        let stats = cme_trace::replay_parallel(config, &words, threads);
+        let stats = cme_trace::TraceReader::new(trace_bytes)
+            .and_then(|mut reader| cme_trace::replay_reader(config, &mut reader))
+            .map_err(|e| format!("trace: {e}"))?;
         let wall = start.elapsed();
 
         let payload = Arc::new(render_trace_payload(config, &stats));
         Metrics::add(&self.metrics.trace_accesses_replayed, stats.accesses);
         Metrics::add(&self.metrics.trace_wall_us, wall.as_micros() as u64);
-        if use_store {
-            self.store.put(
-                fp,
-                StoredResult {
-                    payload: payload.clone(),
-                    miss_ratio: stats.miss_ratio(),
-                    points: stats.accesses,
-                },
-            );
-        }
+        self.store.put(
+            fp,
+            StoredResult {
+                payload: payload.clone(),
+                miss_ratio: stats.miss_ratio(),
+                points: stats.accesses,
+                exact_misses: None,
+            },
+        );
         Ok(TraceOutcome {
             fingerprint: fp,
             payload,
@@ -709,11 +686,11 @@ impl Engine {
 
     /// Evaluates a geometry grid as a loop of single queries: each
     /// distinct cell, in grid order, runs as an exact [`Job`] with the
-    /// sweep's cancel token, store flag and thread count, so it is looked
-    /// up, coalesced onto an identical job in flight, computed and stored
-    /// exactly as a lone query of its geometry. A duplicate geometry
-    /// copies its twin's cell. The engine's reuse cache gives every cell
-    /// of one line size the same reuse analysis.
+    /// sweep's cancel token, so it is looked up, coalesced onto an
+    /// identical job in flight, computed and stored exactly as a lone
+    /// query of its geometry. A duplicate geometry copies its twin's
+    /// cell. The engine's reuse cache gives every cell of one line size
+    /// the same reuse analysis.
     ///
     /// # Errors
     ///
@@ -732,8 +709,6 @@ impl Engine {
             }
             let cell = Job {
                 cancel: job.cancel.clone(),
-                use_store: job.use_store,
-                threads: job.threads,
                 ..Job::exact(job.program, config)
             };
             let out = self.run_keyed(&cell, fp)?;
@@ -753,18 +728,10 @@ fn stored_outcome(fingerprint: Fingerprint, hit: StoredResult) -> Outcome {
         points: hit.points,
         wall: Duration::ZERO,
         miss_ratio: hit.miss_ratio,
+        exact_misses: hit.exact_misses,
         prepass_resolved: 0,
         coalesced: false,
     }
-}
-
-/// The `exact_misses` field of a report payload (a sweep cell reports it
-/// from its single query's bytes, stored or computed).
-fn exact_misses_of(payload: &str) -> Option<u64> {
-    crate::json::Json::parse(payload)
-        .ok()?
-        .get("exact_misses")?
-        .as_u64()
 }
 
 /// Renders the canonical report payload. Deliberately excludes anything
@@ -845,7 +812,7 @@ pub fn render_payload(
 }
 
 /// Renders the canonical trace payload. Like [`render_payload`], excludes
-/// wall time and thread count: equal fingerprints render equal bytes.
+/// wall time: equal fingerprints render equal bytes.
 pub fn render_trace_payload(config: CacheConfig, stats: &cme_trace::TraceStats) -> String {
     use crate::json::{obj, Json};
     obj(vec![
@@ -927,22 +894,6 @@ mod tests {
         use std::sync::atomic::Ordering;
         assert_eq!(engine.metrics().store_hits.load(Ordering::Relaxed), 1);
         assert_eq!(engine.metrics().store_misses.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn payload_is_thread_invariant() {
-        let p = small_program();
-        let cfg = CacheConfig::new(1024, 32, 2).unwrap();
-        let engine = Engine::in_memory(8);
-        let mut serial = Job::exact(&p, cfg);
-        serial.use_store = false;
-        serial.threads = Threads::Fixed(1);
-        let mut parallel = Job::exact(&p, cfg);
-        parallel.use_store = false;
-        parallel.threads = Threads::Fixed(4);
-        let a = engine.run(&serial).unwrap();
-        let b = engine.run(&parallel).unwrap();
-        assert_eq!(&*a.payload, &*b.payload);
     }
 
     /// The pre-pass always runs on fresh analyses and sweep cells, and its
@@ -1072,10 +1023,10 @@ mod tests {
         let words = cme_trace::generate(&p).unwrap();
         let bytes = cme_trace::frame_bytes(&cfg, &words);
 
-        let cold = engine.run_trace(&bytes, cfg, 1, true).unwrap();
+        let cold = engine.run_trace(&bytes, cfg).unwrap();
         assert!(!cold.from_store);
         assert_eq!(cold.accesses, p.total_accesses());
-        let hot = engine.run_trace(&bytes, cfg, 4, true).unwrap();
+        let hot = engine.run_trace(&bytes, cfg).unwrap();
         assert!(hot.from_store, "same content and geometry must hit");
         assert_eq!(&*cold.payload, &*hot.payload);
         assert_eq!(hot.accesses, cold.accesses);
@@ -1086,7 +1037,7 @@ mod tests {
         );
 
         let other = CacheConfig::new(2048, 32, 2).unwrap();
-        let refr = engine.run_trace(&bytes, other, 1, true).unwrap();
+        let refr = engine.run_trace(&bytes, other).unwrap();
         assert!(!refr.from_store, "geometry is part of the key");
 
         // The payload parses and agrees with the reference simulator.
@@ -1103,7 +1054,7 @@ mod tests {
         // Truncated payload: framed header promising more than it carries.
         let mut bytes = cme_trace::frame_bytes(&cfg, &[1, 2, 3, 4]);
         bytes.truncate(bytes.len() - 2);
-        let err = engine.run_trace(&bytes, cfg, 1, true).unwrap_err();
+        let err = engine.run_trace(&bytes, cfg).unwrap_err();
         assert!(err.starts_with("trace:"), "{err}");
     }
 
@@ -1125,25 +1076,25 @@ mod tests {
     }
 
     /// The sweep correctness contract at the engine level: every cell is
-    /// byte-identical to an independent single-geometry run, and the
-    /// ranked table is sorted by miss ratio.
+    /// byte-identical to an independent single-geometry run on another
+    /// engine, and the ranked table is sorted by miss ratio.
     #[test]
     fn sweep_cells_match_single_queries() {
         let p = small_program();
         let grid = sweep_grid();
         let engine = Engine::in_memory(64);
-        let mut job = SweepJob::exact(&p, grid.clone());
-        job.use_store = false;
-        let out = engine.run_sweep(&job).unwrap();
+        let out = engine
+            .run_sweep(&SweepJob::exact(&p, grid.clone()))
+            .unwrap();
         assert_eq!(out.cells.len(), grid.len());
         assert_eq!(out.computed, grid.len() as u64);
         for w in out.cells.windows(2) {
             assert!(w[0].miss_ratio <= w[1].miss_ratio, "ranked ascending");
         }
+        let solo = Engine::in_memory(64);
         for cell in &out.cells {
-            let mut solo = Job::exact(&p, cell.config);
-            solo.use_store = false;
-            let reference = engine.run(&solo).unwrap();
+            let reference = solo.run(&Job::exact(&p, cell.config)).unwrap();
+            assert!(!reference.from_store);
             assert_eq!(&*cell.payload, &*reference.payload, "{}", cell.config);
             assert_eq!(cell.fingerprint, reference.fingerprint);
             assert_eq!(cell.points, reference.points);
@@ -1198,29 +1149,13 @@ mod tests {
         assert_eq!(seeded.computed, grid.len() as u64 - 1);
     }
 
-    /// Sweep results are invariant across thread counts, and duplicate
-    /// grid cells compute once.
+    /// Duplicate grid cells compute once and answer identical twins.
     #[test]
-    fn sweep_is_mode_invariant_and_dedups() {
+    fn sweep_dedups_duplicate_geometries() {
         let p = small_program();
         let grid = sweep_grid();
         let engine = Engine::in_memory(64);
-        let mut base = SweepJob::exact(&p, grid.clone());
-        base.use_store = false;
-        let baseline = engine.run_sweep(&base).unwrap();
-        for threads in [Threads::Fixed(1), Threads::Fixed(4), Threads::Fixed(8)] {
-            let mut job = SweepJob::exact(&p, grid.clone());
-            job.use_store = false;
-            job.threads = threads;
-            let got = engine.run_sweep(&job).unwrap();
-            for (a, b) in baseline.cells.iter().zip(&got.cells) {
-                assert_eq!(a.fingerprint, b.fingerprint, "rank order must agree");
-                assert_eq!(&*a.payload, &*b.payload, "{threads:?}");
-            }
-        }
-        // Duplicate geometries: one compute, identical twin cells.
-        let mut dup = SweepJob::exact(&p, vec![grid[0], grid[1], grid[0]]);
-        dup.use_store = false;
+        let dup = SweepJob::exact(&p, vec![grid[0], grid[1], grid[0]]);
         let out = engine.run_sweep(&dup).unwrap();
         assert_eq!(out.computed, 2);
         let twins: Vec<&SweepCell> = out.cells.iter().filter(|c| c.config == grid[0]).collect();
@@ -1269,7 +1204,6 @@ mod tests {
         let p = small_program();
         let engine = Engine::in_memory(8);
         let mut job = SweepJob::exact(&p, sweep_grid());
-        job.use_store = false;
         job.cancel = CancelToken::with_timeout(Duration::ZERO);
         match engine.run_sweep(&job) {
             Err(EngineError::Timeout { .. }) => {}

@@ -19,7 +19,7 @@
 //!   the point-classification loops within one work chunk, releasing the
 //!   worker with a structured partial-progress error.
 //! * **Per-request observability** ([`metrics`]): queue wait, store
-//!   hit/miss, points classified, threads and wall time ride on every
+//!   hit/miss, points classified and wall time ride on every
 //!   response; aggregate counters answer the `stats` verb and are
 //!   dumped as JSON on shutdown.
 //! * **Chaos-tested failure handling** ([`fault`]): a seeded fault plan

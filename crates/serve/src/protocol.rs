@@ -20,13 +20,12 @@
 //! applicable) — or inline FORTRAN source: `"source":"      DO 10 ...",
 //! "params":{"N":64}`. The cache geometry is `"cache":32768,"line":32,
 //! "assoc":2`. The mode is `"mode":"exact"` or `"mode":"estimate"` with
-//! optional `"confidence"`, `"width"`, `"seed"`. Optional knobs:
-//! `"timeout_ms"`, `"store":false` (bypass the result store),
-//! `"threads"` (0 = one per hardware thread). The engine always runs the
-//! counting evaluator with the hit/miss pre-pass on, so a kernel the
-//! pre-pass resolves in full answers any problem size without walking a
-//! point.
-//! Unknown keys are ignored.
+//! optional `"confidence"`, `"width"`, `"seed"`. The one optional knob is
+//! `"timeout_ms"`. Every job reads the result store first, classifies on
+//! one thread with the counting evaluator and the hit/miss pre-pass on,
+//! and stores its answer, so a kernel the pre-pass resolves in full
+//! answers any problem size without walking a point. Unknown keys —
+//! among them the retired `"threads"` and `"store"` — are ignored.
 //!
 //! The cache geometry may also be given as a single
 //! `"geometry":"SIZE:ASSOC:LINE"` string (e.g. `"32K:2:32"`), which
@@ -37,9 +36,8 @@
 //! program as a loop of exact single queries, returning a ranked
 //! miss-count table. The grid is `"grid":"8K,16K,32K:1,2:16,32"`
 //! (comma-lists per `SIZE:ASSOC:LINE` field, cartesian product) and/or an
-//! explicit `"geometries":["32K:2:32", ...]` array. Program spec and knobs
-//! (`"timeout_ms"`, `"store"`, `"threads"`) match `analyze`; each cell is
-//! content-addressed by its
+//! explicit `"geometries":["32K:2:32", ...]` array. Program spec and
+//! `"timeout_ms"` match `analyze`; each cell is content-addressed by its
 //! ordinary single-geometry fingerprint, so sweeps and lone queries share
 //! the store in both directions.
 //! `"reports":true` embeds each cell's full canonical report.
@@ -49,8 +47,7 @@
 //! framed binary trace on the server's filesystem) or by the same program
 //! spec fields as `analyze` (the server generates the program's access
 //! stream). Optional: `"geometry"` (overrides a framed trace's embedded
-//! geometry; required semantics match `analyze`), `"store":false`,
-//! `"threads"`.
+//! geometry; required semantics match `analyze`) and `"timeout_ms"`.
 //!
 //! Responses always carry `"ok"`. Successful `analyze` responses embed the
 //! canonical report under `"report"` plus `"fingerprint"` and a
@@ -62,7 +59,7 @@
 //! it is always safe.
 
 use crate::json::{obj, Json};
-use cme_analysis::{SamplingOptions, Threads};
+use cme_analysis::SamplingOptions;
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use std::collections::HashMap;
@@ -142,8 +139,8 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// The sampling options for `Estimate` (threads filled in by the
-    /// engine); `None` for `Exact`.
+    /// The sampling options for `Estimate` (the engine runs them on one
+    /// thread); `None` for `Exact`.
     pub fn sampling(&self) -> Option<SamplingOptions> {
         match *self {
             Mode::Exact => None,
@@ -173,8 +170,6 @@ pub struct AnalyzeRequest {
     pub geometry: Option<CacheConfig>,
     pub mode: Mode,
     pub timeout_ms: Option<u64>,
-    pub use_store: bool,
-    pub threads: Threads,
 }
 
 /// Where a `trace` request's address stream comes from.
@@ -193,8 +188,6 @@ pub struct TraceRequest {
     /// Explicit replay geometry; `None` defers to a framed trace's embedded
     /// geometry (or the default for raw traces and generated streams).
     pub geometry: Option<CacheConfig>,
-    pub use_store: bool,
-    pub threads: Threads,
     pub timeout_ms: Option<u64>,
 }
 
@@ -206,8 +199,6 @@ pub struct SweepRequest {
     /// `"geometries"`), in request order.
     pub geometries: Vec<CacheConfig>,
     pub timeout_ms: Option<u64>,
-    pub use_store: bool,
-    pub threads: Threads,
     /// Embed each cell's full report payload in the response (off by
     /// default: the ranked table alone is much smaller).
     pub include_reports: bool,
@@ -297,10 +288,6 @@ impl Request {
         Ok(TraceRequest {
             source,
             geometry: Self::geometry_from(v)?,
-            use_store: v.get("store").and_then(Json::as_bool).unwrap_or(true),
-            threads: Threads::from_flag(
-                v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
-            ),
             timeout_ms: v.get("timeout_ms").and_then(Json::as_u64),
         })
     }
@@ -336,10 +323,6 @@ impl Request {
             spec,
             geometries,
             timeout_ms: v.get("timeout_ms").and_then(Json::as_u64),
-            use_store: v.get("store").and_then(Json::as_bool).unwrap_or(true),
-            threads: Threads::from_flag(
-                v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
-            ),
             include_reports: v.get("reports").and_then(Json::as_bool).unwrap_or(false),
         })
     }
@@ -382,10 +365,6 @@ impl Request {
             geometry: Self::geometry_from(v)?,
             mode,
             timeout_ms: v.get("timeout_ms").and_then(Json::as_u64),
-            use_store: v.get("store").and_then(Json::as_bool).unwrap_or(true),
-            threads: Threads::from_flag(
-                v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
-            ),
         })
     }
 }
@@ -412,14 +391,13 @@ mod tests {
         assert_eq!(req.size_bytes, 32 * 1024);
         assert_eq!(req.assoc, 2);
         assert!(matches!(req.mode, Mode::Estimate { .. }));
-        assert!(req.use_store);
         assert!(req.spec.build().is_ok());
     }
 
     #[test]
     fn parses_exact_with_geometry() {
         let v = Json::parse(
-            r#"{"cmd":"analyze","workload":"hydro","n":10,"cache":1024,"line":16,"assoc":1,"mode":"exact","timeout_ms":250,"store":false,"threads":2}"#,
+            r#"{"cmd":"analyze","workload":"hydro","n":10,"cache":1024,"line":16,"assoc":1,"mode":"exact","timeout_ms":250}"#,
         )
         .unwrap();
         let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
@@ -427,20 +405,37 @@ mod tests {
         };
         assert_eq!(req.mode, Mode::Exact);
         assert_eq!(req.timeout_ms, Some(250));
-        assert!(!req.use_store);
-        assert_eq!(req.threads, Threads::Fixed(2));
     }
 
     /// Keys the protocol does not know are ignored: the request parses as
-    /// if they were absent.
+    /// if they were absent. That includes the retired `"threads"` and
+    /// `"store"` knobs on every job verb.
     #[test]
     fn unknown_keys_are_ignored() {
-        let plain = r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact"}"#;
-        let want = Request::from_json(&Json::parse(plain).unwrap()).unwrap();
-        for text in [
-            r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","frobnicate":1}"#,
-            r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","walk":"scan","x":{"y":true}}"#,
+        let analyze = r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact"}"#;
+        for (plain, text) in [
+            (
+                analyze,
+                r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","frobnicate":1}"#,
+            ),
+            (
+                analyze,
+                r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","walk":"scan","x":{"y":true}}"#,
+            ),
+            (
+                analyze,
+                r#"{"cmd":"analyze","workload":"mmt","n":8,"mode":"exact","threads":4,"store":false}"#,
+            ),
+            (
+                r#"{"cmd":"sweep","workload":"mmt","n":8,"grid":"8K:1:32"}"#,
+                r#"{"cmd":"sweep","workload":"mmt","n":8,"grid":"8K:1:32","threads":4,"store":false}"#,
+            ),
+            (
+                r#"{"cmd":"trace","workload":"mmt","n":8}"#,
+                r#"{"cmd":"trace","workload":"mmt","n":8,"threads":4,"store":false}"#,
+            ),
         ] {
+            let want = Request::from_json(&Json::parse(plain).unwrap()).unwrap();
             let got = Request::from_json(&Json::parse(text).unwrap()).unwrap();
             assert_eq!(got, want, "{text}");
         }
@@ -499,19 +494,14 @@ mod tests {
         };
         assert_eq!(req.source, TraceSource::File("/tmp/t.cmet".to_string()));
         assert_eq!(req.geometry, None);
-        assert!(req.use_store);
 
-        let v = Json::parse(
-            r#"{"cmd":"trace","workload":"mmt","n":8,"geometry":"32K:2:32","store":false,"threads":2}"#,
-        )
-        .unwrap();
+        let v =
+            Json::parse(r#"{"cmd":"trace","workload":"mmt","n":8,"geometry":"32K:2:32"}"#).unwrap();
         let Request::Trace(req) = Request::from_json(&v).unwrap() else {
             panic!("expected trace");
         };
         assert!(matches!(req.source, TraceSource::Spec(_)));
         assert_eq!(req.geometry.unwrap().size_bytes(), 32 * 1024);
-        assert!(!req.use_store);
-        assert_eq!(req.threads, Threads::Fixed(2));
 
         // No source at all is rejected.
         let v = Json::parse(r#"{"cmd":"trace"}"#).unwrap();
@@ -530,13 +520,12 @@ mod tests {
             req.geometries[0],
             CacheConfig::parse_geometry("8K:1:32").unwrap()
         );
-        assert!(req.use_store);
         assert!(!req.include_reports);
 
         // An explicit geometries array appends after the grid, knobs parse
         // like analyze's, and unknown keys are ignored.
         let v = Json::parse(
-            r#"{"cmd":"sweep","workload":"mmt","n":8,"grid":"8K:1:32","geometries":["48K:2:32"],"tier":"off","store":false,"threads":2,"reports":true,"timeout_ms":99}"#,
+            r#"{"cmd":"sweep","workload":"mmt","n":8,"grid":"8K:1:32","geometries":["48K:2:32"],"tier":"off","reports":true,"timeout_ms":99}"#,
         )
         .unwrap();
         let Request::Sweep(req) = Request::from_json(&v).unwrap() else {
@@ -544,8 +533,6 @@ mod tests {
         };
         assert_eq!(req.geometries.len(), 2);
         assert_eq!(req.geometries[1].num_sets(), 768);
-        assert!(!req.use_store);
-        assert_eq!(req.threads, Threads::Fixed(2));
         assert!(req.include_reports);
         assert_eq!(req.timeout_ms, Some(99));
     }

@@ -10,10 +10,10 @@
 //!    under, and a stored answer goes straight back;
 //! 2. otherwise an `analyze` or `sweep` builds its program and
 //!    fingerprints the job, and a stored answer goes straight back;
-//! 3. only a store miss, a `"store":false` job (built inside admission,
-//!    as part of its service time) or a trace the memo did not answer
-//!    (generating or reading a trace costs time in proportion to its
-//!    length) passes *admission* and reaches the engine.
+//! 3. only a store miss (its front end already ran) or a trace the memo
+//!    did not answer (generating or reading a trace costs time in
+//!    proportion to its length) passes *admission* and reaches the
+//!    engine, which runs it on one thread and stores its answer.
 //!
 //! An `analyze` or `sweep` answer that computes nothing therefore never
 //! holds a permit, never queues and never enters the service-time
@@ -462,34 +462,27 @@ impl Shared {
     }
 
     fn analyze(&self, line: &str, req: &AnalyzeRequest, conn: &TcpStream) -> Json {
-        let threads = req.threads.count();
-        let key = req.use_store.then(|| Memo::key(line));
-        let remembered = key.and_then(|k| self.memo.get(k));
-        if let Some(hit) = remembered.and_then(|fps| self.engine.recall(*fps.first()?)) {
-            return analyze_response(&hit, Duration::ZERO, threads);
+        let key = Memo::key(line);
+        if let Some(hit) = self
+            .memo
+            .get(key)
+            .and_then(|fps| self.engine.recall(*fps.first()?))
+        {
+            return analyze_response(&hit, Duration::ZERO);
         }
 
-        // A store-enabled job is built before admission, to look for its
-        // answer; any other is built inside, as part of its service time.
-        let mut built = None;
-        if req.use_store {
-            let (program, config, mode) = match self.analyze_job(req) {
-                Ok(job) => job,
-                Err(resp) => return resp,
-            };
-            let fp = job_fingerprint(&program, config, &mode, None);
-            if let Some(hit) = self.engine.recall(fp) {
-                self.memo.put(key, &[fp]);
-                return analyze_response(&hit, Duration::ZERO, threads);
-            }
-            built = Some((program, config, mode));
+        // The job is built before admission, to look for its answer.
+        let (program, config, mode) = match self.analyze_job(req) {
+            Ok(job) => job,
+            Err(resp) => return resp,
+        };
+        let fp = job_fingerprint(&program, config, &mode, None);
+        if let Some(hit) = self.engine.recall(fp) {
+            self.memo.put(key, &[fp]);
+            return analyze_response(&hit, Duration::ZERO);
         }
 
         let ran = self.compute(req.timeout_ms, || {
-            let (program, config, mode) = match built {
-                Some(job) => job,
-                None => self.analyze_job(req)?,
-            };
             let (cancel, _watched) = self.watcher.watch(conn, req.timeout_ms);
             self.engine
                 .run(&Job {
@@ -498,8 +491,6 @@ impl Shared {
                     mode,
                     reuse_cap: None,
                     cancel,
-                    use_store: req.use_store,
-                    threads: req.threads,
                 })
                 .map_err(engine_error_response)
         });
@@ -507,7 +498,7 @@ impl Shared {
             Err(resp) => resp,
             Ok((out, queue_wait)) => {
                 self.memo.put(key, &[out.fingerprint]);
-                analyze_response(&out, queue_wait, threads)
+                analyze_response(&out, queue_wait)
             }
         }
     }
@@ -531,42 +522,33 @@ impl Shared {
     }
 
     fn sweep(&self, line: &str, req: &SweepRequest, conn: &TcpStream) -> Json {
-        let key = req.use_store.then(|| Memo::key(line));
-        let remembered = key.and_then(|k| self.memo.get(k));
-        if let Some(out) =
-            remembered.and_then(|fps| self.engine.recall_sweep(&req.geometries, &fps))
+        let key = Memo::key(line);
+        if let Some(out) = self
+            .memo
+            .get(key)
+            .and_then(|fps| self.engine.recall_sweep(&req.geometries, &fps))
         {
             return sweep_response(req, &out, Duration::ZERO);
         }
 
-        // As for `analyze`: built before admission only to look it up.
-        let (mut built, mut fps) = (None, Vec::new());
-        if req.use_store {
-            let program = match req.spec.build() {
-                Ok(p) => p,
-                Err(e) => return self.bad_request(&e),
-            };
-            fps = sweep_fingerprints(&program, &req.geometries);
-            if let Some(out) = self.engine.recall_sweep(&req.geometries, &fps) {
-                self.memo.put(key, &fps);
-                return sweep_response(req, &out, Duration::ZERO);
-            }
-            built = Some(program);
+        // As for `analyze`: built before admission, to look it up.
+        let program = match req.spec.build() {
+            Ok(p) => p,
+            Err(e) => return self.bad_request(&e),
+        };
+        let fps = sweep_fingerprints(&program, &req.geometries);
+        if let Some(out) = self.engine.recall_sweep(&req.geometries, &fps) {
+            self.memo.put(key, &fps);
+            return sweep_response(req, &out, Duration::ZERO);
         }
 
         let ran = self.compute(req.timeout_ms, || {
-            let program = match built {
-                Some(p) => p,
-                None => req.spec.build().map_err(|e| self.bad_request(&e))?,
-            };
             let (cancel, _watched) = self.watcher.watch(conn, req.timeout_ms);
             self.engine
                 .run_sweep(&SweepJob {
                     program: &program,
                     geometries: req.geometries.clone(),
                     cancel,
-                    use_store: req.use_store,
-                    threads: req.threads,
                 })
                 .map_err(engine_error_response)
         });
@@ -584,27 +566,28 @@ impl Shared {
     /// the memo the whole request runs under admission. The replay is not
     /// cancellable, so the job is not watched.
     fn trace(&self, line: &str, req: &TraceRequest) -> Json {
-        let threads = req.threads.count();
         // A trace file's contents can change under the same request bytes,
         // so only generated traces are remembered.
         let generated = matches!(req.source, TraceSource::Spec(_));
-        let key = (req.use_store && generated).then(|| Memo::key(line));
+        let key = generated.then(|| Memo::key(line));
         let remembered = key.and_then(|k| self.memo.get(k));
         if let Some(hit) = remembered.and_then(|fps| self.engine.recall_trace(*fps.first()?)) {
-            return trace_response(&hit, Duration::ZERO, threads);
+            return trace_response(&hit, Duration::ZERO);
         }
 
         let ran = self.compute(req.timeout_ms, || {
             let (bytes, config) = self.trace_input(req)?;
             self.engine
-                .run_trace(&bytes, config, threads, req.use_store)
+                .run_trace(&bytes, config)
                 .map_err(|e| self.bad_request(&e))
         });
         match ran {
             Err(resp) => resp,
             Ok((out, queue_wait)) => {
-                self.memo.put(key, &[out.fingerprint]);
-                trace_response(&out, queue_wait, threads)
+                if let Some(key) = key {
+                    self.memo.put(key, &[out.fingerprint]);
+                }
+                trace_response(&out, queue_wait)
             }
         }
     }
@@ -892,12 +875,9 @@ impl Memo {
         fault::lock_recover(&self.lines).get(key).cloned()
     }
 
-    /// Remembers `fps` under `key`; a `None` key (a request that bypasses
-    /// the store, or a trace file) is never remembered.
-    fn put(&self, key: Option<u128>, fps: &[Fingerprint]) {
-        if let Some(key) = key {
-            fault::lock_recover(&self.lines).insert(key, Arc::from(fps));
-        }
+    /// Remembers `fps` under `key`.
+    fn put(&self, key: u128, fps: &[Fingerprint]) {
+        fault::lock_recover(&self.lines).insert(key, Arc::from(fps));
     }
 }
 
@@ -914,7 +894,7 @@ fn engine_error_response(err: EngineError) -> Json {
     resp
 }
 
-fn analyze_response(out: &Outcome, queue_wait: Duration, threads: usize) -> Json {
+fn analyze_response(out: &Outcome, queue_wait: Duration) -> Json {
     // Per-run counters are null on store hits and coalesced answers:
     // nothing was classified.
     let ran = !(out.from_store || out.coalesced);
@@ -935,7 +915,6 @@ fn analyze_response(out: &Outcome, queue_wait: Duration, threads: usize) -> Json
         ("points", Json::Int(out.points as i64)),
         ("wall_us", Json::Int(out.wall.as_micros() as i64)),
         ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
-        ("threads", Json::Int(threads as i64)),
         (
             // Share of this run's points the pre-pass resolved; 100 means
             // nothing was walked.
@@ -998,7 +977,6 @@ fn sweep_response(req: &SweepRequest, out: &SweepOutcome, queue_wait: Duration) 
         ("computed", Json::Int(out.computed as i64)),
         ("wall_us", Json::Int(out.wall.as_micros() as i64)),
         ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
-        ("threads", Json::Int(req.threads.count() as i64)),
     ]);
     obj(vec![
         ("ok", Json::Bool(true)),
@@ -1007,7 +985,7 @@ fn sweep_response(req: &SweepRequest, out: &SweepOutcome, queue_wait: Duration) 
     ])
 }
 
-fn trace_response(out: &TraceOutcome, queue_wait: Duration, threads: usize) -> Json {
+fn trace_response(out: &TraceOutcome, queue_wait: Duration) -> Json {
     let metrics = obj(vec![
         (
             "store",
@@ -1016,7 +994,6 @@ fn trace_response(out: &TraceOutcome, queue_wait: Duration, threads: usize) -> J
         ("accesses", Json::Int(out.accesses as i64)),
         ("wall_us", Json::Int(out.wall.as_micros() as i64)),
         ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
-        ("threads", Json::Int(threads as i64)),
     ]);
     obj(vec![
         ("ok", Json::Bool(true)),

@@ -39,6 +39,7 @@
 use crate::fault::{self, FaultSite, Faults};
 use crate::lru::Lru;
 use cme_ir::Fingerprint;
+use cme_trace::Crc32;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -54,18 +55,12 @@ pub const AUTO_COMPACT_RATIO: f64 = 0.5;
 /// ...and the log is at least this big (tiny logs aren't worth a rewrite).
 pub const AUTO_COMPACT_MIN_BYTES: u64 = 4096;
 
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), bitwise — payloads are
-/// small enough that a table buys nothing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+/// The IEEE CRC-32 of a frame payload: the trace format's checksum, in
+/// one shot.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// One cached result.
@@ -78,6 +73,9 @@ pub struct StoredResult {
     pub miss_ratio: f64,
     /// Points classified when the result was computed.
     pub points: u64,
+    /// The report's exact miss count (`None` for estimates and traces), so
+    /// a sweep cell answers its `misses` without parsing the payload.
+    pub exact_misses: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -252,15 +250,7 @@ impl Store {
         let mut live_bytes = 0u64;
         for (fp, frame) in &scan.frames {
             let text = std::str::from_utf8(&frame[HEADER_LEN..]).unwrap();
-            let (miss_ratio, points) = extract_summary(text);
-            map.insert(
-                *fp,
-                StoredResult {
-                    payload: Arc::new(text.to_string()),
-                    miss_ratio,
-                    points,
-                },
-            );
+            map.insert(*fp, extract_summary(text));
             on_disk.insert(*fp, frame.len() as u64);
             live_bytes += frame.len() as u64;
         }
@@ -520,22 +510,18 @@ impl Store {
     }
 }
 
-/// Pulls `miss_ratio` and total `analyzed` points out of a payload without
-/// a full protocol dependency (the payload is our own canonical JSON).
-fn extract_summary(text: &str) -> (f64, u64) {
-    match crate::json::Json::parse(text) {
-        Ok(v) => {
-            let ratio = v
-                .get("miss_ratio")
-                .and_then(crate::json::Json::as_f64)
-                .unwrap_or(0.0);
-            let points = v
-                .get("points")
-                .and_then(crate::json::Json::as_u64)
-                .unwrap_or(0);
-            (ratio, points)
-        }
-        Err(_) => (0.0, 0),
+/// The stored result of a payload read back from the log: its
+/// `miss_ratio`, total `points` and `exact_misses`, parsed once on open
+/// (the payload is our own canonical JSON).
+fn extract_summary(text: &str) -> StoredResult {
+    use crate::json::Json;
+    let v = Json::parse(text).ok();
+    let field = |key: &str| v.as_ref().and_then(|v| v.get(key));
+    StoredResult {
+        miss_ratio: field("miss_ratio").and_then(Json::as_f64).unwrap_or(0.0),
+        points: field("points").and_then(Json::as_u64).unwrap_or(0),
+        exact_misses: field("exact_misses").and_then(Json::as_u64),
+        payload: Arc::new(text.to_string()),
     }
 }
 
@@ -553,6 +539,7 @@ mod tests {
             payload: Arc::new(text.to_string()),
             miss_ratio: 0.5,
             points: 10,
+            exact_misses: None,
         }
     }
 
@@ -585,18 +572,22 @@ mod tests {
     #[test]
     fn disk_roundtrip() {
         let dir = tmp_dir("rt");
+        let exact = r#"{"miss_ratio":0.25,"points":40,"exact_misses":10}"#;
+        let estimate = r#"{"miss_ratio":0.75,"points":40,"exact_misses":null}"#;
         {
             let s = Store::open(&dir, 16).unwrap();
-            s.put(fp(7), result(r#"{"miss_ratio":0.25,"points":40}"#));
-            s.put(fp(8), result(r#"{"miss_ratio":0.75,"points":40}"#));
+            s.put(fp(7), result(exact));
+            s.put(fp(8), result(estimate));
         }
         let s = Store::open(&dir, 16).unwrap();
         assert_eq!(s.load_stats().loaded, 2);
         assert_eq!(s.load_stats().corrupt, 0);
         let r = s.get(fp(7)).expect("persisted");
-        assert_eq!(&*r.payload, r#"{"miss_ratio":0.25,"points":40}"#);
+        assert_eq!(&*r.payload, exact);
         assert_eq!(r.miss_ratio, 0.25);
         assert_eq!(r.points, 40);
+        assert_eq!(r.exact_misses, Some(10), "reopen parses the exact count");
+        assert_eq!(s.get(fp(8)).unwrap().exact_misses, None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -170,7 +170,7 @@ fn overload_sheds_with_retry_after() {
             // Exact MMT at n=128 takes seconds even with the pre-pass, so
             // the worker is reliably busy until the 1 s deadline trips.
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","timeout_ms":1000}"#,
             )
             .unwrap()
         })
@@ -224,7 +224,7 @@ fn store_hits_bypass_admission() {
         let mut c = daemon.client();
         std::thread::spawn(move || {
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","timeout_ms":1000}"#,
             )
             .unwrap()
         })
@@ -271,12 +271,12 @@ fn store_hits_bypass_admission() {
     daemon.shutdown();
 }
 
-/// A job that has to compute is admitted before its front end runs: with
-/// the only worker busy and a zero-length queue, a `"store":false` job and
-/// a trace the memo cannot answer are shed without building their program
-/// (a program that cannot be built would otherwise answer `bad_request`).
-/// A store-enabled `analyze` builds first, to look for its answer, and a
-/// repeated trace is answered by the memo without a permit.
+/// A trace the memo cannot answer is admitted before its front end runs:
+/// with the only worker busy and a zero-length queue, it is shed without
+/// building its program (a program that cannot be built would otherwise
+/// answer `bad_request`). Every `analyze` and `sweep` builds first, to
+/// look for its answer — a retired `"store":false` changes nothing — and
+/// a repeated trace is answered by the memo without a permit.
 #[test]
 fn computing_jobs_are_shed_before_their_front_end() {
     let daemon = Daemon::start("", |o| {
@@ -291,7 +291,7 @@ fn computing_jobs_are_shed_before_their_front_end() {
         let mut c = daemon.client();
         std::thread::spawn(move || {
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","timeout_ms":1000}"#,
             )
             .unwrap()
         })
@@ -320,26 +320,24 @@ fn computing_jobs_are_shed_before_their_front_end() {
     for shed in [
         r#"{"cmd":"trace","workload":"nope","n":8,"store":false}"#,
         r#"{"cmd":"trace","workload":"nope","n":8}"#,
-        r#"{"cmd":"analyze","workload":"nope","n":8,"mode":"exact","store":false}"#,
-        r#"{"cmd":"sweep","workload":"nope","n":8,"grid":"8K:1:32","store":false}"#,
     ] {
         assert_eq!(kind(&mut client, shed), "retry_after", "{shed}");
     }
-    assert_eq!(
-        kind(
-            &mut client,
-            r#"{"cmd":"analyze","workload":"nope","n":8,"mode":"exact"}"#
-        ),
-        "bad_request"
-    );
+    for bad in [
+        r#"{"cmd":"analyze","workload":"nope","n":8,"mode":"exact"}"#,
+        r#"{"cmd":"analyze","workload":"nope","n":8,"mode":"exact","store":false}"#,
+        r#"{"cmd":"sweep","workload":"nope","n":8,"grid":"8K:1:32","store":false}"#,
+    ] {
+        assert_eq!(kind(&mut client, bad), "bad_request", "{bad}");
+    }
     let hit = client.request_line(stored).unwrap();
     assert!(hit.contains(r#""store":"hit""#), "{hit}");
     let busy_resp = Json::parse(&busy.join().unwrap()).unwrap();
     assert_eq!(busy_resp.get("kind").unwrap().as_str(), Some("timeout"));
 
     let stats = daemon.stats();
-    assert_eq!(stats.get("shed_requests").unwrap().as_u64(), Some(4));
-    assert_eq!(stats.get("bad_requests").unwrap().as_u64(), Some(1));
+    assert_eq!(stats.get("shed_requests").unwrap().as_u64(), Some(2));
+    assert_eq!(stats.get("bad_requests").unwrap().as_u64(), Some(3));
     assert_eq!(stats.get("trace_store_hits").unwrap().as_u64(), Some(1));
     daemon.shutdown();
 }

@@ -99,7 +99,6 @@ fn cold_then_hot_is_byte_identical() {
         "first query must be cold"
     );
     assert!(cold_metrics.get("points").unwrap().as_u64().unwrap() > 0);
-    assert!(cold_metrics.get("threads").unwrap().as_u64().unwrap() >= 1);
 
     // Hot query from a *different* connection: same bytes, store hit.
     let mut second = daemon.client();
@@ -135,7 +134,7 @@ fn stats_gauge_the_reuse_cache() {
     let mut client = daemon.client();
     for line in [16, 32] {
         let req = format!(
-            r#"{{"cmd":"analyze","workload":"hydro","n":12,"mode":"estimate","cache":4096,"line":{line},"assoc":1,"threads":1}}"#
+            r#"{{"cmd":"analyze","workload":"hydro","n":12,"mode":"estimate","cache":4096,"line":{line},"assoc":1}}"#
         );
         let resp = client.request_line(&req).unwrap();
         assert!(resp.contains(r#""ok":true"#), "{resp}");
@@ -239,14 +238,57 @@ fn pipelined_requests_are_answered_in_order() {
     daemon.shutdown();
 }
 
+/// `"threads"` and `"store"` are not knobs: a job that sends them is the
+/// same job, so on every verb its repeat is a store hit with the same
+/// bytes, and no answer reports a thread count.
+#[test]
+fn retired_knobs_are_ignored_keys() {
+    let daemon = Daemon::start("knobs");
+    let mut client = daemon.client();
+    // A response line without its metrics and with each sweep cell's store
+    // verdict blanked: what the repeat must answer byte for byte.
+    let answer = |line: &str| {
+        let end = line.rfind(r#","metrics":"#).expect("has metrics");
+        line[..end].replace(r#""store":"miss""#, r#""store":"hit""#)
+    };
+    for plain in [
+        r#"{"cmd":"analyze","workload":"hydro","n":12,"mode":"exact","geometry":"4K:1:32"}"#,
+        r#"{"cmd":"sweep","workload":"hydro","n":12,"grid":"8K,16K:1:32","reports":true}"#,
+        r#"{"cmd":"trace","workload":"hydro","n":12,"geometry":"4K:1:32"}"#,
+    ] {
+        // The same request with both retired knobs appended.
+        let knobs = format!(
+            r#"{},"threads":4,"store":false}}"#,
+            &plain[..plain.len() - 1]
+        );
+        let first = client.request_line(plain).unwrap();
+        let second = client.request_line(&knobs).unwrap();
+        let mut stores = Vec::new();
+        for line in [&first, &second] {
+            let v = Json::parse(line).unwrap();
+            assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{line}");
+            let metrics = v.get("metrics").unwrap();
+            assert_eq!(metrics.get("threads"), None, "{line}");
+            stores.push(match metrics.get("store") {
+                Some(store) => store.as_str().unwrap().to_string(),
+                // A sweep reports per cell: "hit" when every cell was.
+                None if metrics.get("computed") == Some(&Json::Int(0)) => "hit".to_string(),
+                None => "miss".to_string(),
+            });
+        }
+        assert_eq!(stores, ["miss", "hit"], "{knobs}");
+        assert_eq!(answer(&first), answer(&second), "{knobs}");
+    }
+    daemon.shutdown();
+}
+
 #[test]
 fn timeout_returns_structured_error_and_releases_worker() {
     let daemon = Daemon::start("timeout");
     let mut client = daemon.client();
 
     // Big enough that 1 ms cannot finish it.
-    let req =
-        r#"{"cmd":"analyze","workload":"mmt","n":96,"mode":"exact","timeout_ms":1,"store":false}"#;
+    let req = r#"{"cmd":"analyze","workload":"mmt","n":96,"mode":"exact","timeout_ms":1}"#;
     let resp = client
         .request(&Json::parse(req).unwrap())
         .expect("a clean error response, not a dropped connection");
@@ -291,10 +333,8 @@ fn disconnect_cancels_running_analysis() {
         use std::io::Write;
         // Raw write without waiting for the response.
         let mut raw = std::net::TcpStream::connect(daemon.addr).unwrap();
-        raw.write_all(
-            br#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false}"#,
-        )
-        .unwrap();
+        raw.write_all(br#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact"}"#)
+            .unwrap();
         raw.write_all(b"\n").unwrap();
         raw.flush().unwrap();
         drop(raw); // client gone

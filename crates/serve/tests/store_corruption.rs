@@ -29,6 +29,7 @@ fn result(i: usize) -> StoredResult {
         payload: Arc::new(payload(i)),
         miss_ratio: 0.5,
         points: (i * 10) as u64,
+        exact_misses: None,
     }
 }
 

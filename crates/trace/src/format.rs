@@ -36,9 +36,9 @@ pub const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4 + 8 + 4;
 /// Bytes per access in the payload (big-endian `u32`).
 pub const BYTES_PER_ACCESS: usize = 4;
 
-/// Streaming IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the same
-/// check the serve store log uses, in incremental form so the writer and
-/// reader never buffer the payload.
+/// Streaming IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the
+/// workspace's one CRC, which the serve store's log frames use too — in
+/// incremental form so the writer and reader never buffer the payload.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,
@@ -326,8 +326,8 @@ impl<R: Read> TraceReader<R> {
         Ok(n)
     }
 
-    /// Decodes the remaining addresses into one vector (tests, small
-    /// traces, and the parallel replay path, which needs random access).
+    /// Decodes the remaining addresses into one vector (tests and small
+    /// traces; replay streams through [`crate::replay_reader`] instead).
     pub fn read_to_end(mut self) -> io::Result<Vec<u32>> {
         let mut out = match self.header {
             Some(h) => Vec::with_capacity(h.count as usize),
@@ -361,8 +361,7 @@ mod tests {
 
     #[test]
     fn crc_matches_store_vector() {
-        // The classic check value for "123456789", shared with the serve
-        // store's one-shot implementation.
+        // The classic check value for "123456789", fed in two pieces.
         let mut c = Crc32::new();
         c.update(b"1234");
         c.update(b"56789");

@@ -37,8 +37,7 @@ impl std::error::Error for TraceGenError {}
 ///
 /// Materialises the whole trace in memory (4 bytes per access); callers
 /// that only need to *replay* can feed the vector straight to
-/// [`crate::TraceSim::replay`] or [`crate::replay_parallel`] without ever
-/// serialising it.
+/// [`crate::TraceSim::replay`] without ever serialising it.
 pub fn generate(program: &Program) -> Result<Vec<u32>, TraceGenError> {
     let mut out: Vec<u32> = Vec::with_capacity(program.total_accesses() as usize);
     let mut bad: Option<i64> = None;

@@ -12,7 +12,7 @@
 //! * [`sim`] — [`TraceSim`], streaming replay over arbitrary
 //!   [`cme_cache::CacheConfig`] geometries on the same LRU core the program
 //!   simulator drives ([`cme_cache::Cache`]), adding the cold/replacement
-//!   split and exact set-partitioned parallel replay ([`replay_parallel`]).
+//!   split; [`replay_reader`] streams a whole trace through it in one pass.
 //! * [`gen`] — [`generate`], which emits the exact program-order access
 //!   stream of a normalised `cme_ir::Program`, so analytical miss counts
 //!   can be cross-validated against trace replay.
@@ -29,7 +29,7 @@ pub mod sim;
 
 pub use format::{frame_bytes, write_framed, write_raw, Crc32, FrameHeader, TraceReader};
 pub use gen::{generate, write_framed_trace, TraceGenError};
-pub use sim::{replay_parallel, replay_reader, TraceSim, TraceStats};
+pub use sim::{replay_reader, TraceSim, TraceStats};
 
 use cme_cache::CacheConfig;
 use cme_ir::{Fingerprint, FpHasher};

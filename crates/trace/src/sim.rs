@@ -8,13 +8,6 @@
 //! hands each pair to [`Cache::access_line`]. Cold misses are told apart
 //! from replacement misses with a touched-lines set consulted only on
 //! misses — the one thing replay adds to the program simulator.
-//!
-//! [`replay_parallel`] partitions the *sets* across the same chunk-stealing
-//! worker pool the classification engine uses
-//! ([`cme_analysis::parallel::run_chunked`]): every worker scans the full
-//! trace but simulates only its contiguous set range, which is exact — LRU
-//! state never crosses a set boundary — and merges deterministically by
-//! summing per-task tallies in task-index order.
 
 use crate::format::TraceReader;
 use cme_cache::{Cache, CacheConfig};
@@ -50,14 +43,6 @@ impl TraceStats {
             self.misses() as f64 / self.accesses as f64
         }
     }
-
-    /// Component-wise sum (the parallel merge).
-    pub fn merge(&mut self, other: &TraceStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.cold += other.cold;
-        self.replacement += other.replacement;
-    }
 }
 
 /// Extraction batch size: big enough to amortise the two-pass split, small
@@ -72,38 +57,23 @@ const BATCH: usize = 4096;
 #[derive(Debug)]
 pub struct TraceSim {
     cfg: CacheConfig,
-    /// The LRU state of sets `[set_lo, set_hi)`, indexed from `set_lo`.
     cache: Cache,
     /// Every memory line ever fetched (consulted only on misses).
     touched: HashSet<i64>,
     stats: TraceStats,
     /// Scratch for the batched (line, set) extraction pass.
     batch: Vec<(i64, u32)>,
-    /// Restrict simulation to sets in `[set_lo, set_hi)` (the parallel
-    /// partition); the full range for serial replay.
-    set_lo: i64,
-    set_hi: i64,
 }
 
 impl TraceSim {
     /// A simulator with every way empty.
     pub fn new(cfg: CacheConfig) -> TraceSim {
-        Self::for_sets(cfg, 0, cfg.num_sets() as i64)
-    }
-
-    /// A simulator that models only sets in `[set_lo, set_hi)` and ignores
-    /// accesses outside them — the unit of set-partitioned parallel replay.
-    /// Only the partition's ways are allocated.
-    pub fn for_sets(cfg: CacheConfig, set_lo: i64, set_hi: i64) -> TraceSim {
-        assert!(0 <= set_lo && set_lo <= set_hi && set_hi <= cfg.num_sets() as i64);
         TraceSim {
             cfg,
-            cache: Cache::with_sets(cfg, (set_hi - set_lo) as usize),
+            cache: Cache::new(cfg),
             touched: HashSet::new(),
             stats: TraceStats::default(),
             batch: Vec::with_capacity(BATCH),
-            set_lo,
-            set_hi,
         }
     }
 
@@ -124,13 +94,10 @@ impl TraceSim {
             // Pass 1: batched set-index extraction (shift/mask fast paths
             // inside `mem_line`/`set_of_line`; division fallback otherwise).
             batch.clear();
-            for &a in chunk {
+            batch.extend(chunk.iter().map(|&a| {
                 let line = self.cfg.mem_line(a as i64);
-                let set = self.cfg.set_of_line(line);
-                if self.set_lo <= set && set < self.set_hi {
-                    batch.push((line, (set - self.set_lo) as u32));
-                }
-            }
+                (line, self.cfg.set_of_line(line) as u32)
+            }));
             // Pass 2: LRU updates, misses split by first touch.
             self.stats.accesses += batch.len() as u64;
             for &(line, set) in &batch {
@@ -162,42 +129,6 @@ pub fn replay_reader<R: Read>(
         }
         sim.replay(&buf);
     }
-}
-
-/// Set-partitioned parallel replay over an in-memory trace: the sets are
-/// split into contiguous ranges, one [`TraceSim::for_sets`] per range, run
-/// on [`cme_analysis::parallel::run_chunked`]'s chunk-stealing pool. Every
-/// worker scans the full address slice and filters; per-set LRU state is
-/// independent, so the partition is exact and the task-index-ordered merge
-/// makes the result identical to serial replay at every thread count.
-pub fn replay_parallel(cfg: CacheConfig, addrs: &[u32], threads: usize) -> TraceStats {
-    let nsets = cfg.num_sets();
-    let threads = threads.max(1);
-    if threads == 1 || nsets == 1 {
-        let mut sim = TraceSim::new(cfg);
-        sim.replay(addrs);
-        return sim.stats();
-    }
-    // More tasks than workers so the stealing queue can balance skewed
-    // set-popularity, capped by the set count itself.
-    let ntasks = (threads * 4).min(nsets as usize);
-    let tallies = cme_analysis::parallel::run_chunked(
-        threads,
-        ntasks,
-        || (),
-        |_, t| {
-            let lo = (nsets as usize * t / ntasks) as i64;
-            let hi = (nsets as usize * (t + 1) / ntasks) as i64;
-            let mut sim = TraceSim::for_sets(cfg, lo, hi);
-            sim.replay(addrs);
-            sim.stats()
-        },
-    );
-    let mut total = TraceStats::default();
-    for t in &tallies {
-        total.merge(t);
-    }
-    total
 }
 
 #[cfg(test)]
@@ -255,27 +186,5 @@ mod tests {
             pieces.replay(chunk);
         }
         assert_eq!(whole.stats(), pieces.stats());
-    }
-
-    #[test]
-    fn parallel_replay_matches_serial() {
-        let addrs: Vec<u32> = (0..20_000u32)
-            .map(|i| i.wrapping_mul(2654435761) % 65536)
-            .collect();
-        for geometry in [
-            CacheConfig::new(1024, 32, 2).unwrap(),
-            CacheConfig::with_geometry(32, 12, 2).unwrap(),
-            CacheConfig::with_geometry(24, 16, 1).unwrap(),
-        ] {
-            let mut serial = TraceSim::new(geometry);
-            serial.replay(&addrs);
-            for threads in [1usize, 2, 3, 8] {
-                assert_eq!(
-                    replay_parallel(geometry, &addrs, threads),
-                    serial.stats(),
-                    "{geometry} at {threads} threads"
-                );
-            }
-        }
     }
 }

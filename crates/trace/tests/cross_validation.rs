@@ -14,7 +14,7 @@
 
 use cme_cache::{CacheConfig, Simulator};
 use cme_ir::Program;
-use cme_trace::{frame_bytes, generate, replay_parallel, replay_reader, TraceReader, TraceSim};
+use cme_trace::{frame_bytes, generate, replay_reader, TraceReader, TraceSim};
 
 fn workloads() -> Vec<(&'static str, Program)> {
     vec![
@@ -84,17 +84,5 @@ fn streamed_framed_replay_equals_in_memory_replay() {
         let mut direct = TraceSim::new(cfg);
         direct.replay(&words);
         assert_eq!(streamed, direct.stats(), "{cfg}");
-    }
-}
-
-#[test]
-fn parallel_replay_is_deterministic_on_real_traces() {
-    let program = cme_workloads::mmt(16, 8, 4);
-    let words = generate(&program).unwrap();
-    for cfg in geometries() {
-        let serial = replay_parallel(cfg, &words, 1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(replay_parallel(cfg, &words, threads), serial, "{cfg}");
-        }
     }
 }

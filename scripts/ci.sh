@@ -2,16 +2,18 @@
 # Offline CI gate + benchmark harnesses.
 #
 #   scripts/ci.sh            # tier-1 gate, then the harnesses
-#   BENCH_SCALE=paper scripts/ci.sh   # bench_serve at paper scale as well
+#   BENCH_SCALE=paper scripts/ci.sh   # also refresh the committed BENCH_*.json
 #
 # The gate is the repo's tier-1 contract: an offline release build plus the
 # full workspace test suite, no registry access required. Serial and
 # parallel reports are held equal by the workspace tests
 # (crates/core/tests/parallel_determinism.rs).
 #
-# Committed BENCH_*.json files are paper scale. Small-scale harness runs
-# are smoke tests, so their outputs go under target/ci-bench/ instead;
-# BENCH_SCALE=paper writes them in place.
+# Committed BENCH_*.json files are paper scale. Every harness writes
+# through $OUT: target/ci-bench/ by default, so a green run leaves the tree
+# clean (a rerun's timings are host noise, not a new artifact), and the
+# repository root under BENCH_SCALE=paper, which refreshes the committed
+# files. Each harness keeps its own scale, floors and gates either way.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,7 +57,7 @@ echo "== row-engine (hit/miss pre-pass) harness =="
 # identical plan; and an exact serve job that answers a never-seen stream3
 # size without a walk, byte-identical to the walked answer.
 cargo run -p cme-bench --bin bench_prepass --release --offline -- \
-    --scale paper --out BENCH_prepass.json
+    --scale paper --out "$OUT/BENCH_prepass.json"
 
 echo "== trace subsystem harness =="
 # Always at paper scale: generates each workload's exact address stream,
@@ -64,7 +66,7 @@ echo "== trace subsystem harness =="
 # framed-roundtrip byte identity, a store-backed engine repeat, and a
 # >=10M accesses/sec serial replay floor on the MMT trace.
 cargo run -p cme-bench --bin bench_trace --release --offline -- \
-    --scale paper --out BENCH_trace.json
+    --scale paper --out "$OUT/BENCH_trace.json"
 
 echo "== result-store harness =="
 # Cold vs hot query through one engine; asserts byte-identical payloads
@@ -81,7 +83,7 @@ echo "== geometry-sweep harness =="
 # >=5x faster than the pre-pass-off loop and no slower than the default
 # loop (a serial win — every side runs one thread).
 cargo run -p cme-bench --bin bench_sweep --release --offline -- \
-    --scale paper --out BENCH_sweep.json
+    --scale paper --out "$OUT/BENCH_sweep.json"
 
 echo "== serve smoke test (hard 180 s timeout) =="
 # The smoke script kills its daemon on every exit path; the hard timeout
@@ -97,6 +99,6 @@ echo "== chaos harness =="
 # recovering at every injected crash point, and chaos-off bytes equal to
 # the seed's.
 cargo run -p cme-bench --bin bench_chaos --release --offline -- \
-    --out BENCH_chaos.json
+    --out "$OUT/BENCH_chaos.json"
 
 echo "== ok =="

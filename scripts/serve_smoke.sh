@@ -41,7 +41,7 @@ cmp "$SMOKE_DIR/cold.json" "$SMOKE_DIR/hot.json" \
 # alive), not hang a worker or kill the server.
 rc=0
 target/release/cme query --port-file "$SMOKE_DIR/port" \
-    --workload mmt --n 96 --exact --timeout-ms 1 --no-store \
+    --workload mmt --n 96 --exact --timeout-ms 1 \
     2> "$SMOKE_DIR/timeout.err" || rc=$?
 [ "$rc" -eq 2 ] || { echo "timeout query exited $rc, want 2"; exit 1; }
 grep -q '"kind":"timeout"' "$SMOKE_DIR/timeout.err" \

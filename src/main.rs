@@ -8,16 +8,15 @@
 //!              [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
 //!              [--cache B] [--line B] [--assoc W] [--geometry S:A:L] [--exact]
 //!              [--confidence C] [--width W] [--seed S] [--timeout-ms MS]
-//!              [--no-store] [--threads N] [--report-only] [--retries N]
+//!              [--report-only] [--retries N]
 //! cme sweep    [--addr A | --port-file P] --workload K | --file F.f
 //!              [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
 //!              --grid SIZES:ASSOCS:LINES | --geometry S:A:L...
-//!              [--timeout-ms MS] [--no-store] [--threads N]
-//!              [--reports] [--table] [--retries N]
+//!              [--timeout-ms MS] [--reports] [--table] [--retries N]
 //! cme trace gen --workload K | --file F.f [--param K=V]...
 //!              [--n N] [--iters N] [--bj N] [--bk N]
 //!              --out T.cmet [--geometry S:A:L] [--raw]
-//! cme trace sim --in T.cmet [--geometry S:A:L] [--threads N]
+//! cme trace sim --in T.cmet [--geometry S:A:L]
 //! cme ping     [--addr A | --port-file P] [--retries N]
 //! cme stats    [--addr A | --port-file P] [--retries N]
 //! cme compact  [--addr A | --port-file P] [--retries N]
@@ -25,8 +24,10 @@
 //! ```
 //!
 //! `query` prints the full response line (or, with `--report-only`, just the
-//! canonical report bytes — byte-identical across store hits and thread
-//! counts, so two runs can be `diff`ed).
+//! canonical report bytes — byte-identical across store hits, so two runs
+//! can be `diff`ed). Every daemon job reads the store first, runs on one
+//! thread and stores its answer; the daemon's parallelism is
+//! `serve --workers`, across jobs.
 //!
 //! Exit codes: 0 success; 1 usage error (bad flags, malformed inputs);
 //! 2 runtime error — the daemon is unreachable, the connection died
@@ -46,10 +47,11 @@
 //! FORTRAN source and writes its exact program-order access stream as a
 //! binary trace (framed with the geometry by default, `--raw` for the bare
 //! big-endian u32 stream); `sim` replays a trace file through the
-//! streaming LRU simulator. Raw traces need an explicit `--geometry`;
-//! framed traces carry their own, which `--geometry` overrides. The same
-//! replays are available remotely via the server's `trace` verb, where
-//! repeat replays of identical content answer from the result store.
+//! streaming LRU simulator in one pass. Raw traces need an explicit
+//! `--geometry`; framed traces carry their own, which `--geometry`
+//! overrides. The same replays are available remotely via the server's
+//! `trace` verb, where repeat replays of identical content answer from the
+//! result store.
 
 use cme_serve::client::{call_with_retry, RetryPolicy};
 use cme_serve::json::Json;
@@ -103,16 +105,15 @@ const USAGE: &str = "usage:
                [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
                [--cache B] [--line B] [--assoc W] [--geometry S:A:L] [--exact]
                [--confidence C] [--width W] [--seed S] [--timeout-ms MS]
-               [--no-store] [--threads N] [--report-only] [--retries N]
+               [--report-only] [--retries N]
   cme sweep    [--addr A | --port-file P] --workload K | --file F.f
                [--n N] [--iters N] [--bj N] [--bk N] [--param K=V]...
                --grid SIZES:ASSOCS:LINES | --geometry S:A:L...
-               [--timeout-ms MS] [--no-store] [--threads N]
-               [--reports] [--table] [--retries N]
+               [--timeout-ms MS] [--reports] [--table] [--retries N]
   cme trace gen --workload K | --file F.f [--param K=V]...
                [--n N] [--iters N] [--bj N] [--bk N]
                --out T.cmet [--geometry S:A:L] [--raw]
-  cme trace sim --in T.cmet [--geometry S:A:L] [--threads N]
+  cme trace sim --in T.cmet [--geometry S:A:L]
   cme ping     [--addr A | --port-file P] [--retries N]
   cme stats    [--addr A | --port-file P] [--retries N]
   cme compact  [--addr A | --port-file P] [--retries N]
@@ -309,8 +310,6 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, CliError> {
             "--width" => fields.push(("width", Json::Float(flags.parsed(flag)?))),
             "--seed" => fields.push(("seed", Json::Int(flags.parsed(flag)?))),
             "--timeout-ms" => fields.push(("timeout_ms", Json::Int(flags.parsed(flag)?))),
-            "--no-store" => fields.push(("store", Json::Bool(false))),
-            "--threads" => fields.push(("threads", Json::Int(flags.parsed(flag)?))),
             "--report-only" => report_only = true,
             "--retries" => retries = flags.parsed(flag)?,
             other => return Err(CliError::Usage(format!("unknown query flag `{other}`"))),
@@ -394,8 +393,6 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, CliError> {
             "--grid" => fields.push(("grid", Json::Str(flags.value(flag)?.to_string()))),
             "--geometry" => geometries.push(Json::Str(flags.value(flag)?.to_string())),
             "--timeout-ms" => fields.push(("timeout_ms", Json::Int(flags.parsed(flag)?))),
-            "--no-store" => fields.push(("store", Json::Bool(false))),
-            "--threads" => fields.push(("threads", Json::Int(flags.parsed(flag)?))),
             "--reports" => fields.push(("reports", Json::Bool(true))),
             "--table" => table = true,
             "--retries" => retries = flags.parsed(flag)?,
@@ -566,14 +563,12 @@ fn cmd_trace_gen(args: &[String]) -> Result<ExitCode, CliError> {
 fn cmd_trace_sim(args: &[String]) -> Result<ExitCode, CliError> {
     let mut input: Option<PathBuf> = None;
     let mut geometry = None;
-    let mut threads = 1usize;
 
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
             "--in" => input = Some(PathBuf::from(flags.value(flag)?)),
             "--geometry" => geometry = Some(parse_geometry(flags.value(flag)?)?),
-            "--threads" => threads = flags.parsed(flag)?,
             other => return Err(CliError::Usage(format!("unknown trace sim flag `{other}`"))),
         }
     }
@@ -596,14 +591,9 @@ fn cmd_trace_sim(args: &[String]) -> Result<ExitCode, CliError> {
         }
     };
 
+    // One streaming pass through a fixed-size buffer: constant memory.
     let start = std::time::Instant::now();
-    let stats = if threads <= 1 {
-        // Serial: stream through a fixed-size buffer, constant memory.
-        cme_trace::replay_reader(config, &mut reader)?
-    } else {
-        let words = reader.read_to_end()?;
-        cme_trace::replay_parallel(config, &words, threads)
-    };
+    let stats = cme_trace::replay_reader(config, &mut reader)?;
     let wall = start.elapsed();
 
     // An empty replay means the input was truncated to nothing or generated
@@ -629,7 +619,6 @@ fn cmd_trace_sim(args: &[String]) -> Result<ExitCode, CliError> {
             cme_serve::json::obj(vec![
                 ("wall_us", Json::Int(wall.as_micros() as i64)),
                 ("accesses_per_sec", Json::Float(per_sec)),
-                ("threads", Json::Int(threads as i64)),
             ]),
         ),
     ]);

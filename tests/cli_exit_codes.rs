@@ -43,6 +43,29 @@ fn usage_errors_exit_1() {
     assert_eq!(cme(&["help"]).status.code(), Some(0));
 }
 
+/// Every daemon job reads the store first and runs on one thread, and
+/// `trace sim` replays in one streaming pass: neither a thread count nor a
+/// store switch is a flag.
+#[test]
+fn retired_knob_flags_exit_1_naming_the_flag() {
+    for (verb, args) in [
+        ("query", &["query", "--threads", "2"][..]),
+        ("query", &["query", "--no-store"]),
+        ("sweep", &["sweep", "--threads", "2"]),
+        ("sweep", &["sweep", "--no-store"]),
+        ("trace sim", &["trace", "sim", "--threads", "2"]),
+    ] {
+        let out = cme(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("unknown {verb} flag `{flag}`")),
+            "{args:?}: {err}"
+        );
+    }
+}
+
 #[test]
 fn unreachable_daemon_exits_2_with_diagnostic() {
     // Port 1 is essentially never listening.
