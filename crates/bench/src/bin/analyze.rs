@@ -22,20 +22,17 @@
 //! * `--threads <n>` — worker threads for point classification
 //!   (0 or absent = one per hardware thread; 1 = serial). The report is
 //!   byte-identical for every value.
-//! * `--prepass <on|off>` — the definitely-hit/definitely-miss pre-pass
-//!   (default on). Pure accelerator: the report is byte-identical either
-//!   way.
 //!
 //! Any other flag is rejected with a one-line diagnostic and exit code 2.
 
-use cme_analysis::{EstimateMisses, FindMisses, PrepassMode, SamplingOptions};
+use cme_analysis::{EstimateMisses, FindMisses, SamplingOptions};
 use cme_cache::{CacheConfig, Simulator};
 use cme_ir::Program;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
 /// Flags followed by a value.
-const VALUE_FLAGS: [&str; 11] = [
+const VALUE_FLAGS: [&str; 10] = [
     "--workload",
     "--file",
     "--param",
@@ -46,7 +43,6 @@ const VALUE_FLAGS: [&str; 11] = [
     "--assoc",
     "--geometry",
     "--threads",
-    "--prepass",
 ];
 
 /// Flags that stand alone.
@@ -149,20 +145,11 @@ fn main() -> ExitCode {
         cfg
     );
 
-    let prepass = match get("--prepass").as_deref() {
-        None | Some("on") => PrepassMode::On,
-        Some("off") => PrepassMode::Off,
-        Some(other) => return fail(&format!("unknown prepass mode `{other}`")),
-    };
     let report = if has("--exact") {
-        FindMisses::new(&program, cfg)
-            .threads(threads)
-            .prepass(prepass)
-            .run()
+        FindMisses::new(&program, cfg).threads(threads).run()
     } else {
         let opts = SamplingOptions {
             threads,
-            prepass,
             ..SamplingOptions::paper_default()
         };
         EstimateMisses::new(&program, cfg, opts).run()

@@ -1,6 +1,8 @@
 //! Timing harness for the row engine (the definitely-hit/definitely-miss
-//! pre-pass): runs cold `FindMisses` (default counting evaluator, serial)
-//! with the pre-pass off and on, verifies the reports agree
+//! pre-pass): times cold serial `FindMisses`, which runs the row engine
+//! and then the counting classifier on the points it leaves, against the
+//! classifier alone over every point (`Classifier::classify_every_point`,
+//! the pre-pass-off reference), verifies the reports agree
 //! point-for-point, records the resolution rate (share of points settled
 //! without the classifier) and writes the numbers to `BENCH_prepass.json`.
 //!
@@ -14,33 +16,35 @@
 //! CI smoke size. Beyond the per-workload rows the harness exercises two
 //! clients of fully resolved references end to end:
 //!
-//! * a padding sweep (`cme-opt`) over stream3, with sampling width forced
-//!   tiny so every model evaluation is planned exhaustively, against the
-//!   same sweep with `sampling.prepass = Off`;
+//! * a serial padding sweep (`cme-opt`) over stream3, with sampling width
+//!   forced tiny so every model evaluation is planned exhaustively, against
+//!   the classifier alone over every distinct layout the sweep evaluated;
 //! * a serve job: an exact `Job` at a stream3 size no other row uses, run
-//!   through `Engine::run`, must walk no point and return a payload
-//!   byte-identical to a `PrepassMode::Off` `FindMisses` run.
+//!   through `Engine::run`, must leave no point to the classifier and
+//!   return a payload byte-identical to the every-point reference's.
 //!
 //! Floors (hard process-exit failures, used by `scripts/ci.sh`):
 //! * at every scale: byte-identical reports, stream3 fully resolved with
-//!   zero walked points, the padding sweeps pick identical plans, and the
-//!   never-seen-size serve job resolves every point;
+//!   zero walked points, every padding trial's predicted ratio equal to
+//!   the reference's for its layout, and the never-seen-size serve job
+//!   resolving every point;
 //! * resolution rate MMT ≥ 90% and MGRID ≥ 97%, and pre-pass-on wall ≤
-//!   pre-pass-off wall on MMT (best of three each, interleaved; 10% slack
-//!   at small scale);
+//!   reference wall on MMT (best of three each, interleaved; 10% slack at
+//!   small scale);
 //! * at `--scale paper` only, where walking is expensive enough for the
-//!   ratios to mean anything: pre-pass on ≥ 100× faster than off on
-//!   stream3, and the padding sweep ≥ 10× faster than with the pre-pass
-//!   off.
+//!   ratios to mean anything: pre-pass on ≥ 100× faster than the reference
+//!   on stream3, and the padding sweep ≥ 10× faster than the reference
+//!   over its layouts.
 
-use cme_analysis::{FindMisses, PrepassMode, Report, SamplingOptions, Threads, WalkStrategy};
+use cme_analysis::{Classifier, FindMisses, Report, SamplingOptions, Threads};
 use cme_bench::{secs, stream3, timed, Scale, Table};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
-use cme_opt::{search_padding, PaddingOptions};
+use cme_opt::{search_padding, PaddingOptions, PADDING_REUSE_CAP};
 use cme_reuse::ReuseAnalysis;
 use cme_serve::engine::render_payload;
 use cme_serve::{AnalysisMode, Engine, Job};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,28 +66,26 @@ impl Row {
     }
 }
 
-/// Cold serial `FindMisses` with the pre-pass off and on: the reports and
-/// the best of three walls each, the two modes interleaved so drift in the
-/// host's speed hits both alike.
+/// The every-point reference and cold serial `FindMisses` (pre-pass on):
+/// the reports and the best of three walls each, the two interleaved so
+/// drift in the host's speed hits both alike.
 fn off_and_on(
     program: &Program,
     reuse: &Arc<ReuseAnalysis>,
     cfg: CacheConfig,
 ) -> [(Report, Duration); 2] {
-    let run = |prepass| {
+    let off = || timed(|| Classifier::new(program, reuse, cfg).classify_every_point());
+    let on = || {
         timed(|| {
             FindMisses::with_reuse(program, cfg, reuse.clone())
-                .strategy(WalkStrategy::SetSkip)
                 .threads(Threads::Fixed(1))
-                .prepass(prepass)
                 .run()
         })
     };
-    let mut best = [run(PrepassMode::Off), run(PrepassMode::On)];
+    let mut best = [off(), on()];
     for _ in 1..3 {
-        for (slot, mode) in best.iter_mut().zip([PrepassMode::Off, PrepassMode::On]) {
-            slot.1 = slot.1.min(run(mode).1);
-        }
+        best[0].1 = best[0].1.min(off().1);
+        best[1].1 = best[1].1.min(on().1);
     }
     best
 }
@@ -142,18 +144,13 @@ fn main() {
         let [(off, off_t), (on, on_t)] = off_and_on(program, &reuse, cfg);
         let points: u64 = on.references().iter().map(|r| r.analyzed).sum();
         eprintln!(
-            "{name}: prepass-off {off_t:?}, prepass-on {on_t:?} ({}/{points} resolved)",
+            "{name}: every-point reference {off_t:?}, FindMisses {on_t:?} ({}/{points} resolved)",
             on.prepass_resolved()
         );
         assert_eq!(
             off.references(),
             on.references(),
-            "{name}: prepass-on and prepass-off reports diverged"
-        );
-        assert_eq!(
-            off.prepass_resolved(),
-            0,
-            "{name}: off mode ran the pre-pass"
+            "{name}: FindMisses diverged from the every-point reference"
         );
 
         rows.push(Row {
@@ -165,30 +162,55 @@ fn main() {
         });
     }
 
-    // --- cme-opt padding sweep, pre-pass off vs on -----------------------
+    // --- cme-opt padding sweep against the every-point reference --------
     // A tiny interval width forces every model evaluation onto the
-    // exhaustive plan, so with the pre-pass off the sweep walks every
-    // point and with it on every reference resolves in full.
+    // exhaustive plan, so every reference resolves in full. The reference
+    // does the same work without the row engine: one capped reuse analysis
+    // (reuse vectors are layout-independent) and the classifier over
+    // every point of each distinct layout the sweep evaluated. Both sides
+    // run serially.
     let sweep_program = stream3(sweep_elems);
     let sweep_cfg = CacheConfig::new(2048, 32, 1).expect("valid geometry");
-    let sweep_opts = |prepass: PrepassMode| PaddingOptions {
+    let sweep_opts = PaddingOptions {
         sampling: SamplingOptions {
             width: 0.001,
-            prepass,
+            threads: Threads::Fixed(1),
             ..PaddingOptions::default().sampling
         },
         ..PaddingOptions::default()
     };
-    let (plan_off, sweep_off) =
-        timed(|| search_padding(&sweep_program, sweep_cfg, &sweep_opts(PrepassMode::Off)));
+    let (plan, sweep_on) = timed(|| search_padding(&sweep_program, sweep_cfg, &sweep_opts));
+    let (reference, sweep_off) = timed(|| {
+        let reuse = ReuseAnalysis::analyze_capped(
+            &sweep_program,
+            sweep_cfg.line_bytes(),
+            PADDING_REUSE_CAP,
+        );
+        let mut ratios: HashMap<&[i64], f64> = HashMap::new();
+        for trial in &plan.trials {
+            ratios.entry(trial.padding.as_slice()).or_insert_with(|| {
+                let padded = sweep_program.with_padding(&trial.padding);
+                Classifier::new(&padded, &reuse, sweep_cfg)
+                    .classify_every_point()
+                    .miss_ratio()
+            });
+        }
+        ratios
+    });
+    for trial in &plan.trials {
+        assert_eq!(
+            trial.predicted_ratio,
+            reference[trial.padding.as_slice()],
+            "padding trial {:?} diverged from the every-point reference",
+            trial.padding
+        );
+    }
     eprintln!(
-        "padding sweep: pre-pass off {sweep_off:?} ({} evaluations)",
-        plan_off.evaluations
+        "padding sweep: {sweep_on:?} ({} evaluations); every-point reference over its {} \
+         layouts {sweep_off:?}",
+        plan.trials.len(),
+        reference.len()
     );
-    let (plan_on, sweep_on) =
-        timed(|| search_padding(&sweep_program, sweep_cfg, &sweep_opts(PrepassMode::On)));
-    eprintln!("padding sweep: pre-pass on {sweep_on:?}");
-    assert_eq!(plan_off, plan_on, "the pre-pass changed the padding plan");
     let sweep_speedup = sweep_off.as_secs_f64() / sweep_on.as_secs_f64().max(1e-9);
 
     // --- serve job: never-seen size, nothing walked -----------------------
@@ -203,14 +225,12 @@ fn main() {
         outcome.prepass_resolved, outcome.points,
         "stream3({new_elems}) must resolve without a walk"
     );
-    let walked = FindMisses::new(&novel, cfg)
-        .threads(Threads::Fixed(1))
-        .prepass(PrepassMode::Off)
-        .run();
+    let novel_reuse = ReuseAnalysis::analyze(&novel, cfg.line_bytes());
+    let walked = Classifier::new(&novel, &novel_reuse, cfg).classify_every_point();
     assert_eq!(
         *outcome.payload,
         render_payload(&novel, cfg, &AnalysisMode::Exact, &walked),
-        "serve payload diverged from the walked payload"
+        "serve payload diverged from the every-point payload"
     );
     eprintln!(
         "serve job: stream3({new_elems}) resolved all {} points, none walked",
@@ -252,24 +272,25 @@ fn main() {
     }
     table.print();
     eprintln!(
-        "padding sweep: {} -> {} ({sweep_speedup:.1}x), plans identical",
+        "padding sweep: {} -> {} ({sweep_speedup:.1}x), every trial equal to the reference",
         secs(sweep_off),
         secs(sweep_on)
     );
 
     let json = format!(
         "{{\n  \"scale\": \"{}\",\n  \"cache\": \"32KB/32B/2-way\",\n  \"threads\": 1,\n  \
-         \"hw_threads\": {},\n  \"strategy\": \"set-skip\",\n  \"prepass\": \"on-vs-off\",\n  \
+         \"hw_threads\": {},\n  \"evaluator\": \"counting\",\n  \"prepass\": \"on-vs-off\",\n  \
          \"rows\": [\n{}\n  ],\n  \
          \"padding_sweep\": {{\"workload\": \"stream3({})\", \"evaluations\": {}, \
-         \"off_ms\": {:.1}, \"on_ms\": {:.1}, \"speedup\": {:.1}}},\n  \
+         \"layouts\": {}, \"off_ms\": {:.1}, \"on_ms\": {:.1}, \"speedup\": {:.1}}},\n  \
          \"new_size\": {{\"workload\": \"stream3({})\", \"points\": {}, \
          \"prepass_resolved\": {}}}\n}}\n",
         scale.label(),
         cme_bench::hw_threads(),
         json_rows.join(",\n"),
         sweep_elems,
-        plan_off.evaluations,
+        plan.trials.len(),
+        reference.len(),
         sweep_off.as_secs_f64() * 1e3,
         sweep_on.as_secs_f64() * 1e3,
         sweep_speedup,
@@ -306,7 +327,7 @@ fn main() {
     let tolerance = if scale == Scale::Small { 1.10 } else { 1.0 };
     assert!(
         mmt.on.as_secs_f64() <= mmt.off.as_secs_f64() * tolerance,
-        "pre-pass no longer pays for itself on {}: on {:?} > off {:?}",
+        "pre-pass no longer pays for itself on {}: on {:?} > reference {:?}",
         mmt.workload,
         mmt.on,
         mmt.off
@@ -322,12 +343,13 @@ fn main() {
     if scale == Scale::Paper {
         assert!(
             stream.speedup() >= 100.0,
-            "pre-pass below the 100x floor over the walk on stream3: {:.0}x",
+            "pre-pass below the 100x floor over the every-point reference on stream3: {:.0}x",
             stream.speedup()
         );
         assert!(
             sweep_speedup >= 10.0,
-            "padding sweep below the 10x floor: {sweep_speedup:.1}x"
+            "padding sweep below the 10x floor over the every-point reference: \
+             {sweep_speedup:.1}x"
         );
     }
 }

@@ -2,12 +2,12 @@
 //! grid (sizes × associativities × line sizes) once as a sweep — one
 //! reuse analysis per distinct line size, then a `FindMisses` per cell
 //! over the shared analysis, the loop `Engine::run_sweep` runs through
-//! the engine's reuse cache — and naively — an independent cold
-//! `FindMisses` per geometry, once with the pre-pass off (the walk every
-//! point takes without it) and once at the defaults. It verifies every
-//! grid cell is byte-identical to its walked twin, measures the sharing,
-//! exercises the serve engine's sweep/store round trip, and writes the
-//! numbers to `BENCH_sweep.json`.
+//! the engine's reuse cache — and naively, one cold analysis per
+//! geometry: once walked (the classifier alone over every point,
+//! `Classifier::classify_every_point`, the pre-pass-off reference) and
+//! once as `FindMisses`. It verifies every grid cell is byte-identical to
+//! its walked twin, measures the sharing, exercises the serve engine's
+//! sweep/store round trip, and writes the numbers to `BENCH_sweep.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_sweep --release -- \
@@ -22,16 +22,16 @@
 //!
 //! Floors (hard process-exit failures, used by `scripts/ci.sh`):
 //! * at every scale: each of the 24 cells renders bytes identical to an
-//!   independent pre-pass-off run, for both the streaming and the mixed
+//!   independent walked run, for both the streaming and the mixed
 //!   workload; a repeat sweep through the serve engine computes nothing
 //!   (every cell answered from the store); on the streaming workload the
 //!   sweep is no slower than the default per-geometry loop (best of three
 //!   runs on each side);
 //! * at `--scale paper` only (where per-geometry work is expensive enough
-//!   for the ratio to be meaningful): the sweep must beat the pre-pass-off
+//!   for the ratio to be meaningful): the sweep must beat the walked
 //!   per-geometry loop by ≥ 5× on the streaming workload.
 
-use cme_analysis::{FindMisses, PrepassMode, Report, Threads};
+use cme_analysis::{Classifier, FindMisses, Report, Threads};
 use cme_bench::{best_of, secs, stream3, timed, Scale};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
@@ -49,9 +49,9 @@ struct Row {
     workload: String,
     cells: usize,
     points: u64,
-    /// Per-geometry loop with the pre-pass off.
+    /// Per-geometry loop of every-point references.
     walked: Duration,
-    /// Per-geometry loop at the defaults.
+    /// Per-geometry loop of `FindMisses`.
     naive: Duration,
     sweep: Duration,
 }
@@ -64,13 +64,23 @@ impl Row {
 
 /// An independent cold serial `FindMisses` per geometry, each rebuilding
 /// its own reuse analysis.
-fn per_geometry(program: &Program, grid: &[CacheConfig], prepass: PrepassMode) -> Vec<Report> {
+fn per_geometry(program: &Program, grid: &[CacheConfig]) -> Vec<Report> {
     grid.iter()
         .map(|g| {
             FindMisses::new(program, *g)
                 .threads(Threads::Fixed(1))
-                .prepass(prepass)
                 .run()
+        })
+        .collect()
+}
+
+/// [`per_geometry`] without the row engine: each geometry's own reuse
+/// analysis, then the classifier over every point.
+fn per_geometry_walked(program: &Program, grid: &[CacheConfig]) -> Vec<Report> {
+    grid.iter()
+        .map(|g| {
+            let reuse = ReuseAnalysis::analyze(program, g.line_bytes());
+            Classifier::new(program, &reuse, *g).classify_every_point()
         })
         .collect()
 }
@@ -96,8 +106,8 @@ fn run_sweep(program: &Program, grid: &[CacheConfig]) -> Vec<Report> {
 /// loop and the sweep best of `reps`), asserts byte-identity cell by cell,
 /// and returns the timing row.
 fn measure(name: &str, program: &Program, grid: &[CacheConfig], reps: usize) -> Row {
-    let (walked_reports, walked) = timed(|| per_geometry(program, grid, PrepassMode::Off));
-    let (naive_reports, naive) = best_of(reps, || per_geometry(program, grid, PrepassMode::On));
+    let (walked_reports, walked) = timed(|| per_geometry_walked(program, grid));
+    let (naive_reports, naive) = best_of(reps, || per_geometry(program, grid));
     let (sweep_reports, sweep) = best_of(reps, || run_sweep(program, grid));
 
     let mut points = 0u64;

@@ -167,17 +167,11 @@ fn unknown_flags_exit_two_naming_the_flag() {
     for (args, flag) in [
         (&["--workload", "mmt", "--exakt"][..], "--exakt"),
         (
-            &[
-                "--workload",
-                "mmt",
-                "--n",
-                "8",
-                "--prepass",
-                "off",
-                "--walk",
-            ][..],
+            &["--workload", "mmt", "--n", "8", "--threads", "1", "--walk"][..],
             "--walk",
         ),
+        // The pre-pass is no longer optional: its switch is retired.
+        (&["--workload", "mmt", "--prepass", "off"][..], "--prepass"),
         (&["-n", "8"][..], "-n"),
         (&["--workload", "mmt", "--n", "8", "extra"][..], "extra"),
     ] {
@@ -204,8 +198,8 @@ fn values_of_flags_are_not_flags() {
         "X=1",
         "--geometry",
         "4K:2:32",
-        "--prepass",
-        "off",
+        "--iters",
+        "1",
         "--threads",
         "1",
         "--exact",

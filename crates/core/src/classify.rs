@@ -26,16 +26,23 @@
 //! of the innermost index, and per (row, reference) two closed forms give
 //! where the reused line was last touched and which lines map to its set.
 //! The count stops at the `k`-th distinct contender or at the row holding
-//! the latest re-touch. The full interval scan survives as
-//! [`WalkStrategy::LegacyScan`], the reference the evaluator is fuzzed
-//! against.
+//! the latest re-touch. The tests check it against scans that enumerate
+//! every access of the interval.
 //!
 //! Per-reference invariants (producer bounding boxes, lexical ranks, the
 //! vector list itself) are hoisted into [`Classifier::new`] so the per-point
 //! loop touches only flat precomputed slices, and callers on hot paths can
 //! supply a reusable [`Scratch`] via [`Classifier::classify_with_scratch`]
 //! to avoid per-point allocation entirely.
+//!
+//! [`crate::FindMisses`], and [`crate::EstimateMisses`] on exhaustively
+//! planned references, classify only the points the row engine
+//! ([`crate::prepass`]) leaves undecided.
+//! [`Classifier::classify_every_point`] runs the classifier alone over
+//! every point: the reference their reports are checked against.
 
+use crate::parallel::Tally;
+use crate::report::{RefReport, Report};
 use cme_cache::CacheConfig;
 use cme_ir::walk::{walk_rows_rev, RowSpan};
 use cme_ir::{Program, RefId};
@@ -43,20 +50,7 @@ use cme_poly::vector::{div_ceil, div_floor, gcd};
 use cme_poly::{Constraint, ConstraintKind};
 use cme_reuse::ReuseAnalysis;
 use std::ops::ControlFlow;
-
-/// How the replacement equations evaluate the interference interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalkStrategy {
-    /// The counting evaluator: the interval's innermost rows are visited
-    /// backward and each (row, reference) pair's conflicting lines are
-    /// solved in closed form instead of enumerated. The default.
-    #[default]
-    SetSkip,
-    /// The full interval scan (`walk_range_rev` over every access,
-    /// filtering by set in the callback). Kept as the reference
-    /// implementation; verdicts are bit-identical to [`WalkStrategy::SetSkip`].
-    LegacyScan,
-}
+use std::time::Instant;
 
 /// The verdict for one iteration point of one reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +95,7 @@ pub struct Scratch {
     eval: EvalScratch,
 }
 
-/// Reusable buffers of the replacement equations, under either strategy.
+/// Reusable buffers of the replacement equations.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct EvalScratch {
     /// Distinct contending lines seen in the interference interval.
@@ -262,7 +256,6 @@ pub struct Classifier<'p> {
     bounds: Vec<RefBoundPlan<'p>>,
     /// One counting plan per reference, indexed by `RefId`.
     counts: Vec<RefCount>,
-    walk: WalkStrategy,
 }
 
 impl<'p> Classifier<'p> {
@@ -311,17 +304,7 @@ impl<'p> Classifier<'p> {
             plans,
             bounds,
             counts,
-            walk: WalkStrategy::default(),
         }
-    }
-
-    /// Selects the interference-walk strategy (default
-    /// [`WalkStrategy::SetSkip`]). Verdicts are bit-identical for every
-    /// strategy; [`WalkStrategy::LegacyScan`] exists as the reference
-    /// implementation for differential testing.
-    pub fn with_strategy(mut self, walk: WalkStrategy) -> Self {
-        self.walk = walk;
-        self
     }
 
     /// The program under analysis.
@@ -406,7 +389,7 @@ impl<'p> Classifier<'p> {
             }
 
             // Replacement equations along this vector decide the point.
-            let evicted = self.evicted_between(
+            let evicted = self.count_evicted(
                 prev,
                 i_vec,
                 line_c,
@@ -423,90 +406,46 @@ impl<'p> Classifier<'p> {
         PointClass::Cold
     }
 
+    /// Classifies every point of every reference, serially and without
+    /// the row engine: the reference path the reports of
+    /// [`crate::FindMisses`] and exhaustively planned
+    /// [`crate::EstimateMisses`] references are checked against. The
+    /// report's [`Report::prepass_resolved`] is 0.
+    pub fn classify_every_point(&self) -> Report {
+        let start = Instant::now();
+        let mut scratch = Scratch::new();
+        let reports = (0..self.program.references().len())
+            .map(|r| {
+                let mut tally = Tally::default();
+                self.program.ris(r).for_each_point(|point| {
+                    tally.bump(self.classify_with_scratch(r, point, &mut scratch));
+                });
+                RefReport::exhaustive(r, tally)
+            })
+            .collect();
+        Report::new(reports, start.elapsed())
+    }
+
     /// Whether the reused line is evicted before the consumer access: at
     /// least `k` distinct memory lines, none of them the reused line and
     /// all mapped to its cache set, are accessed in the interference
-    /// interval after the reused line's last touch there. Any access to the
-    /// reused line renews its LRU recency, so only what follows the latest
-    /// one counts; the producer's own access at `from` is the final
-    /// implicit touch.
+    /// interval `[from, to]` after the reused line's last touch there. Any
+    /// access to the reused line renews its LRU recency, so only what
+    /// follows the latest one counts; the producer's own access at `from`
+    /// is the final implicit touch. Interval ends honour the lexical rules
+    /// of §4.1.2: an access at `from` intervenes only if lexically after
+    /// `R_p`; one at `to` only if lexically before `R_c`.
     ///
-    /// Interval ends honour the lexical rules of §4.1.2: an access at
-    /// `from` intervenes only if lexically after `R_p`; one at `to` only if
-    /// lexically before `R_c`.
-    ///
-    /// [`WalkStrategy::SetSkip`] counts ([`Classifier::count_evicted`]).
-    /// [`WalkStrategy::LegacyScan`] walks every access backward from `to`,
-    /// stopping at the first re-touch or the `k`-th distinct contention.
-    /// Both decide the same predicate, so the verdicts are bit-identical.
-    fn evicted_between(
-        &self,
-        from: &[i64],
-        to: &[i64],
-        reused_line: i64,
-        producer_rank: usize,
-        consumer_rank: usize,
-        scratch: &mut EvalScratch,
-    ) -> bool {
-        let program = self.program;
-        let config = &self.config;
-        match self.walk {
-            WalkStrategy::SetSkip => {
-                self.count_evicted(from, to, reused_line, producer_rank, consumer_rank, scratch)
-            }
-            WalkStrategy::LegacyScan => {
-                let k = config.assoc() as usize;
-                let target_set = config.set_of_line(reused_line);
-                // Distinct contending lines; associativities are small, a
-                // linear scan beats hashing.
-                let lines = &mut scratch.lines;
-                lines.clear();
-                let mut evicted = false;
-                cme_ir::walk::walk_range_rev(program, from, to, |a, tag| {
-                    let rank = program.reference(a.r).lex_rank;
-                    if tag.at_start && rank <= producer_rank {
-                        return ControlFlow::Continue(());
-                    }
-                    if tag.at_end && rank >= consumer_rank {
-                        return ControlFlow::Continue(());
-                    }
-                    let line = config.mem_line(a.addr);
-                    if line == reused_line {
-                        // Re-touch: the line was resident here with the
-                        // current contention count since; the verdict is
-                        // already decided.
-                        return ControlFlow::Break(());
-                    }
-                    if config.set_of_line(line) != target_set {
-                        return ControlFlow::Continue(());
-                    }
-                    if !lines.contains(&line) {
-                        lines.push(line);
-                        if lines.len() >= k {
-                            evicted = true;
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    ControlFlow::Continue(())
-                });
-                evicted
-            }
-        }
-    }
-
-    /// The counting evaluator of the replacement equations: the verdict of
-    /// [`WalkStrategy::LegacyScan`]'s walk, computed without enumerating
-    /// accesses.
-    ///
-    /// The interval's innermost rows are visited backward from `to`. In
-    /// each row every statement's guard reduces to an interval of `w` minus
-    /// `≠` holes, and the boundary-rank rules trim a reference's range at
-    /// the row ends. Per reference the `w` touching the reused line form
-    /// one interval, so the row's latest re-touch is a maximum over
-    /// references. The lines mapped to the target set after it are then
-    /// solved per reference in closed form ([`Classifier::add_lines`]) into
-    /// a `k`-slot set of distinct lines. A row holding a re-touch is the
-    /// last one consulted: nothing before it counts.
+    /// The verdict is counted, not walked. The interval's innermost rows
+    /// are visited backward from `to`. In each row every statement's guard
+    /// reduces to an interval of `w` minus `≠` holes, and the boundary-rank
+    /// rules trim a reference's range at the row ends. Per reference the
+    /// `w` touching the reused line form one interval, so the row's latest
+    /// re-touch is a maximum over references. The lines mapped to the
+    /// target set after it are then solved per reference in closed form
+    /// ([`Classifier::add_lines`]) into a `k`-slot set of distinct lines. A
+    /// row holding a re-touch is the last one consulted: nothing before it
+    /// counts.
     pub(crate) fn count_evicted(
         &self,
         from: &[i64],
@@ -1087,8 +1026,39 @@ mod tests {
         }
     }
 
+    /// The replacement equations by enumeration: every access of
+    /// `[from, to]` in program order, boundary ranks honoured. A touch of
+    /// the reused line renews it, so it clears the contenders: only the
+    /// lines after its last touch count.
+    fn scan_evicted(
+        cl: &Classifier<'_>,
+        from: &[i64],
+        to: &[i64],
+        reused_line: i64,
+        producer_rank: usize,
+        consumer_rank: usize,
+    ) -> bool {
+        let (program, config) = (cl.program, &cl.config);
+        let target_set = config.set_of_line(reused_line);
+        let mut lines: Vec<i64> = Vec::new();
+        cme_ir::walk::walk_range(program, from, to, |a, tag| {
+            let rank = program.reference(a.r).lex_rank;
+            if (tag.at_start && rank <= producer_rank) || (tag.at_end && rank >= consumer_rank) {
+                return ControlFlow::Continue(());
+            }
+            let line = config.mem_line(a.addr);
+            if line == reused_line {
+                lines.clear();
+            } else if config.set_of_line(line) == target_set && !lines.contains(&line) {
+                lines.push(line);
+            }
+            ControlFlow::Continue(())
+        });
+        lines.len() >= config.assoc() as usize
+    }
+
     /// The counting evaluator decides arbitrary intervals, reused lines and
-    /// boundary ranks exactly as the full walk does — not only the windows
+    /// boundary ranks exactly as the full scan does — not only the windows
     /// reuse vectors produce. The program crosses nests, guards rows with
     /// thresholds and `≠` holes, runs a row backward and reads at a stride
     /// of 40 B, neither a multiple nor a divisor of any line size drawn.
@@ -1153,7 +1123,6 @@ mod tests {
                 let cfg = CacheConfig::with_geometry(line, sets, assoc).unwrap();
                 let reuse = ReuseAnalysis::analyze(&p, cfg.line_bytes());
                 let count = Classifier::new(&p, &reuse, cfg);
-                let scan = Classifier::new(&p, &reuse, cfg).with_strategy(WalkStrategy::LegacyScan);
                 let mut scratch = EvalScratch::default();
                 for _ in 0..400 {
                     let a = rng.gen_below(points.len() as u64) as usize;
@@ -1165,7 +1134,7 @@ mod tests {
                         rng.gen_below(nrefs as u64 + 1),
                     );
                     let (pr, cr) = (pr as usize, cr as usize);
-                    let want = scan.evicted_between(from, to, reused, pr, cr, &mut scratch);
+                    let want = scan_evicted(&count, from, to, reused, pr, cr);
                     let got = count.count_evicted(from, to, reused, pr, cr, &mut scratch);
                     assert_eq!(
                         got, want,

@@ -3,9 +3,8 @@
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::classify::Classifier;
-use crate::options::{PrepassMode, SamplingOptions};
+use crate::options::SamplingOptions;
 use crate::parallel;
-use crate::prepass::{self, RefVerdicts};
 use crate::report::{Coverage, RefReport, Report};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
@@ -103,29 +102,11 @@ impl<'p> EstimateMisses<'p> {
                     // The pre-pass costs at least O(rows); it pays for
                     // itself only on exhaustively-analysed references.
                     // Sampled references classify ~a few hundred points,
-                    // so they always take the plain walk.
-                    let verdicts = match self.options.prepass {
-                        PrepassMode::On => Some(
-                            prepass::analyze_reference(&classifier, r, cancel)
-                                .map_err(|_| Cancelled { points_done })?,
-                        ),
-                        PrepassMode::Off => None,
-                    };
-                    if let Some(v) = &verdicts {
-                        prepass_resolved += v.resolved();
-                    }
-                    let tally = match verdicts.as_ref().and_then(RefVerdicts::totals) {
-                        Some(totals) => totals,
-                        None => parallel::classify_exhaustive(
-                            &classifier,
-                            r,
-                            ris,
-                            threads,
-                            cancel,
-                            verdicts.as_ref(),
-                        )
-                        .ok_or(Cancelled { points_done })?,
-                    };
+                    // so they go to the classifier directly.
+                    let (tally, resolved) =
+                        parallel::classify_exhaustive(&classifier, r, threads, cancel)
+                            .ok_or(Cancelled { points_done })?;
+                    prepass_resolved += resolved;
                     (tally, Coverage::Exhaustive)
                 }
                 crate::options::SamplePlan::Sample(nsamples) => {

@@ -1,11 +1,10 @@
 //! `FindMisses`: exact analysis of every iteration point (Fig. 6, left).
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::classify::{Classifier, WalkStrategy};
-use crate::options::{PrepassMode, Threads};
+use crate::classify::Classifier;
+use crate::options::Threads;
 use crate::parallel;
-use crate::prepass::{self, RefVerdicts};
-use crate::report::{Coverage, RefReport, Report};
+use crate::report::{RefReport, Report};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
@@ -13,8 +12,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Exact miss analysis: classifies *all* iteration points of every
-/// reference. Practical for small problem sizes; use
-/// [`crate::EstimateMisses`] for whole programs.
+/// reference — the row engine ([`crate::prepass`]) first, then the
+/// classifier on the points it leaves. Practical for small problem sizes;
+/// use [`crate::EstimateMisses`] for whole programs.
 ///
 /// # Examples
 ///
@@ -41,8 +41,6 @@ pub struct FindMisses<'p> {
     config: CacheConfig,
     reuse: Arc<ReuseAnalysis>,
     threads: Threads,
-    walk: WalkStrategy,
-    prepass: PrepassMode,
 }
 
 impl<'p> FindMisses<'p> {
@@ -54,8 +52,6 @@ impl<'p> FindMisses<'p> {
             config,
             reuse,
             threads: Threads::default(),
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
         }
     }
 
@@ -72,42 +68,16 @@ impl<'p> FindMisses<'p> {
             config,
             reuse: reuse.into(),
             threads: Threads::default(),
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
         }
     }
 
     /// Sets the worker-thread count. The report is byte-identical for every
     /// setting (the parallel reduction is deterministic); `Fixed(1)` runs
-    /// the legacy serial path. With the pre-pass on (the default) it
-    /// governs only the points the row engine leaves to the classifier —
-    /// none on the paper's kernels, where the row engine counts every
-    /// window; with [`PrepassMode::Off`] it governs every point.
+    /// the serial path. It governs only the points the row engine leaves
+    /// to the classifier — none on the paper's kernels, where the row
+    /// engine counts every window.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects how the replacement equations evaluate interference windows
-    /// (default [`WalkStrategy::SetSkip`], the counting evaluator).
-    /// Verdicts — and therefore reports — are bit-identical for every
-    /// strategy; [`WalkStrategy::LegacyScan`] is the full interval scan,
-    /// kept for differential testing. The pre-pass always counts; the
-    /// strategy governs only the points it leaves to the classifier (none
-    /// on the paper's kernels), or every point with [`PrepassMode::Off`].
-    pub fn strategy(mut self, walk: WalkStrategy) -> Self {
-        self.walk = walk;
-        self
-    }
-
-    /// Enables or disables the definitely-hit/definitely-miss pre-pass
-    /// (default [`PrepassMode::On`]). The pre-pass resolves points only to
-    /// the verdict the exact walk would reach, and a reference it resolves
-    /// in full is counted without walking, so the report is byte-identical
-    /// for both settings; `Off` exists for differential testing and timing
-    /// comparisons.
-    pub fn prepass(mut self, mode: PrepassMode) -> Self {
-        self.prepass = mode;
         self
     }
 
@@ -128,45 +98,17 @@ impl<'p> FindMisses<'p> {
     /// completed references had been classified.
     pub fn run_cancellable(&self, cancel: &CancelToken) -> Result<Report, Cancelled> {
         let start = Instant::now();
-        let classifier =
-            Classifier::new(self.program, &self.reuse, self.config).with_strategy(self.walk);
+        let classifier = Classifier::new(self.program, &self.reuse, self.config);
         let threads = self.threads.count();
         let mut reports = Vec::with_capacity(self.program.references().len());
         let mut points_done = 0u64;
         let mut prepass_resolved = 0u64;
         for r in 0..self.program.references().len() {
-            let verdicts = match self.prepass {
-                PrepassMode::On => Some(
-                    prepass::analyze_reference(&classifier, r, cancel)
-                        .map_err(|_| Cancelled { points_done })?,
-                ),
-                PrepassMode::Off => None,
-            };
-            if let Some(v) = &verdicts {
-                prepass_resolved += v.resolved();
-            }
-            let tally = match verdicts.as_ref().and_then(RefVerdicts::totals) {
-                Some(totals) => totals,
-                None => parallel::classify_exhaustive(
-                    &classifier,
-                    r,
-                    self.program.ris(r),
-                    threads,
-                    cancel,
-                    verdicts.as_ref(),
-                )
-                .ok_or(Cancelled { points_done })?,
-            };
+            let (tally, resolved) = parallel::classify_exhaustive(&classifier, r, threads, cancel)
+                .ok_or(Cancelled { points_done })?;
+            prepass_resolved += resolved;
             points_done += tally.analyzed();
-            reports.push(RefReport {
-                r,
-                ris_size: tally.analyzed(),
-                analyzed: tally.analyzed(),
-                cold: tally.cold,
-                replacement: tally.replacement,
-                hits: tally.hits,
-                coverage: Coverage::Exhaustive,
-            });
+            reports.push(RefReport::exhaustive(r, tally));
         }
         Ok(Report::new(reports, start.elapsed()).with_prepass_resolved(prepass_resolved))
     }

@@ -51,9 +51,9 @@ pub mod prepass;
 pub mod report;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use classify::{Classifier, PointClass, Scratch, WalkStrategy};
+pub use classify::{Classifier, PointClass, Scratch};
 pub use estimate::EstimateMisses;
 pub use find::FindMisses;
-pub use options::{PrepassMode, SamplingOptions, Threads};
+pub use options::{SamplingOptions, Threads};
 pub use prepass::{Prepass, RefVerdicts, Verdict};
 pub use report::{Coverage, RefReport, Report};

@@ -36,24 +36,6 @@ impl Threads {
     }
 }
 
-/// Whether the definitely-hit/definitely-miss pre-pass runs before the
-/// exact walk (`crate::prepass`, DESIGN.md §12).
-///
-/// The pre-pass only ever resolves points to the verdict the exact walk
-/// would reach, so reports are **byte-identical** for both settings (and
-/// for every thread count and walk strategy); the knob only trades analysis
-/// wall-clock time. `Off` exists for differential testing and timing
-/// comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrepassMode {
-    /// Run the pre-pass; resolved points skip the interference walk, and a
-    /// reference it resolves in full skips the walk entirely. The default.
-    #[default]
-    On,
-    /// Classify every point with the exact walk: the reference path.
-    Off,
-}
-
 /// Statistical sampling parameters for `EstimateMisses` (Fig. 6).
 ///
 /// The sample size per reference comes from the normal approximation to the
@@ -81,9 +63,6 @@ pub struct SamplingOptions {
     /// every setting (the sample set and the reduction are both
     /// deterministic); only wall-clock time changes.
     pub threads: Threads,
-    /// Whether the hit/miss pre-pass runs before exhaustively-analysed
-    /// references. Reports are byte-identical for both settings.
-    pub prepass: PrepassMode,
 }
 
 /// How a reference's iteration space will be analysed.
@@ -105,7 +84,6 @@ impl SamplingOptions {
             seed: 0xC0FFEE,
             fallback: None,
             threads: Threads::Auto,
-            prepass: PrepassMode::On,
         }
     }
 
@@ -130,7 +108,6 @@ impl SamplingOptions {
                         seed: self.seed,
                         fallback: None,
                         threads: self.threads,
-                        prepass: self.prepass,
                     };
                     if let Some(n) = coarse.sample_size(population) {
                         return SamplePlan::Sample(n);
@@ -236,7 +213,6 @@ mod tests {
             seed: 0,
             fallback: None,
             threads: Threads::default(),
-            prepass: PrepassMode::default(),
         }
     }
 

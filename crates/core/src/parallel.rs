@@ -30,7 +30,7 @@
 
 use crate::cancel::CancelToken;
 use crate::classify::{Classifier, PointClass, Scratch};
-use crate::prepass::{RefVerdicts, Verdict};
+use crate::prepass::{self, Verdict};
 use crate::report::Coverage;
 use cme_ir::RefId;
 use cme_poly::rng::{derive_seed, SeededRng};
@@ -194,54 +194,57 @@ impl Tally {
     }
 }
 
-/// Classifies every point of `RIS_r` on `threads` workers.
+/// Classifies every point of `RIS_r`: the one exhaustive path of
+/// `FindMisses` and `EstimateMisses`. The row engine
+/// ([`prepass::analyze_reference`]) runs first; a reference it resolves in
+/// full is tallied without visiting a point, and otherwise the classifier
+/// decides the points it leaves, on `threads` workers. Returns the tally
+/// and the points the row engine resolved, or `None` once `cancel` fires.
 ///
 /// The point stream is materialised into a flat row-major buffer (serial
 /// enumeration is a tiny fraction of classification cost), split into
 /// [`CHUNK_POINTS`]-sized chunks and reduced in chunk order. Small spaces
-/// take the serial path directly.
-///
-/// When pre-pass `verdicts` are supplied, resolved points skip the
-/// interference walk and bump the tally directly. The chunk layout, the
-/// cancellation checks and the index-ordered reduction still cover the
-/// full index space, and resolved points count exactly what the walk
-/// would, so reports stay byte-identical with or without verdicts.
+/// take the serial path directly. Resolved points count exactly what the
+/// classifier would, so the report equals
+/// [`Classifier::classify_every_point`]'s.
 pub(crate) fn classify_exhaustive(
     classifier: &Classifier<'_>,
     r: RefId,
-    ris: &Space,
     threads: usize,
     cancel: &CancelToken,
-    verdicts: Option<&RefVerdicts>,
-) -> Option<Tally> {
+) -> Option<(Tally, u64)> {
+    let verdicts = prepass::analyze_reference(classifier, r, cancel).ok()?;
+    let resolved = verdicts.resolved();
+    if let Some(totals) = verdicts.totals() {
+        return Some((totals, resolved));
+    }
+    let ris = classifier.program().ris(r);
     let dim = classifier.program().depth();
     let serial_tally = || {
         let mut tally = Tally::default();
         let mut scratch = Scratch::new();
         let mut cursor = 0usize;
-        ris.for_each_point(
-            |point| match verdicts.and_then(|v| v.lookup(point, &mut cursor)) {
-                Some(v) => tally.bump_verdict(v),
-                None => tally.bump(classifier.classify_with_scratch(r, point, &mut scratch)),
-            },
-        );
+        ris.for_each_point(|point| match verdicts.lookup(point, &mut cursor) {
+            Some(v) => tally.bump_verdict(v),
+            None => tally.bump(classifier.classify_with_scratch(r, point, &mut scratch)),
+        });
         tally
     };
-    // The non-cancellable serial paths stay allocation-free exactly as
-    // before; a live token always goes through the chunked route so the
-    // per-chunk checks happen even on one thread.
+    // The non-cancellable serial paths stay allocation-free; a live token
+    // always goes through the chunked route so the per-chunk checks happen
+    // even on one thread.
     if (threads <= 1 || dim == 0) && !cancel.can_cancel() {
-        return Some(serial_tally());
+        return Some((serial_tally(), resolved));
     }
     if dim == 0 {
         if cancel.is_cancelled() {
             return None;
         }
-        return Some(serial_tally());
+        return Some((serial_tally(), resolved));
     }
     let (flat, npoints) = classifier.program().flat_ris(r);
     if npoints <= CHUNK_POINTS && !cancel.can_cancel() {
-        return Some(serial_tally());
+        return Some((serial_tally(), resolved));
     }
     let nchunks = npoints.div_ceil(CHUNK_POINTS).max(1);
     let tallies =
@@ -251,9 +254,9 @@ pub(crate) fn classify_exhaustive(
             let mut tally = Tally::default();
             // Chunks are contiguous lex ranges, so one binary search positions
             // the verdict cursor and the per-point lookups advance linearly.
-            let mut cursor = verdicts.map_or(0, |v| v.cursor_at(&flat[lo * dim..(lo + 1) * dim]));
+            let mut cursor = verdicts.cursor_at(&flat[lo * dim..(lo + 1) * dim]);
             for point in flat[lo * dim..hi * dim].chunks_exact(dim) {
-                match verdicts.and_then(|v| v.lookup(point, &mut cursor)) {
+                match verdicts.lookup(point, &mut cursor) {
                     Some(v) => tally.bump_verdict(v),
                     None => tally.bump(classifier.classify_with_scratch(r, point, scratch)),
                 }
@@ -264,7 +267,7 @@ pub(crate) fn classify_exhaustive(
     for t in tallies {
         total.merge(t);
     }
-    Some(total)
+    Some((total, resolved))
 }
 
 /// Classifies a deterministic uniform sample of `RIS_r` on `threads`

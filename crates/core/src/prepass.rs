@@ -28,10 +28,10 @@
 //!   row-uniform contention bound (computed once per `(row, vector)`: if
 //!   even the widened whole-row interference window cannot supply `k`
 //!   distinct conflicting lines, every point of the row is a hit along that
-//!   vector), by a direct evaluation of the window in exactly the
-//!   interference walk's visit order for vectors whose interval stays
-//!   inside the innermost loop row and fits `WINDOW_BUDGET`, and
-//!   otherwise by the classifier's counting evaluator, one point at a time.
+//!   vector), by enumerating the window backward from the consumer for
+//!   vectors whose interval stays inside the innermost loop row and fits
+//!   `WINDOW_BUDGET`, and otherwise by the classifier's counting
+//!   evaluator, one point at a time.
 //!   The first point of a row that counts along a vector walks the
 //!   window's rows; later points share them, stored per `(row, vector)` as
 //!   far as some point has needed them, so a window that crosses hundreds
@@ -63,9 +63,9 @@
 //! The resulting per-point verdicts — `AlwaysHit`, always-miss
 //! ([`Verdict::Cold`] / [`Verdict::Replacement`]) or unknown — **equal the
 //! classifier's verdicts wherever they are not unknown**. That is a stronger
-//! property than soundness and it is what keeps reports byte-identical with
-//! the pre-pass on or off: a resolved point contributes exactly the tally
-//! increment the walk would have produced.
+//! property than soundness and it is what keeps every report byte-identical
+//! to [`Classifier::classify_every_point`]'s: a resolved point contributes
+//! exactly the tally increment the classifier would have produced.
 //!
 //! # Degradation rule (the Monniaux complexity-gap boundary)
 //!
@@ -478,10 +478,11 @@ fn build_vec_row(
     }
 }
 
-/// Evaluates one intra-row interference window exactly, in the walk's
-/// visit order (iterations descending, statements and references in
-/// reverse, guards honoured, boundary ranks filtered), returning the code
-/// the classifier's walk would return.
+/// Evaluates one intra-row interference window exactly by enumerating it
+/// backward from `v` (iterations descending, statements and references in
+/// reverse, guards honoured, boundary ranks filtered) until the first
+/// re-touch of the reused line or the `k`-th distinct contender: the code
+/// the classifier's count returns.
 #[allow(clippy::too_many_arguments)]
 fn window_eval(
     config: &CacheConfig,

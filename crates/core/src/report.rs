@@ -1,5 +1,6 @@
 //! Analysis reports: per-reference and whole-program miss statistics.
 
+use crate::parallel::Tally;
 use cme_ir::RefId;
 
 /// How a reference was analysed.
@@ -35,6 +36,20 @@ pub struct RefReport {
 }
 
 impl RefReport {
+    /// The report of reference `r` when every point of its RIS was
+    /// classified into `tally`.
+    pub(crate) fn exhaustive(r: RefId, tally: Tally) -> RefReport {
+        RefReport {
+            r,
+            ris_size: tally.analyzed(),
+            analyzed: tally.analyzed(),
+            cold: tally.cold,
+            replacement: tally.replacement,
+            hits: tally.hits,
+            coverage: Coverage::Exhaustive,
+        }
+    }
+
     /// Miss ratio among analysed points (`0` when nothing was analysed).
     pub fn miss_ratio(&self) -> f64 {
         if self.analyzed == 0 {
@@ -56,7 +71,8 @@ impl RefReport {
 pub struct Report {
     per_ref: Vec<RefReport>,
     elapsed: std::time::Duration,
-    /// Points resolved by the hit/miss pre-pass (0 when it was off).
+    /// Points resolved by the hit/miss pre-pass (0 for
+    /// [`crate::Classifier::classify_every_point`], which skips it).
     /// Diagnostic only: deliberately absent from [`Report::render`], whose
     /// bytes must not depend on how points were classified.
     prepass_resolved: u64,
@@ -76,8 +92,8 @@ impl Report {
         self
     }
 
-    /// Points the hit/miss pre-pass resolved without an interference walk
-    /// (0 when the pre-pass was off or resolved nothing).
+    /// Points the hit/miss pre-pass resolved without the classifier (0
+    /// when it did not run or resolved nothing).
     pub fn prepass_resolved(&self) -> u64 {
         self.prepass_resolved
     }

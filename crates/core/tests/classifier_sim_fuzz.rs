@@ -5,7 +5,7 @@
 //! Geometries include non-power-of-two line sizes and set counts, which
 //! force the division fallback paths and the dense congruence tier.
 
-use cme_analysis::{FindMisses, WalkStrategy};
+use cme_analysis::{Classifier, FindMisses};
 use cme_cache::{CacheConfig, Simulator};
 use cme_ir::{LinExpr, Program, ProgramBuilder, SNode, SRef};
 use cme_poly::rng::{Rng, SeededRng};
@@ -153,21 +153,23 @@ fn trace_replay_agrees_with_classifier_and_simulator() {
     }
 }
 
-/// The legacy full-scan walk sees the same totals on the same seed
-/// stream, so a divergence pins the blame on the counting evaluator.
+/// The classifier run over every point without the row engine sees the
+/// same totals on the same seed stream, so a divergence pins the blame on
+/// the row engine or on the counting evaluator.
 #[test]
-fn both_strategies_match_simulator() {
+fn both_exhaustive_paths_match_simulator() {
     let mut rng = SeededRng::seed_from_u64(0xD1FF + 1);
     for case in 0..24 {
         let program = arb_perfect_program(&mut rng);
         let cfg = arb_config(&mut rng);
         let sim = Simulator::new(cfg).run(&program).total_misses();
-        for walk in [WalkStrategy::SetSkip, WalkStrategy::LegacyScan] {
-            let report = FindMisses::new(&program, cfg).strategy(walk).run();
+        let found = FindMisses::new(&program, cfg);
+        let every_point = Classifier::new(&program, found.reuse(), cfg).classify_every_point();
+        for (path, report) in [("FindMisses", found.run()), ("every point", every_point)] {
             assert_eq!(
                 report.exact_misses(),
                 Some(sim),
-                "case {case} cfg {cfg} strategy {walk:?}"
+                "case {case} cfg {cfg}: {path}"
             );
         }
     }

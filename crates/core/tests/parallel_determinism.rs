@@ -1,14 +1,15 @@
 //! The parallel engine's central guarantee, tested end-to-end: for any
 //! thread count, `FindMisses` and `EstimateMisses` produce reports with
 //! identical contents — same per-reference tallies, same coverage, same
-//! miss counts and ratios. (Whole-`Report` equality is not used because a
-//! `Report` also records wall-clock time.)
+//! miss counts and ratios — and `FindMisses` equals the classifier run
+//! over every point without the row engine. (Whole-`Report` equality is
+//! not used because a `Report` also records wall-clock time.)
 
-use cme_analysis::{
-    EstimateMisses, FindMisses, PrepassMode, SamplingOptions, Threads, WalkStrategy,
-};
+use cme_analysis::parallel::CHUNK_POINTS;
+use cme_analysis::{Classifier, EstimateMisses, FindMisses, SamplingOptions, Threads};
 use cme_cache::CacheConfig;
 use cme_ir::{LinExpr, LinRel, Program, ProgramBuilder, RelOp, SNode, SRef};
+use cme_reuse::ReuseAnalysis;
 
 /// Compared against a `Threads::Fixed(1)` baseline, which covers the
 /// serial path itself.
@@ -56,6 +57,7 @@ fn workloads() -> Vec<(&'static str, Program)> {
         ("mgrid", cme_workloads::mgrid(12)),
         ("mmt", cme_workloads::mmt(16, 16, 8)),
         ("guarded", guarded_program()),
+        ("piece-cap", piece_capped_program(3000)),
     ]
 }
 
@@ -126,42 +128,70 @@ fn faithful_options_identical_across_thread_counts() {
     }
 }
 
-/// The walk strategy, the thread count and the hit/miss pre-pass are
-/// independent determinism axes: every (prepass, strategy, threads)
-/// combination — including the default counting evaluator with the
-/// pre-pass on at 1, 2 and 8 workers — yields a report identical to the
-/// legacy full scan run serially with the pre-pass off.
+/// `X(I)` reuses the line its guarded producer touched in the same
+/// iteration; with one element per line every hole of the producer's
+/// guard, at each prime below `n`, is a cold miss between hits, so the
+/// consumer's row needs more pieces than the row engine stores and the
+/// classifier decides the rest of it.
+fn piece_capped_program(n: i64) -> Program {
+    let mut b = ProgramBuilder::new("piece-cap");
+    b.array("X", &[n], 32);
+    let i = LinExpr::var("I");
+    let holes = (2..n)
+        .filter(|&p| (2..p).take_while(|d| d * d <= p).all(|d| p % d != 0))
+        .map(|p| LinRel::new(i.clone(), RelOp::Ne, LinExpr::constant(p)))
+        .collect();
+    b.push(SNode::loop_(
+        "I",
+        1,
+        n,
+        vec![
+            SNode::if_(
+                holes,
+                vec![SNode::reads_only(vec![SRef::new("X", vec![i.clone()])])],
+            ),
+            SNode::reads_only(vec![SRef::new("X", vec![i.clone()])]),
+        ],
+    ));
+    b.build().unwrap()
+}
+
+/// At 1, 2 and 8 workers, every `FindMisses` report equals the classifier
+/// run over every point without the row engine.
 #[test]
-fn strategy_and_threads_identical_reports() {
+fn threads_match_the_every_point_reference() {
     let cfg = CacheConfig::new(4096, 32, 2).unwrap();
     for (name, program) in &workloads() {
-        let baseline = FindMisses::new(program, cfg)
-            .strategy(WalkStrategy::LegacyScan)
-            .threads(Threads::Fixed(1))
-            .prepass(PrepassMode::Off)
-            .run();
-        for prepass in [PrepassMode::On, PrepassMode::Off] {
-            for walk in [WalkStrategy::SetSkip, WalkStrategy::LegacyScan] {
-                for threads in [1usize, 2, 8] {
-                    let report = FindMisses::new(program, cfg)
-                        .strategy(walk)
-                        .threads(Threads::Fixed(threads))
-                        .prepass(prepass)
-                        .run();
-                    assert_eq!(
-                        baseline.references(),
-                        report.references(),
-                        "{name}: {prepass:?}/{walk:?} diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        baseline.exact_misses(),
-                        report.exact_misses(),
-                        "{name}: {prepass:?}/{walk:?}/{threads}"
-                    );
-                }
-            }
+        let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
+        let reference = Classifier::new(program, &reuse, cfg).classify_every_point();
+        assert_eq!(reference.prepass_resolved(), 0, "{name}");
+        for threads in [1usize, 2, 8] {
+            let report = FindMisses::new(program, cfg)
+                .threads(Threads::Fixed(threads))
+                .run();
+            assert_eq!(
+                reference.references(),
+                report.references(),
+                "{name}: diverged from the every-point reference at {threads} threads"
+            );
+            assert_eq!(reference.exact_misses(), report.exact_misses(), "{name}");
         }
     }
+}
+
+/// The row engine resolves every point of the paper kernels and the
+/// guarded nest, so only the piece-capped row reaches the classifier's
+/// chunked path: it leaves about half its points, all in one 3,000-point
+/// reference, more than one `CHUNK_POINTS` chunk.
+#[test]
+fn piece_capped_row_reaches_the_chunked_classifier_path() {
+    let program = piece_capped_program(3000);
+    assert!((0..program.references().len()).all(|r| program.ris(r).count() > CHUNK_POINTS as u64));
+    let report = FindMisses::new(&program, CacheConfig::new(4096, 32, 2).unwrap()).run();
+    assert!(
+        report.prepass_resolved() < report.total_accesses(),
+        "piece-cap must leave points to the classifier"
+    );
 }
 
 /// `Threads::Auto` (the default) also matches the serial report — the

@@ -20,12 +20,14 @@
 //! On a fixed corpus — three sizes of each paper kernel on four geometries
 //! (non-power-of-two included), a complete-vector stencil, a guarded
 //! transposed nest and a row past the piece cap — reports are also
-//! compared with the pre-pass on and off, and the coverage is pinned:
-//! resolved points and fully resolved references may grow, never shrink.
+//! compared with the classifier run over every point without the row
+//! engine ([`Classifier::classify_every_point`]), and the coverage is
+//! pinned: resolved points and fully resolved references may grow, never
+//! shrink.
 
 use cme_analysis::{
-    prepass, CancelToken, Classifier, EstimateMisses, FindMisses, PointClass, PrepassMode,
-    SamplingOptions, Scratch, Verdict,
+    prepass, CancelToken, Classifier, Coverage as RefCoverage, EstimateMisses, FindMisses,
+    PointClass, Report, SamplingOptions, Scratch, Verdict,
 };
 use cme_cache::{Cache, CacheConfig, Simulator};
 use cme_ir::{LinExpr, LinRel, Program, ProgramBuilder, RelOp, SNode, SRef};
@@ -383,11 +385,9 @@ fn expired_deadline_aborts_inside_prepass() {
     // End-to-end: a 1ms deadline on a multi-hundred-ms workload errors
     // out through FindMisses with the pre-pass enabled.
     let started = std::time::Instant::now();
-    let result = FindMisses::new(&program, cfg)
-        .prepass(PrepassMode::On)
-        .run_cancellable(&CancelToken::with_timeout(
-            std::time::Duration::from_millis(1),
-        ));
+    let result = FindMisses::new(&program, cfg).run_cancellable(&CancelToken::with_timeout(
+        std::time::Duration::from_millis(1),
+    ));
     assert!(result.is_err(), "1ms deadline must cancel the analysis");
     assert!(
         started.elapsed() < std::time::Duration::from_secs(5),
@@ -464,41 +464,58 @@ fn kernel_corpus_coverage_holds_its_floors() {
     }
 }
 
-/// Exact analysis, pre-pass on vs off: identical report contents on every
-/// kernel × geometry pair.
+/// The classifier alone over every point of `program`: the reference
+/// every report must equal.
+fn every_point(program: &Program, cfg: CacheConfig) -> Report {
+    let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
+    let report = Classifier::new(program, &reuse, cfg).classify_every_point();
+    assert_eq!(
+        report.prepass_resolved(),
+        0,
+        "the reference skips the row engine"
+    );
+    report
+}
+
+/// Exact analysis: report contents identical to the every-point reference
+/// on every kernel × geometry pair.
 #[test]
-fn findmisses_prepass_on_matches_off_on_kernel_corpus() {
+fn findmisses_matches_every_point_reference_on_kernel_corpus() {
     for (name, program) in &kernel_sizes() {
         for cfg in geometries() {
-            let on = FindMisses::new(program, cfg).run();
-            let off = FindMisses::new(program, cfg)
-                .prepass(PrepassMode::Off)
-                .run();
-            assert_eq!(on.references(), off.references(), "{name} on {cfg}");
-            assert_eq!(on.miss_ratio(), off.miss_ratio(), "{name} on {cfg}");
-            assert_eq!(off.prepass_resolved(), 0, "{name} on {cfg}");
+            let found = FindMisses::new(program, cfg).run();
+            let reference = every_point(program, cfg);
+            assert_eq!(
+                found.references(),
+                reference.references(),
+                "{name} on {cfg}"
+            );
+            assert_eq!(
+                found.miss_ratio(),
+                reference.miss_ratio(),
+                "{name} on {cfg}"
+            );
         }
     }
 }
 
-/// Sampled analysis: only exhaustively-planned references consult the
-/// pre-pass, so the sampled report is identical too.
+/// Sampled analysis: every exhaustively planned reference goes through the
+/// row engine and tallies exactly what the every-point reference does.
 #[test]
-fn estimatemisses_prepass_on_matches_off_on_kernel_corpus() {
+fn estimatemisses_exhaustive_references_match_every_point_reference() {
     let cfg = CacheConfig::new(4096, 32, 2).unwrap();
+    let mut exhaustive = 0;
     for (name, program) in &kernel_sizes() {
-        let on = EstimateMisses::new(program, cfg, SamplingOptions::paper_default()).run();
-        let off = EstimateMisses::new(
-            program,
-            cfg,
-            SamplingOptions {
-                prepass: PrepassMode::Off,
-                ..SamplingOptions::paper_default()
-            },
-        )
-        .run();
-        assert_eq!(on.references(), off.references(), "{name}");
+        let est = EstimateMisses::new(program, cfg, SamplingOptions::paper_default()).run();
+        let reference = every_point(program, cfg);
+        for (got, want) in est.references().iter().zip(reference.references()) {
+            if got.coverage == RefCoverage::Exhaustive {
+                assert_eq!(got, want, "{name}: reference {}", got.r);
+                exhaustive += 1;
+            }
+        }
     }
+    assert!(exhaustive > 0, "no reference was planned exhaustively");
 }
 
 /// On guard-free perfect nests the reuse-vector set is complete, so the
@@ -547,7 +564,7 @@ fn fully_resolved_references_match_simulator_on_complete_vector_programs() {
 /// The transposed `B(J,I)` read gives the leaf mixed strides, so its
 /// windows are decided point by point — within a row by the window
 /// evaluation, across rows by counting — and every reference resolves;
-/// the report stays identical with the pre-pass on or off.
+/// the report equals the every-point reference.
 #[test]
 fn guarded_transposed_nest_resolves_in_full() {
     let n = 40i64;
@@ -587,11 +604,8 @@ fn guarded_transposed_nest_resolves_in_full() {
         program.references().len(),
         "guarded-transpose"
     );
-    let on = FindMisses::new(&program, cfg).run();
-    let off = FindMisses::new(&program, cfg)
-        .prepass(PrepassMode::Off)
-        .run();
-    assert_eq!(on.references(), off.references());
+    let found = FindMisses::new(&program, cfg).run();
+    assert_eq!(found.references(), every_point(&program, cfg).references());
 }
 
 /// A row whose verdicts change more often than a row may store pieces
@@ -599,8 +613,8 @@ fn guarded_transposed_nest_resolves_in_full() {
 /// the line its guarded producer touched in the same iteration, so with
 /// one element per line every hole of the producer's guard — at each of
 /// the 46 primes below 200 — is a cold miss between hits. The consumer is
-/// resolved only in part, the producer in full, and the mixed report is
-/// identical with the pre-pass on or off.
+/// resolved only in part, the producer in full, and the mixed report
+/// equals the every-point reference.
 #[test]
 fn piece_capped_row_mixes_resolved_and_walked_references() {
     let n = 200i64;
@@ -639,12 +653,9 @@ fn piece_capped_row_mixes_resolved_and_walked_references() {
         cov.resolved,
         cov.total
     );
-    let on = FindMisses::new(&program, cfg).run();
-    let off = FindMisses::new(&program, cfg)
-        .prepass(PrepassMode::Off)
-        .run();
-    assert_eq!(on.references(), off.references());
-    assert_eq!(on.prepass_resolved(), cov.resolved);
+    let found = FindMisses::new(&program, cfg).run();
+    assert_eq!(found.references(), every_point(&program, cfg).references());
+    assert_eq!(found.prepass_resolved(), cov.resolved);
 }
 
 /// MGRID(52) at 32K:2:32: the whole-row compressor resolved only half of

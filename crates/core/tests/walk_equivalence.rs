@@ -1,18 +1,74 @@
 //! The counting evaluator must decide every interference window exactly
-//! as the full reverse walk does: per iteration point, the default
-//! [`WalkStrategy::SetSkip`] classifier returns the same [`PointClass`] —
-//! `vector_idx` included — as [`WalkStrategy::LegacyScan`]. Fuzzed over
-//! randomized guarded nests (row-uniform thresholds, thresholds and `≠`
-//! holes inside a row, negative strides, element sizes that are neither a
-//! multiple nor a divisor of the line) and an inlined whole-program
-//! workload with `CALL` statements, under lines of 16/24/32 B and
-//! 4/8/12/16 sets.
+//! as enumerating the window does: per iteration point, the classifier
+//! returns the same [`PointClass`] — `vector_idx` included — as a
+//! point-level oracle built from public API only, which shares no code
+//! with the classifier. Inputs: randomized guarded nests (row-uniform
+//! thresholds, thresholds and `≠` holes inside a row, negative strides,
+//! element sizes that are neither a multiple nor a divisor of the line)
+//! under lines of 16/24/32 B and 4/8/12/16 sets; an inlined whole-program
+//! workload with `CALL` statements; windows across nests; and the paper
+//! kernels (Hydro, MGRID, MMT), a guarded-IF program and a program with
+//! 12-byte elements on four geometries, one with a non-power-of-two set
+//! count.
 
-use cme_analysis::{Classifier, PointClass, Scratch, WalkStrategy};
+use cme_analysis::{Classifier, PointClass, Scratch};
 use cme_cache::CacheConfig;
-use cme_ir::{LinExpr, LinRel, NormalizeOptions, Program, ProgramBuilder, RelOp, SNode, SRef};
+use cme_ir::walk::walk_range;
+use cme_ir::{
+    LinExpr, LinRel, NormalizeOptions, Program, ProgramBuilder, RefId, RelOp, SNode, SRef,
+};
 use cme_poly::rng::{Rng, SeededRng};
 use cme_reuse::ReuseAnalysis;
+use std::ops::ControlFlow;
+
+/// The cold and replacement equations (§4.1) solved by enumeration. The
+/// consumer's vectors are tried in order; the first whose producer
+/// instance `i − r` exists (`Space::contains`) and touches the consumer's
+/// line decides. Its window `[i − r, i]` is walked forward
+/// ([`walk_range`]) with the lexical boundary rules, and each touch of the
+/// reused line clears the contender set: only the distinct lines of the
+/// reused line's set accessed after its last touch can evict it.
+fn oracle(
+    program: &Program,
+    reuse: &ReuseAnalysis,
+    cfg: CacheConfig,
+    r: RefId,
+    point: &[i64],
+) -> PointClass {
+    let to = program.iteration_vector(r, point);
+    let line = cfg.mem_line(program.byte_address(r, point));
+    let consumer_rank = program.reference(r).lex_rank;
+    for (vector_idx, rv) in reuse.for_consumer(r).enumerate() {
+        let from: Vec<i64> = to.iter().zip(rv.vector).map(|(i, v)| i - v).collect();
+        let from_idx: Vec<i64> = from.iter().skip(1).step_by(2).copied().collect();
+        if !program.ris(rv.producer).contains(&from_idx)
+            || cfg.mem_line(program.byte_address(rv.producer, &from_idx)) != line
+        {
+            continue;
+        }
+        let producer_rank = program.reference(rv.producer).lex_rank;
+        let mut contenders: Vec<i64> = Vec::new();
+        walk_range(program, &from, &to, |a, tag| {
+            let rank = program.reference(a.r).lex_rank;
+            if (tag.at_start && rank <= producer_rank) || (tag.at_end && rank >= consumer_rank) {
+                return ControlFlow::Continue(());
+            }
+            let l = cfg.mem_line(a.addr);
+            if l == line {
+                contenders.clear();
+            } else if cfg.set_of_line(l) == cfg.set_of_line(line) && !contenders.contains(&l) {
+                contenders.push(l);
+            }
+            ControlFlow::Continue(())
+        });
+        return if contenders.len() >= cfg.assoc() as usize {
+            PointClass::ReplacementMiss { vector_idx }
+        } else {
+            PointClass::Hit { vector_idx }
+        };
+    }
+    PointClass::Cold
+}
 
 fn arb_subscript2(rng: &mut SeededRng) -> (LinExpr, LinExpr) {
     let off = rng.gen_range(-2..=2);
@@ -111,21 +167,21 @@ fn arb_config(rng: &mut SeededRng) -> CacheConfig {
 }
 
 /// Classifies every point (about one in `every` when `every > 1`) of
-/// every reference with both strategies and asserts identical verdicts.
-/// Returns how many of them the replacement equations decided.
+/// every reference with the classifier and the oracle and asserts
+/// identical verdicts. Returns how many of them the replacement equations
+/// decided.
 fn check(program: &Program, cfg: CacheConfig, every: u64, rng: &mut SeededRng, tag: &str) -> u64 {
     let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
-    let count = Classifier::new(program, &reuse, cfg);
-    let scan = Classifier::new(program, &reuse, cfg).with_strategy(WalkStrategy::LegacyScan);
-    let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+    let classifier = Classifier::new(program, &reuse, cfg);
+    let mut scratch = Scratch::new();
     let mut decided = 0;
     for r in 0..program.references().len() {
         program.ris(r).for_each_point(|point| {
             if every > 1 && rng.gen_below(every) != 0 {
                 return;
             }
-            let got = count.classify_with_scratch(r, point, &mut s1);
-            let want = scan.classify_with_scratch(r, point, &mut s2);
+            let got = classifier.classify_with_scratch(r, point, &mut scratch);
+            let want = oracle(program, &reuse, cfg, r, point);
             assert_eq!(
                 got,
                 want,
@@ -139,7 +195,7 @@ fn check(program: &Program, cfg: CacheConfig, every: u64, rng: &mut SeededRng, t
 }
 
 #[test]
-fn counting_matches_legacy_scan_on_random_guarded_nests() {
+fn counting_matches_oracle_on_random_guarded_nests() {
     let mut rng = SeededRng::seed_from_u64(0x5E7F);
     let mut decided = 0;
     for case in 0..160 {
@@ -153,7 +209,7 @@ fn counting_matches_legacy_scan_on_random_guarded_nests() {
 }
 
 #[test]
-fn counting_matches_legacy_scan_on_inlined_call_program() {
+fn counting_matches_oracle_on_inlined_call_program() {
     // swim_like routes all work through CALL statements; after inlining,
     // the normalised program has many statements per row and constant
     // references — a different shape than the fuzz nests.
@@ -172,7 +228,7 @@ fn counting_matches_legacy_scan_on_inlined_call_program() {
 /// nest, whose rows walk `B` backward around a `≠` hole and read `C` at a
 /// stride of 40 B.
 #[test]
-fn counting_matches_legacy_scan_across_nests_with_holes_and_negative_strides() {
+fn counting_matches_oracle_across_nests_with_holes_and_negative_strides() {
     let n = 12i64;
     let mut b = ProgramBuilder::new("cross-nest");
     b.array("A", &[n], 8);
@@ -224,4 +280,103 @@ fn counting_matches_legacy_scan_across_nests_with_holes_and_negative_strides() {
         let mut rng = SeededRng::seed_from_u64(1);
         check(&program, cfg, 1, &mut rng, "cross-nest");
     }
+}
+
+/// A guarded program in the Figure 1/2 mould: an IF-gated read whose
+/// interference intervals cross guard boundaries.
+fn guarded_program() -> Program {
+    let n = 12i64;
+    let mut b = ProgramBuilder::new("guarded");
+    b.array("A", &[n], 8);
+    b.array("B", &[n, n], 8);
+    let i1 = LinExpr::var("I1");
+    let i2 = LinExpr::var("I2");
+    b.push(SNode::loop_(
+        "I1",
+        2,
+        n,
+        vec![
+            SNode::assign(SRef::new("A", vec![i1.offset(-1)]), vec![]),
+            SNode::loop_(
+                "I2",
+                1,
+                n,
+                vec![
+                    SNode::reads_only(vec![SRef::new("B", vec![i2.clone(), i1.clone()])]),
+                    SNode::if_(
+                        vec![LinRel::new(i2.clone(), RelOp::Eq, LinExpr::constant(n))],
+                        vec![SNode::reads_only(vec![SRef::new("A", vec![i1.clone()])])],
+                    ),
+                ],
+            ),
+        ],
+    ));
+    b.build().unwrap()
+}
+
+/// elem_bytes = 12: address strides share no power-of-two structure with
+/// the 32-byte line, so line boundaries fall at shifting offsets in a row.
+fn twelve_byte_program() -> Program {
+    let n = 10i64;
+    let mut b = ProgramBuilder::new("twelve-byte");
+    b.array("P", &[n, n], 12);
+    b.array("Q", &[n], 24);
+    let (i, j) = (LinExpr::var("I"), LinExpr::var("J"));
+    b.push(SNode::loop_(
+        "J",
+        1,
+        n,
+        vec![SNode::loop_(
+            "I",
+            1,
+            n,
+            vec![SNode::assign(
+                SRef::new("P", vec![i.clone(), j.clone()]),
+                vec![
+                    SRef::new("P", vec![j.clone(), i.clone()]),
+                    SRef::new("Q", vec![i.clone()]),
+                ],
+            )],
+        )],
+    ));
+    b.build().unwrap()
+}
+
+/// Every point of `program` on four geometries: one per associativity,
+/// and a non-power-of-two set count (the division fallbacks).
+fn check_every_point(program: &Program, tag: &str) {
+    let mut rng = SeededRng::seed_from_u64(0);
+    for cfg in [
+        CacheConfig::new(1024, 32, 1).unwrap(),
+        CacheConfig::new(2048, 32, 2).unwrap(),
+        CacheConfig::new(4096, 64, 4).unwrap(),
+        CacheConfig::with_geometry(32, 12, 2).unwrap(),
+    ] {
+        check(program, cfg, 1, &mut rng, tag);
+    }
+}
+
+#[test]
+fn counting_matches_oracle_on_hydro() {
+    check_every_point(&cme_workloads::hydro(20, 20), "hydro");
+}
+
+#[test]
+fn counting_matches_oracle_on_mgrid() {
+    check_every_point(&cme_workloads::mgrid(10), "mgrid");
+}
+
+#[test]
+fn counting_matches_oracle_on_mmt() {
+    check_every_point(&cme_workloads::mmt(10, 10, 5), "mmt");
+}
+
+#[test]
+fn counting_matches_oracle_on_guarded_if_program() {
+    check_every_point(&guarded_program(), "guarded");
+}
+
+#[test]
+fn counting_matches_oracle_on_twelve_byte_elements() {
+    check_every_point(&twelve_byte_program(), "twelve-byte");
 }

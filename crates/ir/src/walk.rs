@@ -12,7 +12,7 @@
 //!   (§4.1.2), where lexical positions decide the open/closed interval ends;
 //! * [`walk_rows_rev`] visits the same interval one innermost row at a
 //!   time, backward — the unit the replacement equations count in closed
-//!   form.
+//!   form, from the consumer back to the reused line's last touch.
 
 use crate::program::{LoopNode, Program, RefId, StmtId};
 use std::ops::ControlFlow;
@@ -259,130 +259,6 @@ where
     ControlFlow::Continue(())
 }
 
-/// Like [`walk_range`], but visits the iteration points in *reverse*
-/// program order (accesses within one point are also reversed). The miss
-/// equations scan interference intervals backward from the consumer so they
-/// can stop at the first re-touch of the reused line or at the `k`-th
-/// distinct contention, whichever comes first.
-///
-/// # Panics
-///
-/// Panics if `from`/`to` do not have length `2 · depth`.
-pub fn walk_range_rev<F>(program: &Program, from: &[i64], to: &[i64], mut f: F)
-where
-    F: FnMut(Access<'_>, BoundaryTag) -> ControlFlow<()>,
-{
-    let n = program.depth();
-    assert_eq!(from.len(), 2 * n, "`from` must be an interleaved vector");
-    assert_eq!(to.len(), 2 * n, "`to` must be an interleaved vector");
-    if cme_poly::lex::cmp(from, to) == std::cmp::Ordering::Greater {
-        return;
-    }
-    let mut idx = vec![0i64; n];
-    let roots = program.roots();
-    for (pos, root) in roots.iter().enumerate().rev() {
-        let label = pos as i64 + 1;
-        if label < from[0] {
-            break;
-        }
-        if label > to[0] {
-            continue;
-        }
-        let tf = label == from[0];
-        let tt = label == to[0];
-        if walk_ranged_rev(program, root, 1, &mut idx, from, to, tf, tt, &mut f).is_break() {
-            return;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk_ranged_rev<F>(
-    program: &Program,
-    node: &LoopNode,
-    depth: usize,
-    idx: &mut [i64],
-    from: &[i64],
-    to: &[i64],
-    tf: bool,
-    tt: bool,
-    f: &mut F,
-) -> ControlFlow<()>
-where
-    F: FnMut(Access<'_>, BoundaryTag) -> ControlFlow<()>,
-{
-    let mut lb = node.lb.eval(idx);
-    let mut ub = node.ub.eval(idx);
-    let fi = from[2 * depth - 1];
-    let ti = to[2 * depth - 1];
-    if tf {
-        lb = lb.max(fi);
-    }
-    if tt {
-        ub = ub.min(ti);
-    }
-    let mut v = ub;
-    while v >= lb {
-        idx[depth - 1] = v;
-        let tf2 = tf && v == fi;
-        let tt2 = tt && v == ti;
-        if node.inner.is_empty() {
-            let tag = BoundaryTag {
-                at_start: tf2,
-                at_end: tt2,
-            };
-            visit_stmts_tagged_rev(program, &node.stmts, idx, tag, f)?;
-        } else {
-            for (pos, inner) in node.inner.iter().enumerate().rev() {
-                let label = pos as i64 + 1;
-                let fl = from[2 * depth];
-                let tl = to[2 * depth];
-                if tf2 && label < fl {
-                    break;
-                }
-                if tt2 && label > tl {
-                    continue;
-                }
-                let tf3 = tf2 && label == fl;
-                let tt3 = tt2 && label == tl;
-                walk_ranged_rev(program, inner, depth + 1, idx, from, to, tf3, tt3, f)?;
-            }
-        }
-        v -= 1;
-    }
-    ControlFlow::Continue(())
-}
-
-fn visit_stmts_tagged_rev<F>(
-    program: &Program,
-    stmts: &[StmtId],
-    idx: &[i64],
-    tag: BoundaryTag,
-    f: &mut F,
-) -> ControlFlow<()>
-where
-    F: FnMut(Access<'_>, BoundaryTag) -> ControlFlow<()>,
-{
-    for &sid in stmts.iter().rev() {
-        let stmt = program.statement(sid);
-        if !stmt.guard.iter().all(|c| c.holds(idx)) {
-            continue;
-        }
-        for &rid in stmt.refs.iter().rev() {
-            let addr = program.byte_address(rid, idx);
-            f(
-                Access {
-                    r: rid,
-                    point: idx,
-                    addr,
-                },
-                tag,
-            )?;
-        }
-    }
-    ControlFlow::Continue(())
-}
-
 /// One innermost row of an interval, as [`walk_rows_rev`] visits it: the
 /// statements of one innermost loop node at one outer-index prefix, over
 /// the innermost indices `lo..=hi` that lie inside the interval.
@@ -405,8 +281,8 @@ pub struct RowSpan<'a> {
 }
 
 /// Visits the non-empty innermost rows of the interval `from ⪯ p ⪯ to`
-/// in *reverse* program order: exactly the innermost loop rows that
-/// [`walk_range_rev`] traverses, in the same order, each once, with the
+/// in *reverse* program order: exactly the innermost loop rows whose
+/// points [`walk_range`] visits, last row first, each once, with the
 /// boundary tags reduced to the row's ends. Guards are not evaluated; a
 /// row holds every statement of its loop node. `idx` is a reusable index
 /// buffer.
@@ -443,7 +319,8 @@ where
     }
 }
 
-/// The outer levels of [`walk_rows_rev`]; they mirror `walk_ranged_rev`.
+/// The outer levels of [`walk_rows_rev`]: `walk_ranged`'s descent, with
+/// every level visited from its last index and loop node down.
 #[allow(clippy::too_many_arguments)]
 fn rows_rev<F>(
     node: &LoopNode,
@@ -683,33 +560,10 @@ mod tests {
         assert_eq!(count as usize, trace(&p).len());
     }
 
-    #[test]
-    fn reverse_range_walk_is_exact_reverse() {
-        let p = two_nest_program();
-        let from = vec![1, 2, 1, 1];
-        let to = vec![2, 1, 1, 1];
-        let mut fwd: Vec<(Vec<i64>, RefId)> = Vec::new();
-        walk_range(&p, &from, &to, |a, _| {
-            fwd.push((p.iteration_vector(a.r, a.point), a.r));
-            ControlFlow::Continue(())
-        });
-        let mut rev: Vec<(Vec<i64>, RefId)> = Vec::new();
-        walk_range_rev(&p, &from, &to, |a, tag| {
-            let iv = p.iteration_vector(a.r, a.point);
-            assert_eq!(tag.at_start, iv == from);
-            assert_eq!(tag.at_end, iv == to);
-            rev.push((iv, a.r));
-            ControlFlow::Continue(())
-        });
-        rev.reverse();
-        assert_eq!(fwd, rev);
-        assert!(!fwd.is_empty());
-    }
-
-    /// The row walk covers exactly the points of `walk_range_rev`: each
-    /// visited access lies in the row that the row walk reports for its
-    /// prefix and loop node, rows come in the same order, and the boundary
-    /// tags sit at the reported row ends.
+    /// The row walk covers exactly the points of `walk_range`, backward:
+    /// each access of the reversed forward walk lies in the row that the
+    /// row walk reports for its prefix and loop node, rows come in the
+    /// same order, and the boundary tags sit at the reported row ends.
     #[test]
     fn row_walk_groups_the_reverse_walk() {
         let p = two_nest_program();
@@ -725,8 +579,8 @@ mod tests {
             // (prefix, loop node, index, at_start, at_end), deduplicated
             // per point.
             type Seen = (Vec<i64>, *const LoopNode, i64, bool, bool);
-            let mut expect: Vec<Seen> = Vec::new();
-            walk_range_rev(&p, from, to, |a, tag| {
+            let mut forward: Vec<Seen> = Vec::new();
+            walk_range(&p, from, to, |a, tag| {
                 let label = &p.statement(p.reference(a.r).stmt).label;
                 let node: *const LoopNode = *p.loop_path(label).last().unwrap();
                 let seen = (
@@ -736,11 +590,12 @@ mod tests {
                     tag.at_start,
                     tag.at_end,
                 );
-                if expect.last() != Some(&seen) {
-                    expect.push(seen);
+                if forward.last() != Some(&seen) {
+                    forward.push(seen);
                 }
                 ControlFlow::Continue(())
             });
+            let expect: Vec<Seen> = forward.into_iter().rev().collect();
             let mut got: Vec<Seen> = Vec::new();
             walk_rows_rev(&p, from, to, &mut idx, |row| {
                 for w in (row.lo..=row.hi).rev() {

@@ -252,8 +252,8 @@ fn ris_volumes_match_trace_length() {
     }
 }
 
-/// Range walks (both directions) agree with filtering the full trace by
-/// the interval, on random programs and random endpoints.
+/// The range walk agrees with filtering the full trace by the interval,
+/// on random programs and random endpoints.
 #[test]
 fn range_walks_match_filtered_trace() {
     let mut rng = SeededRng::seed_from_u64(0xC33);
@@ -289,12 +289,5 @@ fn range_walks_match_filtered_trace() {
             ControlFlow::Continue(())
         });
         assert_eq!(&fwd, &expect, "case {case}: forward walk");
-        let mut rev = Vec::new();
-        cme_ir::walk::walk_range_rev(&program, &from, &to, |a, _| {
-            rev.push((program.iteration_vector(a.r, a.point), a.r));
-            ControlFlow::Continue(())
-        });
-        rev.reverse();
-        assert_eq!(&rev, &expect, "case {case}: reverse walk");
     }
 }

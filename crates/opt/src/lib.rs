@@ -49,5 +49,7 @@ pub mod padding;
 pub mod tiling;
 
 pub use geometry::{rank_geometries, rank_geometries_in, GeometryChoice, GeometryRanking};
-pub use padding::{search_padding, search_padding_in, PaddingOptions, PaddingPlan};
+pub use padding::{
+    search_padding, search_padding_in, PaddingOptions, PaddingPlan, PaddingTrial, PADDING_REUSE_CAP,
+};
 pub use tiling::{grid, search_tiles, search_tiles_in, TilePlan, TilePoint};

@@ -47,6 +47,15 @@ impl Default for PaddingOptions {
     }
 }
 
+/// One evaluated layout of a padding search.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PaddingTrial {
+    /// Bytes inserted before each array (index = array id).
+    pub padding: Vec<i64>,
+    /// Predicted miss ratio of the padded program.
+    pub predicted_ratio: f64,
+}
+
 /// The outcome of a padding search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PaddingPlan {
@@ -56,8 +65,9 @@ pub struct PaddingPlan {
     pub baseline_ratio: f64,
     /// Predicted miss ratio with [`PaddingPlan::padding`] applied.
     pub padded_ratio: f64,
-    /// Model evaluations performed.
-    pub evaluations: u32,
+    /// Every model evaluation, in order: the original layout first. A
+    /// layout the descent revisits appears once per visit.
+    pub trials: Vec<PaddingTrial>,
 }
 
 impl PaddingPlan {
@@ -75,7 +85,7 @@ impl PaddingPlan {
 /// The reuse-vector cap used by every padding evaluation (reuse vectors
 /// are layout-independent, so the engine shares one capped analysis across
 /// all candidate layouts).
-const PADDING_REUSE_CAP: usize = 128;
+pub const PADDING_REUSE_CAP: usize = 128;
 
 /// Searches for inter-array paddings minimising the predicted miss ratio
 /// of `program` on `config`, using a private in-memory [`Engine`].
@@ -117,12 +127,13 @@ pub fn search_padding_in(
             .expect("padding evaluations carry no deadline")
             .miss_ratio
     };
-    let mut evaluations = 0u32;
-
     let n = program.arrays().len();
     let mut padding = vec![0i64; n];
     let baseline_ratio = eval(program);
-    evaluations += 1;
+    let mut trials = vec![PaddingTrial {
+        padding: padding.clone(),
+        predicted_ratio: baseline_ratio,
+    }];
     let mut best_ratio = baseline_ratio;
     for _ in 0..opts.rounds {
         let mut improved = false;
@@ -134,7 +145,7 @@ pub fn search_padding_in(
             // Evaluate every candidate padding of array `a` in parallel;
             // the results come back in candidate order, so the pick below
             // is deterministic regardless of worker scheduling.
-            let ratios = parallel::run_chunked(
+            let evaluated = parallel::run_chunked(
                 threads,
                 candidates,
                 || (),
@@ -145,16 +156,18 @@ pub fn search_padding_in(
                     }
                     let mut trial = padding.clone();
                     trial[a] = pad;
-                    Some((eval(&program.with_padding(&trial)), pad))
+                    Some(PaddingTrial {
+                        predicted_ratio: eval(&program.with_padding(&trial)),
+                        padding: trial,
+                    })
                 },
             );
             let mut best_here = (best_ratio, keep);
-            for entry in ratios.into_iter().flatten() {
-                evaluations += 1;
-                let (ratio, pad) = entry;
-                if ratio + 1e-9 < best_here.0 {
-                    best_here = (ratio, pad);
+            for trial in evaluated.into_iter().flatten() {
+                if trial.predicted_ratio + 1e-9 < best_here.0 {
+                    best_here = (trial.predicted_ratio, trial.padding[a]);
                 }
+                trials.push(trial);
             }
             padding[a] = best_here.1;
             if best_here.0 + 1e-9 < best_ratio {
@@ -170,7 +183,7 @@ pub fn search_padding_in(
         padding,
         baseline_ratio,
         padded_ratio: best_ratio,
-        evaluations,
+        trials,
     }
 }
 
@@ -224,7 +237,13 @@ mod tests {
             "padding should cure thrashing: {sim_after} (plan {:?})",
             plan.padding
         );
-        assert!(plan.evaluations > 3);
+        assert!(plan.trials.len() > 3);
+        assert_eq!(plan.trials[0].padding, vec![0; 3]);
+        assert_eq!(plan.trials[0].predicted_ratio, plan.baseline_ratio);
+        assert!(plan
+            .trials
+            .iter()
+            .any(|t| t.padding == plan.padding && t.predicted_ratio == plan.padded_ratio));
     }
 
     #[test]
@@ -273,24 +292,30 @@ mod tests {
                 .metrics()
                 .store_hits
                 .load(std::sync::atomic::Ordering::Relaxed)
-                >= u64::from(first.evaluations),
+                >= first.trials.len() as u64,
             "second search should hit the store once per evaluation"
         );
     }
 
-    /// A sweep with the pre-pass off picks the identical plan: resolved
-    /// references count exactly the walk's totals, so every candidate's
-    /// predicted ratio — and hence the search trajectory — is unchanged.
+    /// Every trial's predicted ratio is the classifier's over every point
+    /// of its layout, without the row engine: with a tiny interval width
+    /// every reference is planned exhaustively, and reuse vectors are
+    /// layout-independent, so one capped analysis serves every layout.
     #[test]
-    fn prepass_off_sweep_matches_default_plan() {
-        use cme_analysis::PrepassMode;
+    fn trials_match_the_every_point_reference() {
+        use cme_analysis::Classifier;
+        use cme_reuse::ReuseAnalysis;
         let program = conflict_program(256);
         let cfg = CacheConfig::new(2048, 32, 1).unwrap();
-        let on = search_padding(&program, cfg, &PaddingOptions::default());
         let mut opts = PaddingOptions::default();
-        opts.sampling.prepass = PrepassMode::Off;
-        let off = search_padding(&program, cfg, &opts);
-        assert_eq!(on, off);
+        opts.sampling.width = 0.001;
+        let plan = search_padding(&program, cfg, &opts);
+        let reuse = ReuseAnalysis::analyze_capped(&program, cfg.line_bytes(), PADDING_REUSE_CAP);
+        for trial in &plan.trials {
+            let padded = program.with_padding(&trial.padding);
+            let reference = Classifier::new(&padded, &reuse, cfg).classify_every_point();
+            assert_eq!(trial.predicted_ratio, reference.miss_ratio(), "{trial:?}");
+        }
     }
 
     #[test]

@@ -142,36 +142,32 @@ mod tests {
         assert_eq!(g, vec![vec![1, 3], vec![2, 4]]);
     }
 
-    /// Tile sweeps with the pre-pass off return the identical sweep
-    /// (exhaustively-planned references walk to the same totals; sampled
-    /// ones never consult the pre-pass).
+    /// With every reference planned exhaustively (a tiny interval width),
+    /// each candidate's predicted ratio is the classifier's over every
+    /// point of its program, without the row engine.
     #[test]
-    fn prepass_off_tile_sweep_matches_default() {
-        use cme_analysis::PrepassMode;
+    fn sweep_matches_the_every_point_reference() {
+        use cme_analysis::Classifier;
+        use cme_reuse::ReuseAnalysis;
         let n = 16i64;
         let cfg = CacheConfig::new(2048, 32, 2).unwrap();
         let candidates = grid(&[&[4, 8, 16], &[4, 8, 16]], |c| {
             n % c[0] == 0 && n % c[1] == 0
         });
-        let base = SamplingOptions {
-            confidence: 0.90,
-            width: 0.05,
-            seed: 7,
+        let sampling = SamplingOptions {
+            width: 0.001,
             ..SamplingOptions::paper_default()
         };
-        let on = search_tiles(&candidates, cfg, base.clone(), |p| {
+        let plan = search_tiles(&candidates, cfg, sampling, |p| {
             cme_workloads::mmt(n, p[0], p[1])
         });
-        let off = search_tiles(
-            &candidates,
-            cfg,
-            SamplingOptions {
-                prepass: PrepassMode::Off,
-                ..base
-            },
-            |p| cme_workloads::mmt(n, p[0], p[1]),
-        );
-        assert_eq!(on, off);
+        assert_eq!(plan.sweep.len(), candidates.len());
+        for point in &plan.sweep {
+            let program = cme_workloads::mmt(n, point.params[0], point.params[1]);
+            let reuse = ReuseAnalysis::analyze(&program, cfg.line_bytes());
+            let reference = Classifier::new(&program, &reuse, cfg).classify_every_point();
+            assert_eq!(point.predicted_ratio, reference.miss_ratio(), "{point:?}");
+        }
     }
 
     #[test]

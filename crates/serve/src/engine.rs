@@ -48,22 +48,21 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Exact or sampled analysis. The embedded options' `threads` and
-/// `prepass` fields are *ignored* for fingerprinting — neither changes
-/// results. `threads` is overridden at run time (the engine classifies
-/// serially); `prepass` is honoured (wire requests always run it on).
+/// Exact or sampled analysis. The embedded options' `threads` field is
+/// *ignored* for fingerprinting — it does not change results — and
+/// overridden at run time: the engine classifies serially.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisMode {
     Exact,
     Estimate(SamplingOptions),
 }
 
-/// One unit of work for the engine. The engine always runs the counting
-/// evaluator ([`cme_analysis::WalkStrategy::SetSkip`]) with the hit/miss
-/// pre-pass on, for every wire request; the slower reference paths are
-/// reachable only in process: `PrepassMode::Off` through an estimate job's
-/// [`SamplingOptions`], `WalkStrategy::LegacyScan` through `cme_analysis`
-/// directly.
+/// One unit of work for the engine. Every job, in process or from the
+/// wire, runs `FindMisses` or `EstimateMisses` as they are: each
+/// exhaustively analysed reference goes through the hit/miss pre-pass and
+/// then the counting classifier on the points it leaves. The slower
+/// reference, [`cme_analysis::Classifier::classify_every_point`], serves
+/// tests and timing harnesses only.
 #[derive(Debug)]
 pub struct Job<'p> {
     pub program: &'p Program,
@@ -163,8 +162,8 @@ impl std::error::Error for EngineError {}
 
 /// The content-addressed job key: program (including layout), cache
 /// geometry, analysis mode and reuse cap. The sampling options' thread
-/// count and pre-pass mode are deliberately excluded — results are
-/// byte-identical across both.
+/// count is deliberately excluded — results are byte-identical across
+/// it.
 pub fn job_fingerprint(
     program: &Program,
     config: CacheConfig,
@@ -192,7 +191,7 @@ pub fn job_fingerprint(
                     h.write_f64(w);
                 }
             }
-            // `o.threads` and `o.prepass` excluded on purpose.
+            // `o.threads` excluded on purpose.
         }
     }
     match reuse_cap {
@@ -832,7 +831,6 @@ pub fn render_trace_payload(config: CacheConfig, stats: &cme_trace::TraceStats) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cme_analysis::PrepassMode;
     use cme_ir::{LinExpr, ProgramBuilder, SNode, SRef};
 
     fn small_program() -> Program {
@@ -1005,7 +1003,8 @@ mod tests {
             assert!(!resolved.from_store, "n={n} was never analysed");
             assert_eq!(resolved.prepass_resolved, resolved.points, "n={n}");
 
-            let walked = FindMisses::new(&p, cfg).prepass(PrepassMode::Off).run();
+            let reuse = ReuseAnalysis::analyze(&p, cfg.line_bytes());
+            let walked = cme_analysis::Classifier::new(&p, &reuse, cfg).classify_every_point();
             let payload = render_payload(&p, cfg, &AnalysisMode::Exact, &walked);
             assert_eq!(&*resolved.payload, &payload, "n={n}");
         }

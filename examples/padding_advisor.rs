@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.padding,
         100.0 * plan.baseline_ratio,
         100.0 * plan.padded_ratio,
-        plan.evaluations
+        plan.trials.len()
     );
 
     let after = Simulator::new(cache)

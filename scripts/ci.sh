@@ -6,24 +6,38 @@
 #
 # The gate is the repo's tier-1 contract: an offline release build plus the
 # full workspace test suite, no registry access required. Serial and
-# parallel reports are held equal by the workspace tests
-# (crates/core/tests/parallel_determinism.rs).
+# parallel reports are held equal to the classifier run over every point
+# by the workspace tests (crates/core/tests/parallel_determinism.rs).
 #
 # Committed BENCH_*.json files are paper scale. Every harness writes
 # through $OUT: target/ci-bench/ by default, so a green run leaves the tree
-# clean (a rerun's timings are host noise, not a new artifact), and the
-# repository root under BENCH_SCALE=paper, which refreshes the committed
-# files. Each harness keeps its own scale, floors and gates either way.
+# as it found it (a rerun's timings are host noise, not a new artifact),
+# and the repository root under BENCH_SCALE=paper, which refreshes the
+# committed files. Each harness keeps its own scale, floors and gates
+# either way. At the default scale the run fails if `git status
+# --porcelain` differs afterwards.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "${BENCH_SCALE:-small}" = "paper" ]; then
     OUT=.
+    TREE_BEFORE=
 else
     OUT=target/ci-bench
     mkdir -p "$OUT"
+    TREE_BEFORE=$(git status --porcelain)
 fi
+
+# Building perfbench rewrites perfbench/Cargo.lock whenever a workspace
+# crate's dependencies changed since the lock was written, and the
+# benchmark's files change only with the benchmark. Keep a copy and put
+# it back on every exit path.
+mkdir -p target
+LOCK_COPY=target/perfbench-Cargo.lock.orig
+cp perfbench/Cargo.lock "$LOCK_COPY"
+restore_lock() { cp "$LOCK_COPY" perfbench/Cargo.lock; }
+trap restore_lock EXIT
 
 echo "== lint gate: rustfmt =="
 cargo fmt --check
@@ -48,14 +62,16 @@ echo "== benchmark self-tests (perfbench) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== row-engine (hit/miss pre-pass) harness =="
-# Always at paper scale: times cold FindMisses with the pre-pass off vs on
-# (serial, counting evaluator), asserts the reports are bit-identical, and
-# enforces the floors: resolution rate MMT >= 90% and MGRID >= 97%,
-# pre-pass-on wall <= off wall on MMT;
-# stream3 resolved in full with zero walked points and >= 100x over the
-# walk; a >= 10x stream3 padding sweep over the pre-pass-off sweep with an
-# identical plan; and an exact serve job that answers a never-seen stream3
-# size without a walk, byte-identical to the walked answer.
+# Always at paper scale: times cold serial FindMisses (row engine, then
+# the counting classifier on what it leaves) against the classifier alone
+# over every point, asserts the reports are bit-identical, and enforces
+# the floors: resolution rate MMT >= 90% and MGRID >= 97%, FindMisses
+# wall <= every-point wall on MMT; stream3 resolved in full with zero
+# walked points and >= 100x over the every-point walk; a serial stream3
+# padding sweep >= 10x faster than the every-point walk over the layouts
+# it evaluated, every trial's ratio equal to the walk's; and an exact
+# serve job that answers a never-seen stream3 size without a walk,
+# byte-identical to the walked answer.
 cargo run -p cme-bench --bin bench_prepass --release --offline -- \
     --scale paper --out "$OUT/BENCH_prepass.json"
 
@@ -78,9 +94,9 @@ echo "== geometry-sweep harness =="
 # Always at paper scale: a 24-cell grid (sizes x assocs x line sizes) as a
 # sweep (one reuse analysis per line size, then FindMisses per cell) vs
 # per-geometry loops. Asserts every grid cell byte-identical to its
-# independent pre-pass-off run, a repeat engine sweep answered entirely
+# independent every-point walk, a repeat engine sweep answered entirely
 # from the store, and on the streaming workload the floors: the sweep
-# >=5x faster than the pre-pass-off loop and no slower than the default
+# >=5x faster than the walked loop and no slower than the FindMisses
 # loop (a serial win — every side runs one thread).
 cargo run -p cme-bench --bin bench_sweep --release --offline -- \
     --scale paper --out "$OUT/BENCH_sweep.json"
@@ -100,5 +116,16 @@ echo "== chaos harness =="
 # the seed's.
 cargo run -p cme-bench --bin bench_chaos --release --offline -- \
     --out "$OUT/BENCH_chaos.json"
+
+restore_lock
+if [ "${BENCH_SCALE:-small}" != "paper" ]; then
+    echo "== the tree is as the run found it =="
+    TREE_AFTER=$(git status --porcelain)
+    if [ "$TREE_AFTER" != "$TREE_BEFORE" ]; then
+        echo "ci.sh changed the working tree:" >&2
+        diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") >&2 || true
+        exit 1
+    fi
+fi
 
 echo "== ok =="
