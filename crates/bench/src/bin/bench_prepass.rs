@@ -4,7 +4,9 @@
 //! classifier alone over every point (`Classifier::classify_every_point`,
 //! the pre-pass-off reference), verifies the reports agree
 //! point-for-point, records the resolution rate (share of points settled
-//! without the classifier) and writes the numbers to `BENCH_prepass.json`.
+//! without the classifier) and the row engine's counting work (rows its
+//! counting walks visit per counted point, from an untimed pre-pass of
+//! its own), and writes the numbers to `BENCH_prepass.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_prepass --release -- \
@@ -36,7 +38,9 @@
 //!   on stream3, and the padding sweep ≥ 10× faster than the reference
 //!   over its layouts.
 
-use cme_analysis::{Classifier, FindMisses, Report, SamplingOptions, Threads};
+use cme_analysis::{
+    CancelToken, Classifier, FindMisses, Prepass, Report, SamplingOptions, Threads,
+};
 use cme_bench::{secs, stream3, timed, Scale, Table};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
@@ -52,6 +56,10 @@ struct Row {
     workload: String,
     points: u64,
     resolved: u64,
+    /// Points the row engine decided by counting, and the rows its
+    /// counting walks visited.
+    counted: u64,
+    rows_walked: u64,
     off: Duration,
     on: Duration,
 }
@@ -59,6 +67,10 @@ struct Row {
 impl Row {
     fn rate(&self) -> f64 {
         self.resolved as f64 / self.points.max(1) as f64
+    }
+
+    fn rows_per_count(&self) -> f64 {
+        self.rows_walked as f64 / self.counted.max(1) as f64
     }
 
     fn speedup(&self) -> f64 {
@@ -152,11 +164,23 @@ fn main() {
             on.references(),
             "{name}: FindMisses diverged from the every-point reference"
         );
+        let pre = Prepass::build(
+            &Classifier::new(program, &reuse, cfg),
+            &CancelToken::never(),
+        )
+        .expect("a never-token pre-pass cannot be cancelled");
+        eprintln!(
+            "{name}: {} points counted, {} rows walked",
+            pre.counted_points(),
+            pre.rows_walked()
+        );
 
         rows.push(Row {
             workload: name.clone(),
             points,
             resolved: on.prepass_resolved(),
+            counted: pre.counted_points(),
+            rows_walked: pre.rows_walked(),
             off: off_t,
             on: on_t,
         });
@@ -242,6 +266,7 @@ fn main() {
         "workload",
         "points",
         "resolved %",
+        "rows/count",
         "off (s)",
         "on (s)",
         "speedup",
@@ -252,19 +277,24 @@ fn main() {
             r.workload.clone(),
             r.points.to_string(),
             format!("{:.1}", 100.0 * r.rate()),
+            format!("{:.2}", r.rows_per_count()),
             secs(r.off),
             secs(r.on),
             format!("{:.2}x", r.speedup()),
         ]);
         json_rows.push(format!(
             "    {{\"workload\": \"{}\", \"points\": {}, \"resolved\": {}, \
-             \"resolved_rate\": {:.4}, \"walked_points\": {}, \"off_ms\": {:.3}, \
+             \"resolved_rate\": {:.4}, \"walked_points\": {}, \"counted_points\": {}, \
+             \"rows_walked\": {}, \"rows_per_counted_point\": {:.2}, \"off_ms\": {:.3}, \
              \"on_ms\": {:.3}, \"speedup\": {:.2}}}",
             r.workload,
             r.points,
             r.resolved,
             r.rate(),
             r.points - r.resolved,
+            r.counted,
+            r.rows_walked,
+            r.rows_per_count(),
             r.off.as_secs_f64() * 1e3,
             r.on.as_secs_f64() * 1e3,
             r.speedup(),

@@ -14,8 +14,12 @@
 //!     [--scale small|medium|paper] [--out BENCH_sweep.json]
 //! ```
 //!
-//! All sides run serially (`Threads::Fixed(1)`) and compare core
-//! `Report`s, with no fingerprint or payload on either side: the sweep's
+//! The per-geometry `FindMisses` loop and the sweep are each timed best of
+//! three, and the spread of the three (slowest minus fastest) is recorded
+//! beside the best, so a difference between them can be read against the
+//! host's noise. All sides run serially (`Threads::Fixed(1)`) and compare
+//! core `Report`s, with no fingerprint or payload on either side: the
+//! sweep's
 //! saving is a per-geometry work reduction — one reuse analysis per
 //! distinct line size instead of one per cell, and no walk for references
 //! the pre-pass resolves in full — not a parallel speedup.
@@ -32,7 +36,7 @@
 //!   per-geometry loop by ≥ 5× on the streaming workload.
 
 use cme_analysis::{Classifier, FindMisses, Report, Threads};
-use cme_bench::{best_of, secs, stream3, timed, Scale};
+use cme_bench::{secs, stream3, timed, Scale};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
@@ -45,20 +49,44 @@ use std::time::Duration;
 /// The benchmark grid: 4 sizes × 3 associativities × 2 line sizes.
 const GRID: &str = "8K,16K,32K,64K:1,2,4:16,32";
 
+/// Runs of the per-geometry loop and of the sweep, each.
+const REPS: usize = 3;
+
 struct Row {
     workload: String,
     cells: usize,
     points: u64,
     /// Per-geometry loop of every-point references.
     walked: Duration,
-    /// Per-geometry loop of `FindMisses`.
-    naive: Duration,
-    sweep: Duration,
+    /// Per-geometry loop of `FindMisses`, and the sweep: best and spread
+    /// of `REPS` runs each.
+    naive: Timing,
+    sweep: Timing,
+}
+
+/// The best of several runs, and how far the slowest lay above it.
+#[derive(Clone, Copy)]
+struct Timing {
+    best: Duration,
+    spread: Duration,
+}
+
+/// The value of `f` and its [`Timing`] over `REPS` runs.
+fn repeated<T>(mut f: impl FnMut() -> T) -> (T, Timing) {
+    let (value, first) = timed(&mut f);
+    let (mut best, mut worst) = (first, first);
+    for _ in 1..REPS {
+        let t = timed(&mut f).1;
+        best = best.min(t);
+        worst = worst.max(t);
+    }
+    let spread = worst - best;
+    (value, Timing { best, spread })
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.walked.as_secs_f64() / self.sweep.as_secs_f64().max(1e-9)
+        self.walked.as_secs_f64() / self.sweep.best.as_secs_f64().max(1e-9)
     }
 }
 
@@ -103,12 +131,12 @@ fn run_sweep(program: &Program, grid: &[CacheConfig]) -> Vec<Report> {
 }
 
 /// Runs both per-geometry loops and the sweep over `grid` (the default
-/// loop and the sweep best of `reps`), asserts byte-identity cell by cell,
-/// and returns the timing row.
-fn measure(name: &str, program: &Program, grid: &[CacheConfig], reps: usize) -> Row {
+/// loop and the sweep `REPS` times each), asserts byte-identity cell by
+/// cell, and returns the timing row.
+fn measure(name: &str, program: &Program, grid: &[CacheConfig]) -> Row {
     let (walked_reports, walked) = timed(|| per_geometry_walked(program, grid));
-    let (naive_reports, naive) = best_of(reps, || per_geometry(program, grid));
-    let (sweep_reports, sweep) = best_of(reps, || run_sweep(program, grid));
+    let (naive_reports, naive) = repeated(|| per_geometry(program, grid));
+    let (sweep_reports, sweep) = repeated(|| run_sweep(program, grid));
 
     let mut points = 0u64;
     for (((g, walked_r), naive_r), sweep_r) in grid
@@ -128,12 +156,15 @@ fn measure(name: &str, program: &Program, grid: &[CacheConfig], reps: usize) -> 
         points += sweep_r.total_accesses();
     }
     eprintln!(
-        "  {name:<16} {} cells  walked {:>9}  default {:>9}  sweep {:>9}  ({:.1}x over walked)",
+        "  {name:<16} {} cells  walked {:>9}  default {:>9} (spread {})  sweep {:>9} \
+         (spread {})  ({:.1}x over walked)",
         grid.len(),
         secs(walked),
-        secs(naive),
-        secs(sweep),
-        walked.as_secs_f64() / sweep.as_secs_f64().max(1e-9),
+        secs(naive.best),
+        secs(naive.spread),
+        secs(sweep.best),
+        secs(sweep.spread),
+        walked.as_secs_f64() / sweep.best.as_secs_f64().max(1e-9),
     );
     Row {
         workload: name.to_string(),
@@ -170,8 +201,8 @@ fn main() {
     let stream = stream3(stream_elems);
     let hydro = cme_workloads::hydro(hydro_n, hydro_n);
     let rows = [
-        measure(&format!("stream3({stream_elems})"), &stream, &grid, 3),
-        measure(&format!("hydro({hydro_n}x{hydro_n})"), &hydro, &grid, 1),
+        measure(&format!("stream3({stream_elems})"), &stream, &grid),
+        measure(&format!("hydro({hydro_n}x{hydro_n})"), &hydro, &grid),
     ];
 
     // The serve round trip: a cold sweep populates the store, so the
@@ -209,14 +240,17 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"workload\": \"{}\", \"cells\": {}, \"points\": {}, \
-                 \"walked_s\": {:.6}, \"naive_s\": {:.6}, \"sweep_s\": {:.6}, \
-                 \"speedup\": {:.2}, \"cells_identical\": true}}",
+                 \"walked_s\": {:.6}, \"naive_s\": {:.6}, \"naive_spread_s\": {:.6}, \
+                 \"sweep_s\": {:.6}, \"sweep_spread_s\": {:.6}, \"speedup\": {:.2}, \
+                 \"cells_identical\": true}}",
                 r.workload,
                 r.cells,
                 r.points,
                 r.walked.as_secs_f64(),
-                r.naive.as_secs_f64(),
-                r.sweep.as_secs_f64(),
+                r.naive.best.as_secs_f64(),
+                r.naive.spread.as_secs_f64(),
+                r.sweep.best.as_secs_f64(),
+                r.sweep.spread.as_secs_f64(),
                 r.speedup()
             )
         })
@@ -239,10 +273,10 @@ fn main() {
     // where walking is expensive (paper scale, streaming workload).
     let stream_row = &rows[0];
     assert!(
-        stream_row.sweep <= stream_row.naive,
+        stream_row.sweep.best <= stream_row.naive.best,
         "sweep slower than the default per-geometry loop: {:?} > {:?}",
-        stream_row.sweep,
-        stream_row.naive
+        stream_row.sweep.best,
+        stream_row.naive.best
     );
     if scale == Scale::Paper {
         assert!(

@@ -135,17 +135,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (value, start.elapsed())
 }
 
-/// Runs `f` `n` times (at least once) and returns the first value with the
-/// fastest wall-clock time: later runs ride warm caches, which is what a
-/// long-lived engine's steady state looks like.
-pub fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
-    let (value, mut best) = timed(&mut f);
-    for _ in 1..n {
-        best = best.min(timed(&mut f).1);
-    }
-    (value, best)
-}
-
 /// Three equal streaming arrays, `C(I) = A(I) + B(I)`: every reference is
 /// resolved in full by the pre-pass, so analysis never walks a point.
 pub fn stream3(elems: i64) -> cme_ir::Program {

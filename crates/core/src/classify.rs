@@ -26,7 +26,10 @@
 //! of the innermost index, and per (row, reference) two closed forms give
 //! where the reused line was last touched and which lines map to its set.
 //! The count stops at the `k`-th distinct contender or at the row holding
-//! the latest re-touch. The tests check it against scans that enumerate
+//! the latest re-touch. One routine counts (`Classifier::count_batch`):
+//! it decides a batch of intervals that differ only in their innermost
+//! ends in one walk, building each shared row once, and a single interval
+//! is its one-window case. The tests check it against scans that enumerate
 //! every access of the interval.
 //!
 //! Per-reference invariants (producer bounding boxes, lexical ranks, the
@@ -98,33 +101,55 @@ pub struct Scratch {
 /// Reusable buffers of the replacement equations.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct EvalScratch {
-    /// Distinct contending lines seen in the interference interval.
-    lines: Vec<i64>,
     /// Index buffer of the row walk.
     row_idx: Vec<i64>,
-    /// The current row's reference segments.
+    /// The current row's reference segments, over the whole row.
     segs: Vec<Segment>,
     /// `≠` holes of the current row's statements, sorted per statement.
     holes: Vec<i64>,
+    /// The segments of the current row that one window counts: those
+    /// that reach its target set, clipped to its ends.
+    reach: Vec<Segment>,
+    /// The windows of the batch not yet decided.
+    open: Vec<Open>,
+    /// Per window `j`, `k` slots from `j·k` for the distinct contending
+    /// lines it has counted.
+    lines: Vec<i64>,
 }
 
-/// Reference segments of consecutive rows of an interval, in reverse
-/// program order: row `i` holds `segs[ends[i − 1]..ends[i]]`.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct WindowRows {
-    segs: Vec<Segment>,
-    ends: Vec<usize>,
-    holes: Vec<i64>,
-    /// Every row of the interval is stored, down to the one holding
-    /// `from`.
-    complete: bool,
+/// A window of a counting batch that is not yet decided.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    /// Index of the window in its batch.
+    j: u32,
+    /// Distinct contending lines counted so far.
+    counted: u32,
+    /// The cache set of the window's reused line.
+    set: i64,
 }
 
-impl WindowRows {
-    /// Rows stored.
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
-    }
+/// One interference interval of a counting batch
+/// ([`Classifier::count_batch`]): the batch fixes every component but the
+/// innermost index at each end.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window {
+    /// Innermost index of the producer's access, where the interval starts.
+    pub(crate) from_w: i64,
+    /// Innermost index of the consumer's access, where it ends.
+    pub(crate) to_w: i64,
+    /// The reused line.
+    pub(crate) line: i64,
+}
+
+/// Where one window ends inside a row: at `to_w` in the row holding `to`,
+/// at `from_w` in the row holding `from`, each with the lexical rank that
+/// trims the accesses at that index (§4.1.2). Neither, between them.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    /// `(from_w, producer rank)`.
+    from: Option<(i64, usize)>,
+    /// `(to_w, consumer rank)`.
+    to: Option<(i64, usize)>,
 }
 
 /// One reference's accesses within one row of the counting evaluator:
@@ -144,6 +169,11 @@ struct Segment {
     /// line the segment touches lies in between, also after `lo` or `hi`
     /// is clipped.
     lines: (i64, i64),
+    /// The cache set of `lines.0`, and the reference's [`RefCount`] step:
+    /// the segment touches set `t` only if `t` lies within
+    /// `lines.1 − lines.0` sets after `set` and in its class modulo `step`.
+    set: i64,
+    step: Divisor,
 }
 
 impl Scratch {
@@ -198,18 +228,24 @@ struct RefBoundPlan<'p> {
 #[derive(Debug, Clone, Copy)]
 struct RefCount {
     stride: i64,
+    /// `|s|`, or 1 for `s = 0`.
+    magnitude: Divisor,
     lex_rank: usize,
     /// `L / gcd(|s|, L)`: shifting `w` by it moves the address by whole
     /// lines.
-    period: i64,
+    period: Divisor,
     /// Lines advanced per `period` steps of `w`: `s · period / L`.
     sigma: i64,
     /// `gcd(sigma mod S, S)`.
-    g: i64,
+    g: Divisor,
     /// `S / g`.
-    m: i64,
+    m: Divisor,
     /// `(sigma / g)⁻¹ mod m`.
     inv: i64,
+    /// Within one row, every line the reference touches lies in one
+    /// residue class of sets modulo `step`: `g` when one residue class of
+    /// `w` holds every access (`period = 1`), else 1.
+    step: Divisor,
 }
 
 impl RefCount {
@@ -221,12 +257,58 @@ impl RefCount {
         let m = nsets / g;
         RefCount {
             stride,
+            magnitude: Divisor::new(stride.abs().max(1)),
             lex_rank,
-            period,
+            period: Divisor::new(period),
             sigma,
-            g,
-            m,
+            g: Divisor::new(g),
+            m: Divisor::new(m),
             inv: mod_inverse(sigma.rem_euclid(nsets) / g, m),
+            step: Divisor::new(if period == 1 { g } else { 1 }),
+        }
+    }
+}
+
+/// A positive divisor, applied by shift and mask when it is a power of
+/// two: the count divides by a few per-reference constants per row.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: i64,
+    /// `log2 d` when `d` is a power of two, else `u32::MAX`.
+    shift: u32,
+}
+
+impl Divisor {
+    fn new(d: i64) -> Divisor {
+        debug_assert!(d > 0, "divisor {d}");
+        let shift = if d & (d - 1) == 0 {
+            d.trailing_zeros()
+        } else {
+            u32::MAX
+        };
+        Divisor { d, shift }
+    }
+
+    /// `⌊x / d⌋`.
+    fn floor(self, x: i64) -> i64 {
+        if self.shift == u32::MAX {
+            x.div_euclid(self.d)
+        } else {
+            x >> self.shift
+        }
+    }
+
+    /// `⌈x / d⌉`.
+    fn ceil(self, x: i64) -> i64 {
+        -self.floor(-x)
+    }
+
+    /// `x mod d`, in `[0, d)`.
+    fn rem(self, x: i64) -> i64 {
+        if self.shift == u32::MAX {
+            x.rem_euclid(self.d)
+        } else {
+            x & (self.d - 1)
         }
     }
 }
@@ -436,16 +518,8 @@ impl<'p> Classifier<'p> {
     /// of §4.1.2: an access at `from` intervenes only if lexically after
     /// `R_p`; one at `to` only if lexically before `R_c`.
     ///
-    /// The verdict is counted, not walked. The interval's innermost rows
-    /// are visited backward from `to`. In each row every statement's guard
-    /// reduces to an interval of `w` minus `≠` holes, and the boundary-rank
-    /// rules trim a reference's range at the row ends. Per reference the
-    /// `w` touching the reused line form one interval, so the row's latest
-    /// re-touch is a maximum over references. The lines mapped to the
-    /// target set after it are then solved per reference in closed form
-    /// ([`Classifier::add_lines`]) into a `k`-slot set of distinct lines. A
-    /// row holding a re-touch is the last one consulted: nothing before it
-    /// counts.
+    /// The one-window case of [`Classifier::count_batch`], which counts
+    /// the verdict instead of walking the interval.
     pub(crate) fn count_evicted(
         &self,
         from: &[i64],
@@ -455,176 +529,212 @@ impl<'p> Classifier<'p> {
         consumer_rank: usize,
         scratch: &mut EvalScratch,
     ) -> bool {
-        let EvalScratch {
-            lines,
-            row_idx,
-            segs,
-            holes,
-        } = scratch;
-        lines.clear();
-        let mut evicted = false;
-        walk_rows_rev(self.program, from, to, row_idx, |row| {
-            segs.clear();
-            holes.clear();
-            self.row_segments(&row, producer_rank, consumer_rank, segs, holes);
-            match self.count_row(segs, holes, reused_line, lines) {
-                Some(e) => {
-                    evicted = e;
-                    ControlFlow::Break(())
-                }
-                None => ControlFlow::Continue(()),
-            }
-        });
-        evicted
+        let window = Window {
+            from_w: from[from.len() - 1],
+            to_w: to[to.len() - 1],
+            line: reused_line,
+        };
+        let mut evicted = [false];
+        self.count_batch(
+            from,
+            to,
+            &[window],
+            producer_rank,
+            consumer_rank,
+            scratch,
+            &mut evicted,
+        );
+        evicted[0]
     }
 
-    /// The first `max_rows` rows of the interval `[from, to]`, backward,
-    /// in full: the innermost indices of `from` and `to` are ignored, so
-    /// the first row (the one holding `to`) and the last (holding `from`)
-    /// span their whole loop range. The rows are the same for every point
-    /// of a row that reaches its producer along one reuse vector, so
-    /// [`Classifier::count_evicted_in`] can decide each such point from
-    /// them without walking.
-    pub(crate) fn window_rows(
+    /// [`Classifier::count_evicted`] for a batch of intervals that differ
+    /// only in their innermost indices: window `j` runs from `from` with
+    /// innermost index `windows[j].from_w` to `to` with innermost index
+    /// `windows[j].to_w`, and `evicted[j]` receives whether it evicts
+    /// `windows[j].line`. `[from, to]` itself is the widest interval: its
+    /// innermost indices are the smallest `from_w` and the largest `to_w`,
+    /// and both are indices of their row's loop, as the producer's and the
+    /// consumer's accesses are. Returns the rows walked.
+    ///
+    /// One backward walk ([`walk_rows_rev`]) visits the rows of the
+    /// batch's widest interval, each built once: every statement's guard
+    /// reduces to an interval of `w` minus `≠` holes, and each reference
+    /// becomes a segment. The first row (holding `to`) and the last
+    /// (holding `from`) are clipped per window at its own ends, with the
+    /// boundary-rank rules; the rows between serve every window as built.
+    /// Per window and segment the `w` touching the reused line form one
+    /// interval, so a row's latest re-touch is a maximum over segments. The
+    /// lines mapped to the target set after it are then solved per segment
+    /// in closed form ([`Classifier::add_lines`]) into the window's `k`
+    /// slots of distinct lines. A window leaves the batch at its `k`-th
+    /// distinct contender (evicted) or in the row holding its latest
+    /// re-touch (not evicted), and one still there after its `from` row is
+    /// not evicted. The walk stops when no window is left.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn count_batch(
         &self,
         from: &[i64],
         to: &[i64],
-        max_rows: usize,
-        rows: &mut WindowRows,
-        scratch: &mut EvalScratch,
-    ) {
-        let (mut from, mut to) = (from.to_vec(), to.to_vec());
-        *from.last_mut().expect("depth >= 1") = i64::MIN;
-        *to.last_mut().expect("depth >= 1") = i64::MAX;
-        rows.segs.clear();
-        rows.ends.clear();
-        rows.holes.clear();
-        rows.complete = true;
-        walk_rows_rev(self.program, &from, &to, &mut scratch.row_idx, |row| {
-            if rows.ends.len() == max_rows {
-                rows.complete = false;
-                return ControlFlow::Break(());
-            }
-            self.row_segments(&row, 0, 0, &mut rows.segs, &mut rows.holes);
-            rows.ends.push(rows.segs.len());
-            ControlFlow::Continue(())
-        });
-    }
-
-    /// [`Classifier::count_evicted`] over rows from
-    /// [`Classifier::window_rows`], for the interval that ends at innermost
-    /// index `to_w` of the first row and starts at `from_w` of the last:
-    /// those two rows are clipped there, with the boundary-rank rules, and
-    /// the rows between are counted as stored. `None` when the stored rows
-    /// end before the verdict does.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn count_evicted_in(
-        &self,
-        rows: &WindowRows,
-        from_w: i64,
-        to_w: i64,
-        reused_line: i64,
+        windows: &[Window],
         producer_rank: usize,
         consumer_rank: usize,
         scratch: &mut EvalScratch,
-    ) -> Option<bool> {
-        let EvalScratch { lines, segs, .. } = scratch;
-        lines.clear();
-        // The row holding `from`, if stored.
-        let last = if rows.complete {
-            rows.ends.len() - 1
-        } else {
-            usize::MAX
-        };
-        let mut start = 0;
-        for (i, &end) in rows.ends.iter().enumerate() {
-            let row = &rows.segs[start..end];
-            start = end;
-            let decided = if i == 0 || i == last {
-                segs.clear();
-                segs.extend(row.iter().filter_map(|sg| {
-                    let rank = self.counts[sg.r as usize].lex_rank;
-                    let mut sg = *sg;
-                    if i == 0 {
-                        sg.hi = sg.hi.min(to_w);
-                        if sg.hi == to_w && rank >= consumer_rank {
-                            sg.hi -= 1;
-                        }
-                    }
-                    if i == last {
-                        sg.lo = sg.lo.max(from_w);
-                        if sg.lo == from_w && rank <= producer_rank {
-                            sg.lo += 1;
-                        }
-                    }
-                    (sg.lo <= sg.hi).then_some(sg)
-                }));
-                self.count_row(segs, &rows.holes, reused_line, lines)
-            } else {
-                self.count_row(row, &rows.holes, reused_line, lines)
-            };
-            if decided.is_some() {
-                return decided;
-            }
+        evicted: &mut [bool],
+    ) -> u64 {
+        debug_assert_eq!(
+            windows.iter().map(|w| w.from_w).min(),
+            from.last().copied(),
+            "`from` starts the widest window"
+        );
+        debug_assert_eq!(
+            windows.iter().map(|w| w.to_w).max(),
+            to.last().copied(),
+            "`to` ends the widest window"
+        );
+        let k = self.config.assoc() as usize;
+        let EvalScratch {
+            row_idx,
+            segs,
+            holes,
+            reach,
+            open,
+            lines,
+        } = scratch;
+        open.clear();
+        open.extend(windows.iter().enumerate().map(|(j, w)| Open {
+            j: j as u32,
+            counted: 0,
+            set: self.config.set_of_line(w.line),
+        }));
+        if lines.len() < windows.len() * k {
+            lines.resize(windows.len() * k, 0);
         }
-        rows.complete.then_some(false)
+        let mut rows = 0u64;
+        walk_rows_rev(self.program, from, to, row_idx, |row| {
+            rows += 1;
+            segs.clear();
+            holes.clear();
+            self.row_segments(&row, segs, holes);
+            let (at_from, at_to) = (row.starts_at_from, row.ends_at_to);
+            let mut kept = 0;
+            for i in 0..open.len() {
+                let mut o = open[i];
+                let j = o.j as usize;
+                let w = &windows[j];
+                let ends = Ends {
+                    from: at_from.then_some((w.from_w, producer_rank)),
+                    to: at_to.then_some((w.to_w, consumer_rank)),
+                };
+                // Only a segment that reaches the target set can touch the
+                // reused line or count; in most rows none does.
+                reach.clear();
+                reach.extend(
+                    segs.iter()
+                        .filter(|sg| self.reaches(sg, o.set))
+                        .filter_map(|sg| self.clip(sg, ends)),
+                );
+                let slots = &mut lines[j * k..(j + 1) * k];
+                let decided = if reach.is_empty() {
+                    None
+                } else {
+                    self.count_row(reach, holes, w.line, o.set, slots, &mut o.counted)
+                };
+                match decided {
+                    Some(e) => evicted[j] = e,
+                    None => {
+                        open[kept] = o;
+                        kept += 1;
+                    }
+                }
+            }
+            open.truncate(kept);
+            if open.is_empty() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        // Past its `from` row, an open window is a hit.
+        for o in open.iter() {
+            evicted[o.j as usize] = false;
+        }
+        rows
     }
 
-    /// Counts one row's segments into `lines`: the row's latest re-touch of
-    /// the reused line is a maximum over its segments, and only accesses
-    /// after it, in program order, count. `Some(evicted)` once the verdict
-    /// is decided — `k` lines, or a re-touch — and `None` when the walk
-    /// goes on to the previous row.
+    /// Counts one row's segments of one window into its distinct lines of
+    /// the target set, `lines[..*counted]`: the row's latest re-touch of the
+    /// reused line is a maximum over its segments, and only accesses after
+    /// it, in program order, count. `Some(evicted)` once the verdict is
+    /// decided — `k` lines, or a re-touch — and `None` when the walk goes
+    /// on to the previous row.
     fn count_row(
         &self,
         segs: &[Segment],
         holes: &[i64],
         reused_line: i64,
-        lines: &mut Vec<i64>,
+        target: i64,
+        lines: &mut [i64],
+        counted: &mut u32,
     ) -> Option<bool> {
         let retouch = segs
             .iter()
-            .filter(|sg| (sg.lines.0..=sg.lines.1).contains(&reused_line))
+            .filter(|sg| sg.lines.0 <= reused_line && reused_line <= sg.lines.1)
             .filter_map(|sg| Some((self.last_touch(sg, holes, reused_line)?, sg.pos)))
             .max();
-        let target = self.config.set_of_line(reused_line);
-        let nsets = self.config.num_sets() as i64;
         for sg in segs {
-            // Fewer lines than sets between the segment's extremes, none
-            // of them in the target set: nothing to count.
-            let span = sg.lines.1 - sg.lines.0;
-            if span < nsets && self.config.set_of_line(target - sg.lines.0) > span {
-                continue;
-            }
             let lo = match retouch {
                 Some((w, pos)) if sg.pos > pos => sg.lo.max(w),
                 Some((w, _)) => sg.lo.max(w + 1),
                 None => sg.lo,
             };
-            if self.add_lines(sg, lo, holes, reused_line, lines) {
+            if self.add_lines(sg, lo, holes, reused_line, target, lines, counted) {
                 return Some(true);
             }
         }
         retouch.map(|_| false)
     }
 
-    /// Appends one row's reference segments: each statement's guard at the
-    /// row prefix becomes `[lo, hi]` minus holes, and the boundary ranks
-    /// trim the row ends — at `from` only references lexically after the
-    /// producer intervene, at `to` only those before the consumer.
-    fn row_segments(
-        &self,
-        row: &RowSpan<'_>,
-        producer_rank: usize,
-        consumer_rank: usize,
-        segs: &mut Vec<Segment>,
-        holes: &mut Vec<i64>,
-    ) {
+    /// The part of a segment inside one window: cut at the window's `ends`,
+    /// where an access intervenes only by the lexical rules of §4.1.2.
+    /// `None` when nothing is left.
+    fn clip(&self, sg: &Segment, ends: Ends) -> Option<Segment> {
+        let rank = self.counts[sg.r as usize].lex_rank;
+        let mut sg = *sg;
+        if let Some((to_w, consumer_rank)) = ends.to {
+            sg.hi = sg.hi.min(to_w);
+            if sg.hi == to_w && rank >= consumer_rank {
+                sg.hi -= 1;
+            }
+        }
+        if let Some((from_w, producer_rank)) = ends.from {
+            sg.lo = sg.lo.max(from_w);
+            if sg.lo == from_w && rank <= producer_rank {
+                sg.lo += 1;
+            }
+        }
+        (sg.lo <= sg.hi).then_some(sg)
+    }
+
+    /// Whether the segment can touch a line of set `target`: the set lies
+    /// among the sets its line range spans, in its residue class.
+    fn reaches(&self, sg: &Segment, target: i64) -> bool {
+        let ahead = target - sg.set;
+        let ahead = if ahead < 0 {
+            ahead + self.config.num_sets() as i64
+        } else {
+            ahead
+        };
+        ahead <= sg.lines.1 - sg.lines.0 && sg.step.rem(ahead) == 0
+    }
+
+    /// Appends one row's reference segments, over the whole row: each
+    /// statement's guard at the row prefix becomes `[lo, hi]` minus holes.
+    fn row_segments(&self, row: &RowSpan<'_>, segs: &mut Vec<Segment>, holes: &mut Vec<i64>) {
         let mut pos = 0;
         for &sid in &row.node.stmts {
             let stmt = self.program.statement(sid);
             let first_hole = holes.len();
-            let Some((glo, ghi)) = reduce_guard(&stmt.guard, row.prefix, row.lo, row.hi, holes)
+            let Some((lo, hi)) = reduce_guard(&stmt.guard, row.prefix, row.lo, row.hi, holes)
             else {
                 holes.truncate(first_hole);
                 pos += stmt.refs.len();
@@ -633,39 +743,31 @@ impl<'p> Classifier<'p> {
             holes[first_hole..].sort_unstable();
             let holes_at = (first_hole as u32, holes.len() as u32);
             for &r in &stmt.refs {
-                let rank = self.counts[r].lex_rank;
-                let mut lo = glo;
-                if row.starts_at_from && lo == row.lo && rank <= producer_rank {
-                    lo += 1;
-                }
-                let mut hi = ghi;
-                if row.ends_at_to && hi == row.hi && rank >= consumer_rank {
-                    hi -= 1;
-                }
-                if lo <= hi {
-                    let plan = self.program.addr_plan(r);
-                    let base = plan.constant_term()
-                        + plan
-                            .coeffs()
-                            .iter()
-                            .zip(row.prefix)
-                            .map(|(c, x)| c * x)
-                            .sum::<i64>();
-                    let s = self.counts[r].stride;
-                    let (a, b) = (base + s * lo, base + s * hi);
-                    segs.push(Segment {
-                        r: r as u32,
-                        pos: pos as u32,
-                        base,
-                        lo,
-                        hi,
-                        holes_at,
-                        lines: (
-                            self.config.mem_line(a.min(b)),
-                            self.config.mem_line(a.max(b)),
-                        ),
-                    });
-                }
+                let plan = self.program.addr_plan(r);
+                let base = plan.constant_term()
+                    + plan
+                        .coeffs()
+                        .iter()
+                        .zip(row.prefix)
+                        .map(|(c, x)| c * x)
+                        .sum::<i64>();
+                let s = self.counts[r].stride;
+                let (a, b) = (base + s * lo, base + s * hi);
+                let lines = (
+                    self.config.mem_line(a.min(b)),
+                    self.config.mem_line(a.max(b)),
+                );
+                segs.push(Segment {
+                    r: r as u32,
+                    pos: pos as u32,
+                    base,
+                    lo,
+                    hi,
+                    holes_at,
+                    lines,
+                    set: self.config.set_of_line(lines.0),
+                    step: self.counts[r].step,
+                });
                 pos += 1;
             }
         }
@@ -673,7 +775,8 @@ impl<'p> Classifier<'p> {
 
     /// The largest `w` of the segment whose access touches `line`.
     fn last_touch(&self, sg: &Segment, holes: &[i64], line: i64) -> Option<i64> {
-        let s = self.counts[sg.r as usize].stride;
+        let rc = &self.counts[sg.r as usize];
+        let (s, by) = (rc.stride, rc.magnitude);
         let (lo, hi) = if s == 0 {
             if self.config.mem_line(sg.base) != line {
                 return None;
@@ -684,9 +787,9 @@ impl<'p> Classifier<'p> {
             let l = self.config.line_bytes() as i64;
             let (first, last) = (line * l - sg.base, line * l + l - 1 - sg.base);
             let (a, b) = if s > 0 {
-                (div_ceil(first, s), div_floor(last, s))
+                (by.ceil(first), by.floor(last))
             } else {
-                (div_ceil(last, s), div_floor(first, s))
+                (-by.floor(last), -by.ceil(first))
             };
             (a.max(sg.lo), b.min(sg.hi))
         };
@@ -694,59 +797,63 @@ impl<'p> Classifier<'p> {
         (lo..=hi).rev().find(|w| !holes.contains(w))
     }
 
-    /// Adds the distinct lines mapped to the reused line's set that the
-    /// segment touches at `w ∈ [lo, sg.hi]` to `lines`; `true` once `lines`
-    /// holds `k`. The segment never touches the reused line there.
+    /// Adds the distinct lines of set `target` that the segment touches at
+    /// `w ∈ [lo, sg.hi]` to `lines[..*counted]`; `true` once `k` are
+    /// counted. The segment never touches the reused line there.
+    #[allow(clippy::too_many_arguments)]
     fn add_lines(
         &self,
         sg: &Segment,
         lo: i64,
         holes: &[i64],
         reused_line: i64,
-        lines: &mut Vec<i64>,
+        target: i64,
+        lines: &mut [i64],
+        counted: &mut u32,
     ) -> bool {
-        let mut start = lo;
-        for &h in &holes[sg.holes_at.0 as usize..sg.holes_at.1 as usize] {
-            if h < start || h > sg.hi {
-                continue;
-            }
-            if self.add_run(sg, start, h - 1, reused_line, lines) {
-                return true;
-            }
-            start = h + 1;
-        }
-        self.add_run(sg, start, sg.hi, reused_line, lines)
-    }
-
-    /// [`Classifier::add_lines`] over one hole-free run `[lo, hi]`, by
-    /// stride: one line for `s = 0`; a contiguous line range for
-    /// `|s| < L`; and for `|s| ≥ L` one arithmetic progression of matching
-    /// `w` per residue class of `w` modulo the [`RefCount`] period.
-    fn add_run(
-        &self,
-        sg: &Segment,
-        lo: i64,
-        hi: i64,
-        reused_line: i64,
-        lines: &mut Vec<i64>,
-    ) -> bool {
-        if lo > hi {
-            return false;
-        }
-        let config = &self.config;
-        let k = config.assoc() as usize;
-        let nsets = config.num_sets() as i64;
-        let target = config.set_of_line(reused_line);
         let mut add = |line: i64| {
             debug_assert_ne!(
                 line, reused_line,
                 "counted region re-touches the reused line"
             );
-            if !lines.contains(&line) {
-                lines.push(line);
+            let n = *counted as usize;
+            if !lines[..n].contains(&line) {
+                lines[n] = line;
+                *counted += 1;
             }
-            lines.len() >= k
+            *counted as usize >= lines.len()
         };
+        let mut start = lo;
+        for &h in &holes[sg.holes_at.0 as usize..sg.holes_at.1 as usize] {
+            if h < start || h > sg.hi {
+                continue;
+            }
+            if self.add_run(sg, start, h - 1, target, &mut add) {
+                return true;
+            }
+            start = h + 1;
+        }
+        self.add_run(sg, start, sg.hi, target, &mut add)
+    }
+
+    /// [`Classifier::add_lines`] over one hole-free run `[lo, hi]`, by
+    /// stride: one line for `s = 0`; a contiguous line range for
+    /// `|s| < L`; and for `|s| ≥ L` one arithmetic progression of matching
+    /// `w` per residue class of `w` modulo the [`RefCount`] period. `add`
+    /// counts a line and says whether `k` are counted.
+    fn add_run(
+        &self,
+        sg: &Segment,
+        lo: i64,
+        hi: i64,
+        target: i64,
+        add: &mut impl FnMut(i64) -> bool,
+    ) -> bool {
+        if lo > hi {
+            return false;
+        }
+        let config = &self.config;
+        let nsets = config.num_sets() as i64;
         let rc = &self.counts[sg.r as usize];
         let s = rc.stride;
         if s == 0 {
@@ -758,7 +865,7 @@ impl<'p> Classifier<'p> {
             // between the extremes is touched.
             let (a, b) = (sg.base + s * lo, sg.base + s * hi);
             let (first, last) = (config.mem_line(a.min(b)), config.mem_line(a.max(b)));
-            let mut line = first + (target - first).rem_euclid(nsets);
+            let mut line = first + config.set_of_line(target - first);
             while line <= last {
                 if add(line) {
                     return true;
@@ -767,19 +874,19 @@ impl<'p> Classifier<'p> {
             }
             return false;
         }
-        for w0 in lo..=hi.min(lo + rc.period - 1) {
+        for w0 in lo..=hi.min(lo + rc.period.d - 1) {
             let l0 = config.mem_line(sg.base + s * w0);
-            let delta = (target - l0).rem_euclid(nsets);
-            if delta % rc.g != 0 {
+            let delta = config.set_of_line(target - l0);
+            if rc.g.rem(delta) != 0 {
                 continue;
             }
-            let qmax = (hi - w0) / rc.period;
-            let mut q = delta / rc.g * rc.inv % rc.m;
+            let qmax = rc.period.floor(hi - w0);
+            let mut q = rc.m.rem(rc.g.floor(delta) * rc.inv);
             while q <= qmax {
                 if add(l0 + rc.sigma * q) {
                     return true;
                 }
-                q += rc.m;
+                q += rc.m.d;
             }
         }
         false
@@ -1062,6 +1169,9 @@ mod tests {
     /// reuse vectors produce. The program crosses nests, guards rows with
     /// thresholds and `≠` holes, runs a row backward and reads at a stride
     /// of 40 B, neither a multiple nor a divisor of any line size drawn.
+    /// Each drawn pair of rows is also counted as one batch of windows, at
+    /// several producer and consumer positions in those rows, each with
+    /// its own reused line.
     #[test]
     fn counting_equals_walk_on_arbitrary_intervals() {
         use cme_ir::{LinRel, RelOp};
@@ -1115,9 +1225,21 @@ mod tests {
             addrs.push(a.addr);
             ControlFlow::Continue(())
         });
+        // The innermost indices each row executes.
+        let last = points[0].len() - 1;
+        let mut rows: std::collections::HashMap<&[i64], Vec<i64>> = Default::default();
+        for pt in &points {
+            rows.entry(&pt[..last]).or_default().push(pt[last]);
+        }
+        for ws in rows.values_mut() {
+            ws.sort_unstable();
+            ws.dedup();
+        }
         let nrefs = p.references().len();
         let mut rng = SeededRng::seed_from_u64(0xC0);
+        let mut batch_rng = SeededRng::seed_from_u64(0xC1);
         let mut evictions = 0;
+        let (mut batched, mut batch_evictions) = (0, 0);
         for (line, sets) in [(16u64, 8u64), (24, 12), (32, 4), (32, 16)] {
             for assoc in [1u32, 2, 3] {
                 let cfg = CacheConfig::with_geometry(line, sets, assoc).unwrap();
@@ -1141,10 +1263,53 @@ mod tests {
                         "cfg {cfg}: [{from:?}, {to:?}] line {reused} ranks {pr}/{cr}"
                     );
                     evictions += u32::from(got);
+
+                    let (from_ws, to_ws) = (&rows[&from[..last]], &rows[&to[..last]]);
+                    let windows: Vec<Window> = (0..6)
+                        .map(|_| {
+                            let mut at = |n: usize| batch_rng.gen_below(n as u64) as usize;
+                            let mut from_w = from_ws[at(from_ws.len())];
+                            let mut to_w = to_ws[at(to_ws.len())];
+                            if from[..last] == to[..last] && from_w > to_w {
+                                std::mem::swap(&mut from_w, &mut to_w);
+                            }
+                            let line = cfg.mem_line(addrs[at(addrs.len())]);
+                            Window { from_w, to_w, line }
+                        })
+                        .collect();
+                    let (mut wide_from, mut wide_to) = (from.clone(), to.clone());
+                    wide_from[last] = windows.iter().map(|w| w.from_w).min().unwrap();
+                    wide_to[last] = windows.iter().map(|w| w.to_w).max().unwrap();
+                    let mut got = vec![true; windows.len()];
+                    count.count_batch(
+                        &wide_from,
+                        &wide_to,
+                        &windows,
+                        pr,
+                        cr,
+                        &mut scratch,
+                        &mut got,
+                    );
+                    for (w, &got) in windows.iter().zip(&got) {
+                        let (mut from, mut to) = (from.clone(), to.clone());
+                        (from[last], to[last]) = (w.from_w, w.to_w);
+                        let want = scan_evicted(&count, &from, &to, w.line, pr, cr);
+                        assert_eq!(
+                            got, want,
+                            "cfg {cfg}: batch window [{from:?}, {to:?}] line {} ranks {pr}/{cr}",
+                            w.line
+                        );
+                        batched += 1;
+                        batch_evictions += u32::from(got);
+                    }
                 }
             }
         }
         assert!(evictions > 500, "only {evictions} evictions drawn");
+        assert!(
+            batch_evictions > batched / 10,
+            "only {batch_evictions} of {batched} batched windows evicted"
+        );
     }
 
     /// `classify` and `classify_with_scratch` agree point-for-point, and a

@@ -31,11 +31,11 @@
 //!   vector), by enumerating the window backward from the consumer for
 //!   vectors whose interval stays inside the innermost loop row and fits
 //!   `WINDOW_BUDGET`, and otherwise by the classifier's counting
-//!   evaluator, one point at a time.
-//!   The first point of a row that counts along a vector walks the
-//!   window's rows; later points share them, stored per `(row, vector)` as
-//!   far as some point has needed them, so a window that crosses hundreds
-//!   of rows is described once per row, not once per point.
+//!   evaluator. A row records each point that needs a count and decides
+//!   every recorded point of one `(row, vector)` in one backward walk over
+//!   the window's rows, before it assembles its pieces; the points differ
+//!   only in the first and last row, so a window that crosses hundreds of
+//!   rows is walked once per row, not once per point.
 //!
 //! # Closure: one evaluation per residue class
 //!
@@ -89,7 +89,7 @@
 //! every caller skips that reference's walk.
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::classify::{reduce_guard, Classifier, ConsumerPlan, EvalScratch, WindowRows};
+use crate::classify::{reduce_guard, Classifier, ConsumerPlan, EvalScratch, Window};
 use crate::parallel::Tally;
 use cme_cache::CacheConfig;
 use cme_ir::{Program, RefId};
@@ -108,7 +108,8 @@ pub enum Verdict {
     Replacement,
 }
 
-/// Evaluations (points and rows) between cancellation checks.
+/// Evaluations (points, rows and counted window rows) between
+/// cancellation checks.
 const CANCEL_GRAIN: u64 = 4096;
 
 /// Budget (window accesses) for the exact intra-row window evaluation; a
@@ -118,6 +119,11 @@ const WINDOW_BUDGET: usize = 1024;
 
 /// Pieces stored per row; a row needing more leaves its remainder unknown.
 const MAX_ROW_PIECES: usize = 48;
+
+/// Evaluated points a row holds back while some of them wait for a count:
+/// bounds the pending state of a long row, and the points evaluated past a
+/// piece cap.
+const COUNT_BATCH: usize = 256;
 
 /// Verdict codes; `UNKNOWN` is "let the walk decide". Each code is also its
 /// own offset in [`RefVerdicts::codes`], which starts with the four
@@ -174,6 +180,10 @@ pub struct RefVerdicts {
     total: u64,
     /// Verdict counts over the resolved points.
     counts: Tally,
+    /// Points decided by counting a window that leaves the row or the
+    /// window budget, and the rows those counts walked.
+    counted: u64,
+    rows_walked: u64,
 }
 
 impl RefVerdicts {
@@ -188,6 +198,8 @@ impl RefVerdicts {
             resolved: 0,
             total,
             counts: Tally::default(),
+            counted: 0,
+            rows_walked: 0,
         }
     }
 
@@ -205,6 +217,70 @@ impl RefVerdicts {
     /// would tally — when no point of it is unknown.
     pub fn totals(&self) -> Option<Tally> {
         (self.resolved == self.total).then_some(self.counts)
+    }
+
+    /// Points whose window was counted across rows (or past the window
+    /// budget) rather than decided within the row.
+    pub fn counted_points(&self) -> u64 {
+        self.counted
+    }
+
+    /// Rows the counting walks visited: a row shared by the points of one
+    /// batch counts once.
+    pub fn rows_walked(&self) -> u64 {
+        self.rows_walked
+    }
+
+    /// Appends `block`, repeated over `[start, last]`, to the row whose
+    /// pieces begin at `first` and whose `v` starts at `row_lo`: extends
+    /// the previous piece when it already predicts the block, otherwise
+    /// adds a piece. `false` when the row is at its piece cap.
+    fn push_piece(
+        &mut self,
+        first: usize,
+        row_lo: i64,
+        block: &[u8],
+        start: i64,
+        last: i64,
+    ) -> bool {
+        let p = block_period(block);
+        let len = (last - start + 1) as u64;
+        if self.pieces.len() > first {
+            let prev = self.pieces[self.pieces.len() - 1];
+            let prev_start = if self.pieces.len() - 1 > first {
+                self.pieces[self.pieces.len() - 2].last + 1
+            } else {
+                row_lo
+            };
+            // Both sides repeat with the lcm of their periods, so agreement
+            // over that many positions is agreement everywhere.
+            let lcm = prev.period as u64 / gcd(prev.period as i64, p as i64) as u64 * p as u64;
+            let agrees = (0..len.min(lcm)).all(|j| {
+                let off = (start - prev_start) as u64 + j;
+                self.codes[prev.pat as usize + (off % prev.period as u64) as usize]
+                    == block[j as usize % p]
+            });
+            if agrees {
+                self.pieces.last_mut().expect("checked non-empty").last = last;
+                return true;
+            }
+        }
+        if self.pieces.len() - first >= MAX_ROW_PIECES {
+            return false;
+        }
+        let pat = if p == 1 {
+            block[0] as u32
+        } else {
+            let at = self.codes.len() as u32;
+            self.codes.extend_from_slice(&block[..p]);
+            at
+        };
+        self.pieces.push(Piece {
+            last,
+            pat,
+            period: p as u32,
+        });
+        true
     }
 
     fn prefix_of(&self, i: usize) -> &[i64] {
@@ -326,11 +402,6 @@ struct VecRow {
     pstride: i64,
     /// Lazily computed row-uniform contention-bound result.
     bound: Option<bool>,
-    /// A point of the row has counted along the vector.
-    counted: bool,
-    /// The slot of [`RowEngine::windows`] that stores the vector's window
-    /// rows for this row.
-    slot: Option<usize>,
 }
 
 const EXCLUDED: VecRow = VecRow {
@@ -341,8 +412,6 @@ const EXCLUDED: VecRow = VecRow {
     pbase: 0,
     pstride: 0,
     bound: None,
-    counted: false,
-    slot: None,
 };
 
 /// One statement of the innermost loop node, pre-resolved for window
@@ -473,8 +542,6 @@ fn build_vec_row(
         pbase,
         pstride,
         bound: None,
-        counted: false,
-        slot: None,
     }
 }
 
@@ -540,6 +607,27 @@ fn window_eval(
     HIT
 }
 
+/// A point of the current row whose deciding vector needs a count: decided
+/// with the other points of its `(row, vector)` when the row's batch is
+/// flushed.
+struct Pending {
+    /// Index of the deciding vector.
+    vi: u32,
+    /// Where its code goes in [`RowEngine::row_codes`].
+    slot: u32,
+    v: i64,
+    reused_line: i64,
+}
+
+/// An evaluated block of the current row, waiting for its counted points:
+/// its `len` codes, next in [`RowEngine::row_codes`], repeat over
+/// `[start, last]`.
+struct Block {
+    start: i64,
+    last: i64,
+    len: usize,
+}
+
 /// The row engine of one reference: static context, per-row scratch and
 /// the verdict map under construction.
 struct RowEngine<'a, 'p> {
@@ -575,19 +663,18 @@ struct RowEngine<'a, 'p> {
     to_buf: Vec<i64>,
     /// The counting evaluator's buffers.
     scratch: EvalScratch,
-    /// Stored window rows, one slot per vector that shares them in the
-    /// current row: every point of the row that counts along the vector
-    /// reads them. Slots are reused row after row, so storage follows the
-    /// vectors one row needs, not every vector of the reference.
-    windows: Vec<WindowRows>,
-    /// Slots taken in the current row.
-    slots_used: usize,
     /// Leaf-guard change points of the current row, sorted; built by the
     /// first window that needs them.
     guard_cuts: Vec<i64>,
     guard_cuts_ready: bool,
-    /// Codes of the block being evaluated.
-    block: Vec<u8>,
+    /// The current row's evaluated blocks whose pieces are not yet
+    /// assembled, their codes, and the points among them still to count.
+    blocks: Vec<Block>,
+    row_codes: Vec<u8>,
+    pending: Vec<Pending>,
+    /// One `(row, vector)` batch of windows to count, and its verdicts.
+    batch: Vec<Window>,
+    evicted: Vec<bool>,
     // Current row.
     cbase: i64,
     row_lo: i64,
@@ -599,9 +686,12 @@ struct RowEngine<'a, 'p> {
 }
 
 impl RowEngine<'_, '_> {
-    fn bump_eval(&mut self) -> Result<(), Cancelled> {
-        self.evals += 1;
-        if self.evals.is_multiple_of(CANCEL_GRAIN) && self.cancel.is_cancelled() {
+    /// Adds `n` evaluations, checking the token each time the count
+    /// crosses a multiple of `CANCEL_GRAIN`.
+    fn tick(&mut self, n: u64) -> Result<(), Cancelled> {
+        let before = self.evals;
+        self.evals += n;
+        if before / CANCEL_GRAIN != self.evals / CANCEL_GRAIN && self.cancel.is_cancelled() {
             return Err(Cancelled { points_done: 0 });
         }
         Ok(())
@@ -677,9 +767,10 @@ impl RowEngine<'_, '_> {
 
     /// Decides one row block by block: `Q` points are evaluated, then their
     /// verdicts extend periodically up to the horizon of the conditions
-    /// they consulted, and the result is appended as pieces.
+    /// they consulted. Points that need a count wait in the row's batch;
+    /// once they are decided, the blocks are appended as pieces.
     fn solve_row(&mut self, prefix: &[i64], lo: i64, hi: i64) -> Result<(), Cancelled> {
-        self.bump_eval()?;
+        self.tick(1)?;
         self.covered += (hi - lo + 1) as u64;
         let mut cbase = self.caddr.constant_term();
         for (d, &p) in prefix.iter().enumerate() {
@@ -692,7 +783,6 @@ impl RowEngine<'_, '_> {
         // Vector rows are reduced lazily: most points decide at an early
         // vector, so later vectors' 1-D reductions are usually never built.
         self.vrows.clear();
-        self.slots_used = 0;
         self.guard_cuts_ready = false;
 
         let first = self.out.pieces.len();
@@ -700,10 +790,9 @@ impl RowEngine<'_, '_> {
         while pos <= hi {
             let bend = hi.min(pos + self.period - 1);
             let mut horizon = i64::MAX;
-            self.block.clear();
             for v in pos..=bend {
                 let (code, h) = self.eval_point(v)?;
-                self.block.push(code);
+                self.row_codes.push(code);
                 horizon = horizon.min(h);
             }
             let last = if bend < hi && horizon > bend + 1 {
@@ -711,7 +800,14 @@ impl RowEngine<'_, '_> {
             } else {
                 bend
             };
-            if !self.push_piece(first, pos, last) {
+            self.blocks.push(Block {
+                start: pos,
+                last,
+                len: (bend - pos + 1) as usize,
+            });
+            pos = last + 1;
+            let flush = self.pending.is_empty() || self.row_codes.len() >= COUNT_BATCH || pos > hi;
+            if flush && !self.flush(first)? {
                 // Piece cap: the rest of the row is left to the walk.
                 self.out.pieces.push(Piece {
                     last: hi,
@@ -720,7 +816,6 @@ impl RowEngine<'_, '_> {
                 });
                 break;
             }
-            pos = last + 1;
         }
         self.out.prefixes.extend_from_slice(prefix);
         self.out.rows.push(Row {
@@ -732,50 +827,75 @@ impl RowEngine<'_, '_> {
         Ok(())
     }
 
-    /// Appends the current block's codes, repeated over `[start, last]`,
-    /// to the row whose pieces begin at `first`: extends the previous piece
-    /// when it already predicts them, otherwise adds a piece. `false` when
-    /// the row is at its piece cap.
-    fn push_piece(&mut self, first: usize, start: i64, last: i64) -> bool {
-        let p = block_period(&self.block);
-        let len = (last - start + 1) as u64;
-        let out = &mut self.out;
-        if out.pieces.len() > first {
-            let prev = out.pieces[out.pieces.len() - 1];
-            let prev_start = if out.pieces.len() - 1 > first {
-                out.pieces[out.pieces.len() - 2].last + 1
-            } else {
-                self.row_lo
-            };
-            // Both sides repeat with the lcm of their periods, so agreement
-            // over that many positions is agreement everywhere.
-            let lcm = prev.period as u64 / gcd(prev.period as i64, p as i64) as u64 * p as u64;
-            let agrees = (0..len.min(lcm)).all(|j| {
-                let off = (start - prev_start) as u64 + j;
-                out.codes[prev.pat as usize + (off % prev.period as u64) as usize]
-                    == self.block[j as usize % p]
-            });
-            if agrees {
-                out.pieces.last_mut().expect("checked non-empty").last = last;
-                return true;
+    /// Counts the pending points, then appends the waiting blocks to the
+    /// row whose pieces begin at `first`. `false` when the row reached its
+    /// piece cap: the blocks from there on are dropped.
+    fn flush(&mut self, first: usize) -> Result<bool, Cancelled> {
+        self.count_pending()?;
+        let mut at = 0;
+        let mut fits = true;
+        for b in &self.blocks {
+            let codes = &self.row_codes[at..at + b.len];
+            at += b.len;
+            if !self
+                .out
+                .push_piece(first, self.row_lo, codes, b.start, b.last)
+            {
+                fits = false;
+                break;
             }
         }
-        if out.pieces.len() - first >= MAX_ROW_PIECES {
-            return false;
+        self.blocks.clear();
+        self.row_codes.clear();
+        Ok(fits)
+    }
+
+    /// Decides every pending point of the row, one batch per deciding
+    /// vector: the points of one `(row, vector)` share every window row
+    /// but the two they are clipped in, so one walk counts them all.
+    fn count_pending(&mut self) -> Result<(), Cancelled> {
+        let mut pending = std::mem::take(&mut self.pending);
+        // Stable, so each vector's points stay in row order.
+        pending.sort_by_key(|p| p.vi);
+        for group in pending.chunk_by(|a, b| a.vi == b.vi) {
+            let vs = &self.statics[group[0].vi as usize];
+            // The widest window: from the first point's producer to the
+            // last point's consumer.
+            let (first, last) = (group[0].v, group[group.len() - 1].v);
+            for d in 0..self.n {
+                self.to_buf[2 * d] = self.label[d];
+                self.to_buf[2 * d + 1] = if d < self.nprefix { self.idx[d] } else { last };
+            }
+            for (pos, f) in self.from_buf.iter_mut().enumerate() {
+                *f = self.to_buf[pos] - vs.vector[pos];
+            }
+            self.from_buf[2 * self.n - 1] = first - vs.dv;
+            self.batch.clear();
+            self.batch.extend(group.iter().map(|p| Window {
+                from_w: p.v - vs.dv,
+                to_w: p.v,
+                line: p.reused_line,
+            }));
+            self.evicted.resize(group.len(), false);
+            let rows = self.cl.count_batch(
+                &self.from_buf,
+                &self.to_buf,
+                &self.batch,
+                vs.producer_rank,
+                self.consumer_rank,
+                &mut self.scratch,
+                &mut self.evicted,
+            );
+            for (p, &evicted) in group.iter().zip(&self.evicted) {
+                self.row_codes[p.slot as usize] = if evicted { REPL } else { HIT };
+            }
+            self.out.counted += group.len() as u64;
+            self.out.rows_walked += rows;
+            self.tick(rows)?;
         }
-        let pat = if p == 1 {
-            self.block[0] as u32
-        } else {
-            let at = out.codes.len() as u32;
-            out.codes.extend_from_slice(&self.block[..p]);
-            at
-        };
-        out.pieces.push(Piece {
-            last,
-            pat,
-            period: p as u32,
-        });
-        true
+        pending.clear();
+        self.pending = pending;
+        Ok(())
     }
 
     /// Adds the verdict counts of the row whose pieces begin at `first`.
@@ -854,7 +974,7 @@ impl RowEngine<'_, '_> {
     /// horizon: the first position past `v` where a condition consulted
     /// here may change, so that every `v + j·Q` before it has the same code.
     fn eval_point(&mut self, v: i64) -> Result<(u8, i64), Cancelled> {
-        self.bump_eval()?;
+        self.tick(1)?;
         let caddr = self.cbase + self.cstride * v;
         let line_c = self.config.mem_line(caddr);
         let mut horizon = i64::MAX;
@@ -946,9 +1066,15 @@ impl RowEngine<'_, '_> {
             };
             if !window {
                 // A window that crosses rows, or outgrows the budget: count
-                // it, for this point only.
-                let evicted = self.count_point(vi, v, line_c);
-                return Ok((if evicted { REPL } else { HIT }, v + 1));
+                // it with the row's other points along the vector. Its code
+                // is the next one of the row.
+                self.pending.push(Pending {
+                    vi: vi as u32,
+                    slot: self.row_codes.len() as u32,
+                    v,
+                    reused_line: line_c,
+                });
+                return Ok((UNKNOWN, v + 1));
             }
             horizon = horizon.min(if self.leaf_uniform {
                 self.guard_horizon(v, dv)
@@ -970,70 +1096,6 @@ impl RowEngine<'_, '_> {
             return Ok((code, horizon));
         }
         Ok((COLD, horizon))
-    }
-
-    /// The counting evaluator's verdict for point `v` along vector `vi`:
-    /// whether its window evicts the reused line `line_c`. The row's first
-    /// point to count along the vector walks the window's rows; later
-    /// points share them, stored as far as some point has needed them.
-    fn count_point(&mut self, vi: usize, v: i64, line_c: i64) -> bool {
-        for d in 0..self.n {
-            self.to_buf[2 * d] = self.label[d];
-            self.to_buf[2 * d + 1] = if d < self.nprefix { self.idx[d] } else { v };
-        }
-        let vs = &self.statics[vi];
-        for (pos, f) in self.from_buf.iter_mut().enumerate() {
-            *f = self.to_buf[pos] - vs.vector[pos];
-        }
-        let (dv, producer_rank) = (vs.dv, vs.producer_rank);
-        if !self.vrows[vi].counted {
-            self.vrows[vi].counted = true;
-            return self.cl.count_evicted(
-                &self.from_buf,
-                &self.to_buf,
-                line_c,
-                producer_rank,
-                self.consumer_rank,
-                &mut self.scratch,
-            );
-        }
-        let (slot, mut max_rows) = match self.vrows[vi].slot {
-            Some(slot) => (slot, self.windows[slot].len()),
-            None => {
-                let slot = self.slots_used;
-                self.slots_used += 1;
-                if self.windows.len() == slot {
-                    self.windows.push(WindowRows::default());
-                }
-                self.vrows[vi].slot = Some(slot);
-                (slot, 0)
-            }
-        };
-        loop {
-            if max_rows > 0 {
-                let counted = self.cl.count_evicted_in(
-                    &self.windows[slot],
-                    v - dv,
-                    v,
-                    line_c,
-                    producer_rank,
-                    self.consumer_rank,
-                    &mut self.scratch,
-                );
-                if let Some(evicted) = counted {
-                    return evicted;
-                }
-            }
-            // The stored rows end before the verdict: store twice as many.
-            max_rows = (2 * max_rows).max(4);
-            self.cl.window_rows(
-                &self.from_buf,
-                &self.to_buf,
-                max_rows,
-                &mut self.windows[slot],
-                &mut self.scratch,
-            );
-        }
     }
 }
 
@@ -1121,11 +1183,13 @@ pub fn analyze_reference(
         from_buf: vec![0; 2 * n],
         to_buf: vec![0; 2 * n],
         scratch: EvalScratch::default(),
-        windows: Vec::new(),
-        slots_used: 0,
         guard_cuts: Vec::new(),
         guard_cuts_ready: false,
-        block: Vec::new(),
+        blocks: Vec::new(),
+        row_codes: Vec::new(),
+        pending: Vec::new(),
+        batch: Vec::new(),
+        evicted: Vec::new(),
         cbase: 0,
         row_lo: 0,
         row_hi: 0,
@@ -1184,6 +1248,16 @@ impl Prepass {
     /// Points in all RISs.
     pub fn total_points(&self) -> u64 {
         self.per_ref.iter().map(RefVerdicts::total).sum()
+    }
+
+    /// Points decided by counting, across all references.
+    pub fn counted_points(&self) -> u64 {
+        self.per_ref.iter().map(RefVerdicts::counted_points).sum()
+    }
+
+    /// Rows the counting walks visited, across all references.
+    pub fn rows_walked(&self) -> u64 {
+        self.per_ref.iter().map(RefVerdicts::rows_walked).sum()
     }
 }
 
@@ -1419,6 +1493,52 @@ mod tests {
                 assert!(resolved > 0, "{} cfg {cfg}", p.name());
             }
         }
+    }
+
+    /// Rows longer than `COUNT_BATCH` count their points in several
+    /// batches: `A(I)` and `B(I)` reuse their lines from the previous `J`
+    /// row, so the first point of each line is counted, and each row is
+    /// flushed before its end. The verdicts must not depend on where a row
+    /// was flushed.
+    #[test]
+    fn long_rows_count_in_several_batches() {
+        let n = 700i64;
+        let mut b = ProgramBuilder::new("long-rows");
+        b.array("A", &[n], 8);
+        b.array("B", &[n], 8);
+        let i = LinExpr::var("I");
+        b.push(SNode::loop_(
+            "J",
+            1,
+            3,
+            vec![SNode::loop_(
+                "I",
+                1,
+                n,
+                vec![SNode::reads_only(vec![
+                    SRef::new("A", vec![i.clone()]),
+                    SRef::new("B", vec![i.clone()]),
+                ])],
+            )],
+        ));
+        let p = b.build().unwrap();
+        let big = CacheConfig::new(16384, 32, 2).unwrap();
+        for cfg in [
+            CacheConfig::new(1024, 32, 1).unwrap(),
+            big,
+            CacheConfig::with_geometry(24, 12, 2).unwrap(),
+        ] {
+            let (resolved, total) = assert_matches_classifier(&p, cfg);
+            assert_eq!(resolved, total, "cfg {cfg}");
+        }
+        // At 16 KB every window survives, so each batch walks its two rows:
+        // 2 references × 2 counted rows × 3 batches (700 points, at most
+        // `COUNT_BATCH` held back) × 2 rows, for one count per line.
+        let reuse = ReuseAnalysis::analyze(&p, big.line_bytes());
+        let cl = Classifier::new(&p, &reuse, big);
+        let pre = Prepass::build(&cl, &CancelToken::never()).unwrap();
+        assert_eq!(pre.counted_points(), 2 * 2 * 700 * 8 / 32);
+        assert_eq!(pre.rows_walked(), 2 * 2 * 3 * 2);
     }
 
     #[test]

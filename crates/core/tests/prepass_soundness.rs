@@ -397,7 +397,10 @@ fn expired_deadline_aborts_inside_prepass() {
 }
 
 /// Three concrete instantiations per paper kernel — different shapes, not
-/// just scalings.
+/// just scalings — and one MMT with many `K2` and `J2` blocks. Its counted
+/// rows mix points that decide in their first row with `A(I,K)` reuse
+/// across a whole `J2` block: 12 `K2` blocks of 99 rows, 1,188 rows per
+/// window.
 fn kernel_sizes() -> Vec<(String, Program)> {
     let mut v: Vec<(String, Program)> = Vec::new();
     for n in [16i64, 24, 33] {
@@ -406,7 +409,7 @@ fn kernel_sizes() -> Vec<(String, Program)> {
     for n in [8i64, 12, 17] {
         v.push((format!("mgrid-{n}"), cme_workloads::mgrid(n)));
     }
-    for (n, bj, bk) in [(8i64, 8i64, 4i64), (16, 8, 4), (18, 9, 6)] {
+    for (n, bj, bk) in [(8i64, 8i64, 4i64), (16, 8, 4), (18, 9, 6), (24, 3, 2)] {
         v.push((format!("mmt-{n}x{bj}x{bk}"), cme_workloads::mmt(n, bj, bk)));
     }
     v
@@ -427,7 +430,7 @@ fn geometries() -> Vec<CacheConfig> {
 /// `(resolved points, fully resolved references)`. Every floor is full
 /// coverage: since cross-row windows are counted, the pre-pass decides
 /// every point of every reference of the paper kernels.
-const KERNEL_FLOORS: [[(u64, usize); 4]; 9] = [
+const KERNEL_FLOORS: [[(u64, usize); 4]; 10] = [
     [(11700, 52); 4],
     [(27508, 52); 4],
     [(53248, 52); 4],
@@ -437,6 +440,7 @@ const KERNEL_FLOORS: [[(u64, usize); 4]; 9] = [
     [(1728, 6); 4],
     [(13312, 6); 4],
     [(18792, 6); 4],
+    [(47232, 6); 4],
 ];
 
 fn assert_floor(cov: &Coverage, (resolved, full_refs): (u64, usize), ctx: &str) {
