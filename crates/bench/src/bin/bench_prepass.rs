@@ -33,6 +33,9 @@
 //! * resolution rate MMT ≥ 90% and MGRID ≥ 97%, and pre-pass-on wall ≤
 //!   reference wall on MMT (best of three each, interleaved; 10% slack at
 //!   small scale);
+//! * MMT's counting walks visit at most one row per counted point: a
+//!   batch spans the held rows of one reuse vector, so the windows of
+//!   `A(I,K)`, one counted point per row, share their rows;
 //! * at `--scale paper` only, where walking is expensive enough for the
 //!   ratios to mean anything: pre-pass on ≥ 100× faster than the reference
 //!   on stream3, and the padding sweep ≥ 10× faster than the reference
@@ -351,6 +354,12 @@ fn main() {
         );
     }
     let mmt = row_of("mmt");
+    assert!(
+        mmt.rows_per_count() <= 1.0,
+        "counting walks no longer share rows on {}: {:.2} rows walked per counted point > 1",
+        mmt.workload,
+        mmt.rows_per_count()
+    );
     // At small scale the MMT walls are single-digit milliseconds, where
     // scheduler noise swamps the real margin; allow 10% there and stay
     // strict where the measurement is meaningful.

@@ -15,9 +15,11 @@
 //! ```
 //!
 //! The per-geometry `FindMisses` loop and the sweep are each timed best of
-//! three, and the spread of the three (slowest minus fastest) is recorded
-//! beside the best, so a difference between them can be read against the
-//! host's noise. All sides run serially (`Threads::Fixed(1)`) and compare
+//! three, alternating (loop, sweep, sweep, loop, loop, sweep) so that a
+//! change in the host's speed lands on both sides alike, and the spread of
+//! the three (slowest minus fastest) is recorded beside the best, so a
+//! difference between them can be read against the host's noise. All
+//! sides run serially (`Threads::Fixed(1)`) and compare
 //! core `Report`s, with no fingerprint or payload on either side: the
 //! sweep's
 //! saving is a per-geometry work reduction — one reuse analysis per
@@ -71,17 +73,16 @@ struct Timing {
     spread: Duration,
 }
 
-/// The value of `f` and its [`Timing`] over `REPS` runs.
-fn repeated<T>(mut f: impl FnMut() -> T) -> (T, Timing) {
-    let (value, first) = timed(&mut f);
-    let (mut best, mut worst) = (first, first);
-    for _ in 1..REPS {
-        let t = timed(&mut f).1;
-        best = best.min(t);
-        worst = worst.max(t);
+impl Timing {
+    /// The best of `runs` and how far the slowest lay above it.
+    fn of(runs: &[Duration]) -> Timing {
+        let best = *runs.iter().min().expect("at least one run");
+        let worst = *runs.iter().max().expect("at least one run");
+        Timing {
+            best,
+            spread: worst - best,
+        }
     }
-    let spread = worst - best;
-    (value, Timing { best, spread })
 }
 
 impl Row {
@@ -131,12 +132,26 @@ fn run_sweep(program: &Program, grid: &[CacheConfig]) -> Vec<Report> {
 }
 
 /// Runs both per-geometry loops and the sweep over `grid` (the default
-/// loop and the sweep `REPS` times each), asserts byte-identity cell by
-/// cell, and returns the timing row.
+/// loop and the sweep `REPS` times each, alternating which goes first),
+/// asserts byte-identity cell by cell, and returns the timing row.
 fn measure(name: &str, program: &Program, grid: &[CacheConfig]) -> Row {
     let (walked_reports, walked) = timed(|| per_geometry_walked(program, grid));
-    let (naive_reports, naive) = repeated(|| per_geometry(program, grid));
-    let (sweep_reports, sweep) = repeated(|| run_sweep(program, grid));
+    let (mut naive_runs, mut sweep_runs) = (Vec::new(), Vec::new());
+    let (mut naive_reports, mut sweep_reports) = (Vec::new(), Vec::new());
+    for rep in 0..REPS {
+        for sweep_side in [rep % 2 == 1, rep % 2 == 0] {
+            if sweep_side {
+                let (reports, t) = timed(|| run_sweep(program, grid));
+                sweep_reports = reports;
+                sweep_runs.push(t);
+            } else {
+                let (reports, t) = timed(|| per_geometry(program, grid));
+                naive_reports = reports;
+                naive_runs.push(t);
+            }
+        }
+    }
+    let (naive, sweep) = (Timing::of(&naive_runs), Timing::of(&sweep_runs));
 
     let mut points = 0u64;
     for (((g, walked_r), naive_r), sweep_r) in grid

@@ -27,8 +27,8 @@
 //! where the reused line was last touched and which lines map to its set.
 //! The count stops at the `k`-th distinct contender or at the row holding
 //! the latest re-touch. One routine counts (`Classifier::count_batch`):
-//! it decides a batch of intervals that differ only in their innermost
-//! ends in one walk, building each shared row once, and a single interval
+//! it decides a batch of intervals, each with its own ends, in one walk
+//! that builds each row some interval needs once, and a single interval
 //! is its one-window case. The tests check it against scans that enumerate
 //! every access of the interval.
 //!
@@ -52,6 +52,7 @@ use cme_ir::{Program, RefId};
 use cme_poly::vector::{div_ceil, div_floor, gcd};
 use cme_poly::{Constraint, ConstraintKind};
 use cme_reuse::ReuseAnalysis;
+use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -110,7 +111,7 @@ pub(crate) struct EvalScratch {
     /// The segments of the current row that one window counts: those
     /// that reach its target set, clipped to its ends.
     reach: Vec<Segment>,
-    /// The windows of the batch not yet decided.
+    /// The open windows of the batch, latest `from` row first.
     open: Vec<Open>,
     /// Per window `j`, `k` slots from `j·k` for the distinct contending
     /// lines it has counted.
@@ -129,26 +130,26 @@ struct Open {
 }
 
 /// One interference interval of a counting batch
-/// ([`Classifier::count_batch`]): the batch fixes every component but the
-/// innermost index at each end.
+/// ([`Classifier::count_batch`]).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Window {
-    /// Innermost index of the producer's access, where the interval starts.
-    pub(crate) from_w: i64,
-    /// Innermost index of the consumer's access, where it ends.
-    pub(crate) to_w: i64,
+pub(crate) struct Window<'a> {
+    /// The producer's access, where the interval starts (interleaved).
+    pub(crate) from: &'a [i64],
+    /// The consumer's access, where it ends.
+    pub(crate) to: &'a [i64],
     /// The reused line.
     pub(crate) line: i64,
 }
 
-/// Where one window ends inside a row: at `to_w` in the row holding `to`,
-/// at `from_w` in the row holding `from`, each with the lexical rank that
-/// trims the accesses at that index (§4.1.2). Neither, between them.
+/// Where one window ends inside a row: at `to`'s innermost index in the
+/// row holding `to`, at `from`'s in the row holding `from`, each with the
+/// lexical rank that trims the accesses at that index (§4.1.2). Neither,
+/// between them.
 #[derive(Debug, Clone, Copy)]
 struct Ends {
-    /// `(from_w, producer rank)`.
+    /// `from`'s innermost index and the producer's rank.
     from: Option<(i64, usize)>,
-    /// `(to_w, consumer rank)`.
+    /// `to`'s innermost index and the consumer's rank.
     to: Option<(i64, usize)>,
 }
 
@@ -530,14 +531,12 @@ impl<'p> Classifier<'p> {
         scratch: &mut EvalScratch,
     ) -> bool {
         let window = Window {
-            from_w: from[from.len() - 1],
-            to_w: to[to.len() - 1],
+            from,
+            to,
             line: reused_line,
         };
         let mut evicted = [false];
         self.count_batch(
-            from,
-            to,
             &[window],
             producer_rank,
             consumer_rank,
@@ -547,50 +546,61 @@ impl<'p> Classifier<'p> {
         evicted[0]
     }
 
-    /// [`Classifier::count_evicted`] for a batch of intervals that differ
-    /// only in their innermost indices: window `j` runs from `from` with
-    /// innermost index `windows[j].from_w` to `to` with innermost index
-    /// `windows[j].to_w`, and `evicted[j]` receives whether it evicts
-    /// `windows[j].line`. `[from, to]` itself is the widest interval: its
-    /// innermost indices are the smallest `from_w` and the largest `to_w`,
-    /// and both are indices of their row's loop, as the producer's and the
-    /// consumer's accesses are. Returns the rows walked.
+    /// [`Classifier::count_evicted`] for a batch of intervals: `evicted[j]`
+    /// receives whether window `j`, from `windows[j].from` to
+    /// `windows[j].to`, evicts `windows[j].line`. Every `from` is an access
+    /// of a producer of rank `producer_rank` and every `to` one of a
+    /// consumer of rank `consumer_rank`, both at points the program
+    /// executes; the windows are sorted by `to`, and their `from` rows lie
+    /// in the same order (as they do along one reuse vector). Returns the
+    /// rows walked.
     ///
-    /// One backward walk ([`walk_rows_rev`]) visits the rows of the
-    /// batch's widest interval, each built once: every statement's guard
-    /// reduces to an interval of `w` minus `≠` holes, and each reference
-    /// becomes a segment. The first row (holding `to`) and the last
-    /// (holding `from`) are clipped per window at its own ends, with the
-    /// boundary-rank rules; the rows between serve every window as built.
-    /// Per window and segment the `w` touching the reused line form one
-    /// interval, so a row's latest re-touch is a maximum over segments. The
-    /// lines mapped to the target set after it are then solved per segment
-    /// in closed form ([`Classifier::add_lines`]) into the window's `k`
-    /// slots of distinct lines. A window leaves the batch at its `k`-th
-    /// distinct contender (evicted) or in the row holding its latest
-    /// re-touch (not evicted), and one still there after its `from` row is
-    /// not evicted. The walk stops when no window is left.
-    #[allow(clippy::too_many_arguments)]
+    /// One backward walk ([`walk_rows_rev`]) visits the rows the windows
+    /// need, each built once: every statement's guard reduces to an
+    /// interval of `w` minus `≠` holes, and each reference becomes a
+    /// segment. A window opens when the walk reaches its `to` row and
+    /// closes after its `from` row, and is clipped in those two rows at its
+    /// own innermost indices, with the boundary-rank rules; the rows
+    /// between serve every open window as built. When no window is open,
+    /// the walk restarts at the next window's `to`, so it builds no row
+    /// that no window needs. Per window and segment the `w` touching the
+    /// reused line form one interval, so a row's latest re-touch is a
+    /// maximum over segments. The lines mapped to the target set after it
+    /// are then solved per segment in closed form
+    /// ([`Classifier::add_lines`]) into the window's `k` slots of distinct
+    /// lines. A window leaves the batch at its `k`-th distinct contender
+    /// (evicted) or in the row holding its latest re-touch (not evicted),
+    /// and one still open after its `from` row is not evicted.
     pub(crate) fn count_batch(
         &self,
-        from: &[i64],
-        to: &[i64],
-        windows: &[Window],
+        windows: &[Window<'_>],
         producer_rank: usize,
         consumer_rank: usize,
         scratch: &mut EvalScratch,
         evicted: &mut [bool],
     ) -> u64 {
-        debug_assert_eq!(
-            windows.iter().map(|w| w.from_w).min(),
-            from.last().copied(),
-            "`from` starts the widest window"
+        // A row's key: the interleaved position of its points, less `w`.
+        let key = 2 * self.program.depth() - 1;
+        debug_assert!(
+            windows
+                .windows(2)
+                .all(|p| p[0].to <= p[1].to && p[0].from[..key] <= p[1].from[..key]),
+            "windows sorted by `to`, their `from` rows alike"
         );
-        debug_assert_eq!(
-            windows.iter().map(|w| w.to_w).max(),
-            to.last().copied(),
-            "`to` ends the widest window"
-        );
+        let Some(first) = windows.first() else {
+            return 0;
+        };
+        // The windows whose `from` row comes first: where the walk itself
+        // starts, so its `starts_at_from` marks theirs.
+        let m = windows
+            .iter()
+            .take_while(|w| w.from[..key] == first.from[..key])
+            .count();
+        let from = windows[..m]
+            .iter()
+            .map(|w| w.from)
+            .min()
+            .expect("at least one window");
         let k = self.config.assoc() as usize;
         let EvalScratch {
             row_idx,
@@ -601,62 +611,101 @@ impl<'p> Classifier<'p> {
             lines,
         } = scratch;
         open.clear();
-        open.extend(windows.iter().enumerate().map(|(j, w)| Open {
-            j: j as u32,
-            counted: 0,
-            set: self.config.set_of_line(w.line),
-        }));
+        evicted.fill(false);
         if lines.len() < windows.len() * k {
             lines.resize(windows.len() * k, 0);
         }
+        // `windows[..next]` are still to open.
+        let mut next = windows.len();
         let mut rows = 0u64;
-        walk_rows_rev(self.program, from, to, row_idx, |row| {
-            rows += 1;
-            segs.clear();
-            holes.clear();
-            self.row_segments(&row, segs, holes);
-            let (at_from, at_to) = (row.starts_at_from, row.ends_at_to);
-            let mut kept = 0;
-            for i in 0..open.len() {
-                let mut o = open[i];
-                let j = o.j as usize;
-                let w = &windows[j];
-                let ends = Ends {
-                    from: at_from.then_some((w.from_w, producer_rank)),
-                    to: at_to.then_some((w.to_w, consumer_rank)),
-                };
-                // Only a segment that reaches the target set can touch the
-                // reused line or count; in most rows none does.
-                reach.clear();
-                reach.extend(
-                    segs.iter()
-                        .filter(|sg| self.reaches(sg, o.set))
-                        .filter_map(|sg| self.clip(sg, ends)),
-                );
-                let slots = &mut lines[j * k..(j + 1) * k];
-                let decided = if reach.is_empty() {
-                    None
+        while next > 0 {
+            let start = next;
+            walk_rows_rev(self.program, from, windows[next - 1].to, row_idx, |row| {
+                // Open the windows whose `to` row the walk has reached;
+                // `open[at_to..]` end in this row.
+                let mut at_to = open.len();
+                while next > 0 {
+                    let w = &windows[next - 1];
+                    match row.key.cmp(&w.to[..key]) {
+                        Ordering::Greater => break,
+                        Ordering::Less => at_to = open.len() + 1,
+                        Ordering::Equal => {}
+                    }
+                    next -= 1;
+                    open.push(Open {
+                        j: next as u32,
+                        counted: 0,
+                        set: self.config.set_of_line(w.line),
+                    });
+                }
+                if open.is_empty() {
+                    // No window needs this row: restart at the next `to`.
+                    return ControlFlow::Break(());
+                }
+                rows += 1;
+                segs.clear();
+                holes.clear();
+                self.row_segments(&row, segs, holes);
+                // `open` runs from the latest `from` row down, so the
+                // windows that start in this row lead it.
+                let at_from = if row.starts_at_from {
+                    open.len()
                 } else {
-                    self.count_row(reach, holes, w.line, o.set, slots, &mut o.counted)
+                    open.iter()
+                        .take_while(|o| {
+                            o.j as usize >= m && *row.key == windows[o.j as usize].from[..key]
+                        })
+                        .count()
                 };
-                match decided {
-                    Some(e) => evicted[j] = e,
-                    None => {
-                        open[kept] = o;
-                        kept += 1;
+                let mut kept = 0;
+                for i in 0..open.len() {
+                    let mut o = open[i];
+                    let j = o.j as usize;
+                    let w = &windows[j];
+                    // Only a segment that reaches the target set can touch
+                    // the reused line or count; in most rows none does.
+                    let decided = if !segs.iter().any(|sg| self.reaches(sg, o.set)) {
+                        None
+                    } else {
+                        let ends = Ends {
+                            from: (i < at_from).then_some((w.from[key], producer_rank)),
+                            to: (i >= at_to).then_some((w.to[key], consumer_rank)),
+                        };
+                        reach.clear();
+                        reach.extend(
+                            segs.iter()
+                                .filter(|sg| self.reaches(sg, o.set))
+                                .filter_map(|sg| self.clip(sg, ends)),
+                        );
+                        let slots = &mut lines[j * k..(j + 1) * k];
+                        if reach.is_empty() {
+                            None
+                        } else {
+                            self.count_row(reach, holes, w.line, o.set, slots, &mut o.counted)
+                        }
+                    };
+                    match decided {
+                        Some(e) => evicted[j] = e,
+                        // Past its `from` row, an open window is a hit.
+                        None if i < at_from => {}
+                        None => {
+                            open[kept] = o;
+                            kept += 1;
+                        }
                     }
                 }
+                open.truncate(kept);
+                if open.is_empty() && next == 0 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            if next == start {
+                // Only a window whose ends are not executed points can
+                // leave nothing to walk; it stays a hit.
+                break;
             }
-            open.truncate(kept);
-            if open.is_empty() {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        // Past its `from` row, an open window is a hit.
-        for o in open.iter() {
-            evicted[o.j as usize] = false;
         }
         rows
     }
@@ -1164,6 +1213,41 @@ mod tests {
         lines.len() >= config.assoc() as usize
     }
 
+    /// Counts `windows` (`(from, to, reused line)`) as one batch, sorted by
+    /// `to`, and checks each verdict against [`scan_evicted`]. Returns the
+    /// windows counted and how many of them evict.
+    fn check_batch(
+        cl: &Classifier<'_>,
+        mut windows: Vec<(Vec<i64>, Vec<i64>, i64)>,
+        pr: usize,
+        cr: usize,
+        scratch: &mut EvalScratch,
+        what: &str,
+    ) -> (u32, u32) {
+        windows.sort_by(|a, b| a.1.cmp(&b.1));
+        let batch: Vec<Window<'_>> = windows
+            .iter()
+            .map(|(from, to, line)| Window {
+                from,
+                to,
+                line: *line,
+            })
+            .collect();
+        let mut got = vec![true; batch.len()];
+        cl.count_batch(&batch, pr, cr, scratch, &mut got);
+        let mut evictions = 0;
+        for ((from, to, line), &got) in windows.iter().zip(&got) {
+            let want = scan_evicted(cl, from, to, *line, pr, cr);
+            assert_eq!(
+                got, want,
+                "cfg {}: {what} window [{from:?}, {to:?}] line {line} ranks {pr}/{cr}",
+                cl.config
+            );
+            evictions += u32::from(got);
+        }
+        (windows.len() as u32, evictions)
+    }
+
     /// The counting evaluator decides arbitrary intervals, reused lines and
     /// boundary ranks exactly as the full scan does — not only the windows
     /// reuse vectors produce. The program crosses nests, guards rows with
@@ -1171,7 +1255,9 @@ mod tests {
     /// of 40 B, neither a multiple nor a divisor of any line size drawn.
     /// Each drawn pair of rows is also counted as one batch of windows, at
     /// several producer and consumer positions in those rows, each with
-    /// its own reused line.
+    /// its own reused line; and the drawn interval's offset gives a batch
+    /// along it from several consecutive rows, some skipped, so windows
+    /// open rows apart and the walk restarts after gaps.
     #[test]
     fn counting_equals_walk_on_arbitrary_intervals() {
         use cme_ir::{LinRel, RelOp};
@@ -1225,7 +1311,8 @@ mod tests {
             addrs.push(a.addr);
             ControlFlow::Continue(())
         });
-        // The innermost indices each row executes.
+        // The innermost indices each row executes, and the rows in program
+        // order.
         let last = points[0].len() - 1;
         let mut rows: std::collections::HashMap<&[i64], Vec<i64>> = Default::default();
         for pt in &points {
@@ -1235,11 +1322,16 @@ mod tests {
             ws.sort_unstable();
             ws.dedup();
         }
+        let mut row_keys: Vec<&[i64]> = rows.keys().copied().collect();
+        row_keys.sort_unstable();
+        let executed: std::collections::HashSet<&[i64]> =
+            points.iter().map(Vec::as_slice).collect();
         let nrefs = p.references().len();
         let mut rng = SeededRng::seed_from_u64(0xC0);
         let mut batch_rng = SeededRng::seed_from_u64(0xC1);
         let mut evictions = 0;
         let (mut batched, mut batch_evictions) = (0, 0);
+        let (mut strided, mut strided_evictions) = (0, 0);
         for (line, sets) in [(16u64, 8u64), (24, 12), (32, 4), (32, 16)] {
             for assoc in [1u32, 2, 3] {
                 let cfg = CacheConfig::with_geometry(line, sets, assoc).unwrap();
@@ -1264,52 +1356,56 @@ mod tests {
                     );
                     evictions += u32::from(got);
 
+                    let mut at = |n: usize| batch_rng.gen_below(n as u64) as usize;
                     let (from_ws, to_ws) = (&rows[&from[..last]], &rows[&to[..last]]);
-                    let windows: Vec<Window> = (0..6)
+                    let windows = (0..6)
                         .map(|_| {
-                            let mut at = |n: usize| batch_rng.gen_below(n as u64) as usize;
-                            let mut from_w = from_ws[at(from_ws.len())];
-                            let mut to_w = to_ws[at(to_ws.len())];
-                            if from[..last] == to[..last] && from_w > to_w {
-                                std::mem::swap(&mut from_w, &mut to_w);
+                            let (mut from, mut to) = (from.clone(), to.clone());
+                            from[last] = from_ws[at(from_ws.len())];
+                            to[last] = to_ws[at(to_ws.len())];
+                            if from[..last] == to[..last] && from[last] > to[last] {
+                                std::mem::swap(&mut from[last], &mut to[last]);
                             }
-                            let line = cfg.mem_line(addrs[at(addrs.len())]);
-                            Window { from_w, to_w, line }
+                            (from, to, cfg.mem_line(addrs[at(addrs.len())]))
                         })
                         .collect();
-                    let (mut wide_from, mut wide_to) = (from.clone(), to.clone());
-                    wide_from[last] = windows.iter().map(|w| w.from_w).min().unwrap();
-                    wide_to[last] = windows.iter().map(|w| w.to_w).max().unwrap();
-                    let mut got = vec![true; windows.len()];
-                    count.count_batch(
-                        &wide_from,
-                        &wide_to,
-                        &windows,
-                        pr,
-                        cr,
-                        &mut scratch,
-                        &mut got,
-                    );
-                    for (w, &got) in windows.iter().zip(&got) {
-                        let (mut from, mut to) = (from.clone(), to.clone());
-                        (from[last], to[last]) = (w.from_w, w.to_w);
-                        let want = scan_evicted(&count, &from, &to, w.line, pr, cr);
-                        assert_eq!(
-                            got, want,
-                            "cfg {cfg}: batch window [{from:?}, {to:?}] line {} ranks {pr}/{cr}",
-                            w.line
-                        );
-                        batched += 1;
-                        batch_evictions += u32::from(got);
+                    let (w, e) = check_batch(&count, windows, pr, cr, &mut scratch, "batch");
+                    (batched, batch_evictions) = (batched + w, batch_evictions + e);
+
+                    // Along the interval's offset: one or two consumer
+                    // points in each of several consecutive rows, a row or
+                    // two skipped at times, each window's producer where
+                    // the offset puts it (when that point executes).
+                    let offset: Vec<i64> = to.iter().zip(from).map(|(t, f)| t - f).collect();
+                    let mut windows = Vec::new();
+                    let mut r = at(row_keys.len());
+                    while r < row_keys.len() && windows.len() < 12 {
+                        let ws = &rows[row_keys[r]];
+                        for _ in 0..1 + at(2) {
+                            let to = [row_keys[r], &[ws[at(ws.len())]]].concat();
+                            let from: Vec<i64> =
+                                to.iter().zip(&offset).map(|(t, o)| t - o).collect();
+                            if executed.contains(from.as_slice()) {
+                                windows.push((from, to, cfg.mem_line(addrs[at(addrs.len())])));
+                            }
+                        }
+                        r += if at(3) == 0 { 2 + at(2) } else { 1 };
                     }
+                    let (w, e) = check_batch(&count, windows, pr, cr, &mut scratch, "strided");
+                    (strided, strided_evictions) = (strided + w, strided_evictions + e);
                 }
             }
         }
         assert!(evictions > 500, "only {evictions} evictions drawn");
-        assert!(
-            batch_evictions > batched / 10,
-            "only {batch_evictions} of {batched} batched windows evicted"
-        );
+        for (what, windows, evicted) in [
+            ("batched", batched, batch_evictions),
+            ("strided", strided, strided_evictions),
+        ] {
+            assert!(
+                evicted > windows / 10,
+                "only {evicted} of {windows} {what} windows evicted"
+            );
+        }
     }
 
     /// `classify` and `classify_with_scratch` agree point-for-point, and a

@@ -31,11 +31,13 @@
 //!   vector), by enumerating the window backward from the consumer for
 //!   vectors whose interval stays inside the innermost loop row and fits
 //!   `WINDOW_BUDGET`, and otherwise by the classifier's counting
-//!   evaluator. A row records each point that needs a count and decides
-//!   every recorded point of one `(row, vector)` in one backward walk over
-//!   the window's rows, before it assembles its pieces; the points differ
-//!   only in the first and last row, so a window that crosses hundreds of
-//!   rows is walked once per row, not once per point.
+//!   evaluator. Rows are held, their pieces unassembled, while points
+//!   wait for a count; the waiting points of one vector, across up to
+//!   `COUNT_BATCH` evaluated points of consecutive rows, are decided in one
+//!   backward walk. Their windows are translates of each other, so
+//!   consecutive ones share all but their end rows, and a window that
+//!   crosses hundreds of rows is walked once per batch, not once per point
+//!   or per row.
 //!
 //! # Closure: one evaluation per residue class
 //!
@@ -120,9 +122,9 @@ const WINDOW_BUDGET: usize = 1024;
 /// Pieces stored per row; a row needing more leaves its remainder unknown.
 const MAX_ROW_PIECES: usize = 48;
 
-/// Evaluated points a row holds back while some of them wait for a count:
-/// bounds the pending state of a long row, and the points evaluated past a
-/// piece cap.
+/// Evaluated points the held rows hold back while some of them wait for a
+/// count: bounds the pending state, and the points evaluated past a piece
+/// cap.
 const COUNT_BATCH: usize = 256;
 
 /// Verdict codes; `UNKNOWN` is "let the walk decide". Each code is also its
@@ -281,6 +283,27 @@ impl RefVerdicts {
             period: p as u32,
         });
         true
+    }
+
+    /// Adds the verdict counts of the row whose pieces begin at `first`
+    /// and run to the end, and whose `v` starts at `lo`.
+    fn count_row(&mut self, first: usize, lo: i64) {
+        let mut start = lo;
+        for p in &self.pieces[first..] {
+            let span = (p.last - start) as u64;
+            let period = p.period as u64;
+            for j in 0..period.min(span + 1) {
+                let members = (span - j) / period + 1;
+                match self.codes[p.pat as usize + j as usize] {
+                    HIT => self.counts.hits += members,
+                    COLD => self.counts.cold += members,
+                    REPL => self.counts.replacement += members,
+                    _ => continue,
+                }
+                self.resolved += members;
+            }
+            start = p.last + 1;
+        }
     }
 
     fn prefix_of(&self, i: usize) -> &[i64] {
@@ -607,25 +630,38 @@ fn window_eval(
     HIT
 }
 
-/// A point of the current row whose deciding vector needs a count: decided
-/// with the other points of its `(row, vector)` when the row's batch is
-/// flushed.
+/// A point whose deciding vector needs a count: decided with the other
+/// pending points of its vector, across the held rows, at the next flush.
 struct Pending {
     /// Index of the deciding vector.
     vi: u32,
+    /// Its row, an index into [`RowEngine::held`].
+    row: u32,
     /// Where its code goes in [`RowEngine::row_codes`].
     slot: u32,
     v: i64,
     reused_line: i64,
 }
 
-/// An evaluated block of the current row, waiting for its counted points:
-/// its `len` codes, next in [`RowEngine::row_codes`], repeat over
+/// An evaluated block of a held row, waiting for its counted points: its
+/// `len` codes, next in [`RowEngine::row_codes`], repeat over
 /// `[start, last]`.
 struct Block {
     start: i64,
     last: i64,
     len: usize,
+}
+
+/// A row whose blocks are not yet all assembled into pieces.
+struct Held {
+    lo: i64,
+    hi: i64,
+    /// End (exclusive) of its blocks in [`RowEngine::blocks`]; they start
+    /// where the previous held row's end.
+    blocks: usize,
+    /// Every block of the row is evaluated: it is complete once they are
+    /// assembled.
+    done: bool,
 }
 
 /// The row engine of one reference: static context, per-row scratch and
@@ -663,17 +699,22 @@ struct RowEngine<'a, 'p> {
     to_buf: Vec<i64>,
     /// The counting evaluator's buffers.
     scratch: EvalScratch,
+    /// Each pending point's window, its `to` then its `from` (interleaved,
+    /// `2n` entries each).
+    ends: Vec<i64>,
     /// Leaf-guard change points of the current row, sorted; built by the
     /// first window that needs them.
     guard_cuts: Vec<i64>,
     guard_cuts_ready: bool,
-    /// The current row's evaluated blocks whose pieces are not yet
-    /// assembled, their codes, and the points among them still to count.
+    /// The rows evaluated but not yet assembled, in row order (the last
+    /// may be the row being solved), their prefixes, their evaluated
+    /// blocks, the blocks' codes, and the points among them still to count.
+    held: Vec<Held>,
+    held_prefixes: Vec<i64>,
     blocks: Vec<Block>,
     row_codes: Vec<u8>,
     pending: Vec<Pending>,
-    /// One `(row, vector)` batch of windows to count, and its verdicts.
-    batch: Vec<Window>,
+    /// The verdicts of one vector's batch of windows.
     evicted: Vec<bool>,
     // Current row.
     cbase: i64,
@@ -767,8 +808,9 @@ impl RowEngine<'_, '_> {
 
     /// Decides one row block by block: `Q` points are evaluated, then their
     /// verdicts extend periodically up to the horizon of the conditions
-    /// they consulted. Points that need a count wait in the row's batch;
-    /// once they are decided, the blocks are appended as pieces.
+    /// they consulted. The row is held until its blocks are assembled:
+    /// points that need a count wait, with those of the rows held before
+    /// it, until `COUNT_BATCH` evaluated points are held or nothing waits.
     fn solve_row(&mut self, prefix: &[i64], lo: i64, hi: i64) -> Result<(), Cancelled> {
         self.tick(1)?;
         self.covered += (hi - lo + 1) as u64;
@@ -784,8 +826,14 @@ impl RowEngine<'_, '_> {
         // vector, so later vectors' 1-D reductions are usually never built.
         self.vrows.clear();
         self.guard_cuts_ready = false;
+        self.held_prefixes.extend_from_slice(prefix);
+        self.held.push(Held {
+            lo,
+            hi,
+            blocks: self.blocks.len(),
+            done: false,
+        });
 
-        let first = self.out.pieces.len();
         let mut pos = lo;
         while pos <= hi {
             let bend = hi.min(pos + self.period - 1);
@@ -806,82 +854,110 @@ impl RowEngine<'_, '_> {
                 len: (bend - pos + 1) as usize,
             });
             pos = last + 1;
-            let flush = self.pending.is_empty() || self.row_codes.len() >= COUNT_BATCH || pos > hi;
-            if flush && !self.flush(first)? {
+            let row = self.held.last_mut().expect("the row is held");
+            row.blocks = self.blocks.len();
+            row.done = pos > hi;
+            let flush = self.pending.is_empty() || self.row_codes.len() >= COUNT_BATCH;
+            if flush && !self.flush()? {
                 // Piece cap: the rest of the row is left to the walk.
-                self.out.pieces.push(Piece {
-                    last: hi,
-                    pat: UNKNOWN as u32,
-                    period: 1,
-                });
                 break;
             }
         }
-        self.out.prefixes.extend_from_slice(prefix);
-        self.out.rows.push(Row {
-            lo,
-            hi,
-            end: self.out.pieces.len() as u32,
-        });
-        self.count_row(first, lo);
         Ok(())
     }
 
-    /// Counts the pending points, then appends the waiting blocks to the
-    /// row whose pieces begin at `first`. `false` when the row reached its
-    /// piece cap: the blocks from there on are dropped.
-    fn flush(&mut self, first: usize) -> Result<bool, Cancelled> {
+    /// Counts the pending points, then assembles the held rows in row
+    /// order: each appends its blocks as pieces and, once complete, its
+    /// prefix, its `Row` record and its counts. A row at its piece cap
+    /// drops the blocks from there on and leaves the rest of it unknown.
+    /// `false` when that befell the row still being solved.
+    fn flush(&mut self) -> Result<bool, Cancelled> {
         self.count_pending()?;
-        let mut at = 0;
-        let mut fits = true;
-        for b in &self.blocks {
-            let codes = &self.row_codes[at..at + b.len];
-            at += b.len;
-            if !self
-                .out
-                .push_piece(first, self.row_lo, codes, b.start, b.last)
-            {
-                fits = false;
-                break;
+        let mut held = std::mem::take(&mut self.held);
+        let (mut block, mut at) = (0, 0);
+        let mut solving_fits = true;
+        for (i, h) in held.iter().enumerate() {
+            let out = &mut self.out;
+            let first = out.rows.last().map_or(0, |r| r.end as usize);
+            let mut fits = true;
+            for b in &self.blocks[block..h.blocks] {
+                let codes = &self.row_codes[at..at + b.len];
+                at += b.len;
+                fits = fits && out.push_piece(first, h.lo, codes, b.start, b.last);
+            }
+            block = h.blocks;
+            if !fits {
+                out.pieces.push(Piece {
+                    last: h.hi,
+                    pat: UNKNOWN as u32,
+                    period: 1,
+                });
+                solving_fits &= h.done;
+            }
+            if h.done || !fits {
+                let nprefix = self.nprefix;
+                out.prefixes
+                    .extend_from_slice(&self.held_prefixes[i * nprefix..(i + 1) * nprefix]);
+                out.rows.push(Row {
+                    lo: h.lo,
+                    hi: h.hi,
+                    end: out.pieces.len() as u32,
+                });
+                out.count_row(first, h.lo);
             }
         }
+        // The row being solved, if it goes on, stays held with no blocks.
+        let going_on = held.pop().filter(|h| !h.done && solving_fits);
+        held.clear();
+        let assembled = self.held_prefixes.len() - going_on.as_ref().map_or(0, |_| self.nprefix);
+        self.held_prefixes.drain(..assembled);
+        held.extend(going_on.map(|h| Held { blocks: 0, ..h }));
+        self.held = held;
         self.blocks.clear();
         self.row_codes.clear();
-        Ok(fits)
+        Ok(solving_fits)
     }
 
-    /// Decides every pending point of the row, one batch per deciding
-    /// vector: the points of one `(row, vector)` share every window row
-    /// but the two they are clipped in, so one walk counts them all.
+    /// Decides every pending point, one batch per deciding vector: the
+    /// windows of one vector are translates of each other, so consecutive
+    /// ones share all but a few rows, and one walk counts them all.
     fn count_pending(&mut self) -> Result<(), Cancelled> {
         let mut pending = std::mem::take(&mut self.pending);
-        // Stable, so each vector's points stay in row order.
+        // Stable, so each vector's points stay in row order, as the batch
+        // wants its windows.
         pending.sort_by_key(|p| p.vi);
-        for group in pending.chunk_by(|a, b| a.vi == b.vi) {
-            let vs = &self.statics[group[0].vi as usize];
-            // The widest window: from the first point's producer to the
-            // last point's consumer.
-            let (first, last) = (group[0].v, group[group.len() - 1].v);
-            for d in 0..self.n {
-                self.to_buf[2 * d] = self.label[d];
-                self.to_buf[2 * d + 1] = if d < self.nprefix { self.idx[d] } else { last };
+        let width = 2 * self.n;
+        let mut ends = std::mem::take(&mut self.ends);
+        ends.clear();
+        for p in &pending {
+            let vector = self.statics[p.vi as usize].vector;
+            let row = p.row as usize * self.nprefix;
+            let prefix = &self.held_prefixes[row..row + self.nprefix];
+            let to = ends.len();
+            for (&l, &i) in self.label.iter().zip(prefix.iter().chain([&p.v])) {
+                ends.extend([l, i]);
             }
-            for (pos, f) in self.from_buf.iter_mut().enumerate() {
-                *f = self.to_buf[pos] - vs.vector[pos];
+            for (pos, &x) in vector.iter().enumerate() {
+                ends.push(ends[to + pos] - x);
             }
-            self.from_buf[2 * self.n - 1] = first - vs.dv;
-            self.batch.clear();
-            self.batch.extend(group.iter().map(|p| Window {
-                from_w: p.v - vs.dv,
-                to_w: p.v,
+        }
+        let windows: Vec<Window<'_>> = ends
+            .chunks_exact(2 * width)
+            .zip(&pending)
+            .map(|(e, p)| Window {
+                to: &e[..width],
+                from: &e[width..],
                 line: p.reused_line,
-            }));
+            })
+            .collect();
+        let mut at = 0;
+        for group in pending.chunk_by(|a, b| a.vi == b.vi) {
+            let batch = &windows[at..at + group.len()];
+            at += group.len();
             self.evicted.resize(group.len(), false);
             let rows = self.cl.count_batch(
-                &self.from_buf,
-                &self.to_buf,
-                &self.batch,
-                vs.producer_rank,
+                batch,
+                self.statics[group[0].vi as usize].producer_rank,
                 self.consumer_rank,
                 &mut self.scratch,
                 &mut self.evicted,
@@ -893,30 +969,11 @@ impl RowEngine<'_, '_> {
             self.out.rows_walked += rows;
             self.tick(rows)?;
         }
+        drop(windows);
+        self.ends = ends;
         pending.clear();
         self.pending = pending;
         Ok(())
-    }
-
-    /// Adds the verdict counts of the row whose pieces begin at `first`.
-    fn count_row(&mut self, first: usize, lo: i64) {
-        let out = &mut self.out;
-        let mut start = lo;
-        for p in &out.pieces[first..] {
-            let span = (p.last - start) as u64;
-            let period = p.period as u64;
-            for j in 0..period.min(span + 1) {
-                let members = (span - j) / period + 1;
-                match out.codes[p.pat as usize + j as usize] {
-                    HIT => out.counts.hits += members,
-                    COLD => out.counts.cold += members,
-                    REPL => out.counts.replacement += members,
-                    _ => continue,
-                }
-                out.resolved += members;
-            }
-            start = p.last + 1;
-        }
     }
 
     /// Sorted positions where a leaf guard of the current row changes
@@ -1066,10 +1123,11 @@ impl RowEngine<'_, '_> {
             };
             if !window {
                 // A window that crosses rows, or outgrows the budget: count
-                // it with the row's other points along the vector. Its code
-                // is the next one of the row.
+                // it with the held points along the vector. Its code is the
+                // next one of the row.
                 self.pending.push(Pending {
                     vi: vi as u32,
+                    row: (self.held.len() - 1) as u32,
                     slot: self.row_codes.len() as u32,
                     v,
                     reused_line: line_c,
@@ -1183,12 +1241,14 @@ pub fn analyze_reference(
         from_buf: vec![0; 2 * n],
         to_buf: vec![0; 2 * n],
         scratch: EvalScratch::default(),
+        ends: Vec::new(),
         guard_cuts: Vec::new(),
         guard_cuts_ready: false,
+        held: Vec::new(),
+        held_prefixes: Vec::new(),
         blocks: Vec::new(),
         row_codes: Vec::new(),
         pending: Vec::new(),
-        batch: Vec::new(),
         evicted: Vec::new(),
         cbase: 0,
         row_lo: 0,
@@ -1202,6 +1262,9 @@ pub fn analyze_reference(
     };
     let mut prefix = Vec::with_capacity(nprefix);
     engine.enumerate(ris, &mut prefix)?;
+    if !engine.held.is_empty() {
+        engine.flush()?;
+    }
     if engine.covered != total {
         // The rows must partition the RIS exactly; if they do not, resolve
         // nothing and let the walk decide every point.
@@ -1531,14 +1594,85 @@ mod tests {
             let (resolved, total) = assert_matches_classifier(&p, cfg);
             assert_eq!(resolved, total, "cfg {cfg}");
         }
-        // At 16 KB every window survives, so each batch walks its two rows:
-        // 2 references × 2 counted rows × 3 batches (700 points, at most
-        // `COUNT_BATCH` held back) × 2 rows, for one count per line.
+        // At 16 KB every window survives, so each batch walks the rows from
+        // its last window's consumer down to its first window's producer.
+        // Per reference, rows J = 2 and 3 each hold 175 counted points, the
+        // first of each line, one per four-code block, and a batch holds
+        // `COUNT_BATCH` = 256 codes: 64 points. Batches straddle rows, so
+        // the 350 points count as 64, 64, 64 (47 in J = 2, 17 in J = 3),
+        // 64, 64 and 30: five walk a counted row and the one before it,
+        // and the straddling one walks J = 3, 2 and 1.
         let reuse = ReuseAnalysis::analyze(&p, big.line_bytes());
         let cl = Classifier::new(&p, &reuse, big);
         let pre = Prepass::build(&cl, &CancelToken::never()).unwrap();
         assert_eq!(pre.counted_points(), 2 * 2 * 700 * 8 / 32);
-        assert_eq!(pre.rows_walked(), 2 * 2 * 3 * 2);
+        assert_eq!(pre.rows_walked(), 2 * (5 * 2 + 3));
+    }
+
+    /// A statement outside the innermost loop, shaped like MMT's
+    /// `RA = A(I,K)`: normalisation sinks it into the `J` loop under
+    /// `J = 1`, so each of its rows holds one point, and its spatial reuse
+    /// along `I` crosses the `K` rows in between. The windows of
+    /// consecutive rows are translates, so the held rows count them in one
+    /// walk per batch instead of one walk per point.
+    #[test]
+    fn one_point_rows_count_across_rows() {
+        let (n, bk, bj) = (64i64, 8i64, 4i64);
+        let mut b = ProgramBuilder::new("one-point-rows");
+        b.array("A", &[n, bk], 8);
+        b.array("D", &[n, bj], 8);
+        b.array("W", &[bj, bk], 8);
+        let (i, k, j) = (LinExpr::var("I"), LinExpr::var("K"), LinExpr::var("J"));
+        b.push(SNode::loop_(
+            "I",
+            1,
+            n,
+            vec![SNode::loop_(
+                "K",
+                1,
+                bk,
+                vec![
+                    SNode::reads_only(vec![SRef::new("A", vec![i.clone(), k.clone()])]),
+                    SNode::loop_(
+                        "J",
+                        1,
+                        bj,
+                        vec![SNode::assign(
+                            SRef::new("D", vec![i.clone(), j.clone()]),
+                            vec![
+                                SRef::new("D", vec![i.clone(), j.clone()]),
+                                SRef::new("W", vec![j.clone(), k.clone()]),
+                            ],
+                        )],
+                    ),
+                ],
+            )],
+        ));
+        let p = b.build().unwrap();
+        let a = (0..p.references().len())
+            .find(|&r| p.reference(r).display == "A(I,K)")
+            .expect("A(I,K)");
+        assert_eq!(p.ris(a).count(), (n * bk) as u64, "one point per row");
+        let big = CacheConfig::new(65536, 32, 2).unwrap();
+        for cfg in [
+            CacheConfig::new(1024, 32, 1).unwrap(),
+            CacheConfig::with_geometry(24, 12, 2).unwrap(),
+            big,
+        ] {
+            let (resolved, total) = assert_matches_classifier(&p, cfg);
+            assert_eq!(resolved, total, "cfg {cfg}");
+        }
+        // At 64 KB every window survives. `A(I,K)` counts the three points
+        // of each line after its first, each window crossing `BK + 1` = 9
+        // rows; its 512 rows hold one code each, so the first batch holds
+        // rows I = 1..32 and the second I = 33..64, and as both start on a
+        // line, each walks its own 256 rows once (counted one window at a
+        // time, it would be 384 × 9).
+        let reuse = ReuseAnalysis::analyze(&p, big.line_bytes());
+        let cl = Classifier::new(&p, &reuse, big);
+        let vd = analyze_reference(&cl, a, &CancelToken::never()).unwrap();
+        assert_eq!(vd.counted_points(), (n * bk * 3 / 4) as u64);
+        assert_eq!(vd.rows_walked(), 2 * 256);
     }
 
     #[test]

@@ -268,6 +268,10 @@ pub struct RowSpan<'a> {
     pub node: &'a LoopNode,
     /// The outer indices `(I₁, …, I_{n−1})` of the row.
     pub prefix: &'a [i64],
+    /// The row's interleaved position `(ℓ₁, I₁, …, I_{n−1}, ℓ_n)`: the
+    /// first `2n − 1` entries of the iteration vector of each of its
+    /// points, so rows compare in program order as these slices do.
+    pub key: &'a [i64],
     /// First innermost index inside the interval.
     pub lo: i64,
     /// Last innermost index inside the interval.
@@ -284,14 +288,14 @@ pub struct RowSpan<'a> {
 /// in *reverse* program order: exactly the innermost loop rows whose
 /// points [`walk_range`] visits, last row first, each once, with the
 /// boundary tags reduced to the row's ends. Guards are not evaluated; a
-/// row holds every statement of its loop node. `idx` is a reusable index
-/// buffer.
+/// row holds every statement of its loop node. `buf` is a reusable buffer
+/// for the row's indices and key.
 ///
 /// # Panics
 ///
 /// Panics if the program has depth 0 or `from`/`to` do not have length
 /// `2 · depth`.
-pub fn walk_rows_rev<F>(program: &Program, from: &[i64], to: &[i64], idx: &mut Vec<i64>, mut f: F)
+pub fn walk_rows_rev<F>(program: &Program, from: &[i64], to: &[i64], buf: &mut Vec<i64>, mut f: F)
 where
     F: FnMut(RowSpan<'_>) -> ControlFlow<()>,
 {
@@ -302,8 +306,9 @@ where
     if cme_poly::lex::cmp(from, to) == std::cmp::Ordering::Greater {
         return;
     }
-    idx.clear();
-    idx.resize(n, 0);
+    buf.clear();
+    buf.resize(3 * n - 1, 0);
+    let (idx, key) = buf.split_at_mut(n);
     for (pos, root) in program.roots().iter().enumerate().rev() {
         let label = pos as i64 + 1;
         if label < from[0] {
@@ -312,20 +317,24 @@ where
         if label > to[0] {
             continue;
         }
+        key[0] = label;
         let (tf, tt) = (label == from[0], label == to[0]);
-        if rows_rev(root, 1, idx, from, to, tf, tt, &mut f).is_break() {
+        if rows_rev(root, 1, idx, key, from, to, tf, tt, &mut f).is_break() {
             return;
         }
     }
 }
 
 /// The outer levels of [`walk_rows_rev`]: `walk_ranged`'s descent, with
-/// every level visited from its last index and loop node down.
+/// every level visited from its last index and loop node down. `key`
+/// holds the interleaved position chosen so far, this level's label
+/// included.
 #[allow(clippy::too_many_arguments)]
 fn rows_rev<F>(
     node: &LoopNode,
     depth: usize,
     idx: &mut [i64],
+    key: &mut [i64],
     from: &[i64],
     to: &[i64],
     tf: bool,
@@ -352,6 +361,7 @@ where
         return f(RowSpan {
             node,
             prefix: &idx[..depth - 1],
+            key: &key[..2 * depth - 1],
             lo: lb,
             hi: ub,
             starts_at_from: tf && lb == fi,
@@ -361,6 +371,7 @@ where
     let mut v = ub;
     while v >= lb {
         idx[depth - 1] = v;
+        key[2 * depth - 1] = v;
         let tf2 = tf && v == fi;
         let tt2 = tt && v == ti;
         for (pos, inner) in node.inner.iter().enumerate().rev() {
@@ -373,10 +384,12 @@ where
             if tt2 && label > tl {
                 continue;
             }
+            key[2 * depth] = label;
             rows_rev(
                 inner,
                 depth + 1,
                 idx,
+                key,
                 from,
                 to,
                 tf2 && label == fl,
@@ -563,7 +576,8 @@ mod tests {
     /// The row walk covers exactly the points of `walk_range`, backward:
     /// each access of the reversed forward walk lies in the row that the
     /// row walk reports for its prefix and loop node, rows come in the
-    /// same order, and the boundary tags sit at the reported row ends.
+    /// same order, the boundary tags sit at the reported row ends, and
+    /// each row's key is the head of its points' iteration vectors.
     #[test]
     fn row_walk_groups_the_reverse_walk() {
         let p = two_nest_program();
@@ -599,6 +613,11 @@ mod tests {
             let mut got: Vec<Seen> = Vec::new();
             walk_rows_rev(&p, from, to, &mut idx, |row| {
                 for w in (row.lo..=row.hi).rev() {
+                    for &sid in &row.node.stmts {
+                        let point = [row.prefix, &[w]].concat();
+                        let iv = cme_poly::lex::interleave(&p.statement(sid).label, &point);
+                        assert_eq!(row.key, &iv[..3], "row key at {iv:?}");
+                    }
                     got.push((
                         row.prefix.to_vec(),
                         row.node,

@@ -66,7 +66,8 @@ echo "== row-engine (hit/miss pre-pass) harness =="
 # the counting classifier on what it leaves) against the classifier alone
 # over every point, asserts the reports are bit-identical, and enforces
 # the floors: resolution rate MMT >= 90% and MGRID >= 97%, FindMisses
-# wall <= every-point wall on MMT; stream3 resolved in full with zero
+# wall <= every-point wall on MMT, at most one row walked per counted
+# point on MMT; stream3 resolved in full with zero
 # walked points and >= 100x over the every-point walk; a serial stream3
 # padding sweep >= 10x faster than the every-point walk over the layouts
 # it evaluated, every trial's ratio equal to the walk's; and an exact
