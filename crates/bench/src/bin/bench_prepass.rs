@@ -4,9 +4,10 @@
 //! classifier alone over every point (`Classifier::classify_every_point`,
 //! the pre-pass-off reference), verifies the reports agree
 //! point-for-point, records the resolution rate (share of points settled
-//! without the classifier) and the row engine's counting work (rows its
-//! counting walks visit per counted point, from an untimed pre-pass of
-//! its own), and writes the numbers to `BENCH_prepass.json`.
+//! without the classifier) and the row engine's work (points whose vector
+//! scan ran, and rows its counting walks visit per counted point, from an
+//! untimed pre-pass of its own), and writes the numbers to
+//! `BENCH_prepass.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_prepass --release -- \
@@ -39,7 +40,9 @@
 //! * at `--scale paper` only, where walking is expensive enough for the
 //!   ratios to mean anything: pre-pass on ≥ 100× faster than the reference
 //!   on stream3, and the padding sweep ≥ 10× faster than the reference
-//!   over its layouts.
+//!   over its layouts; and at most 0.25 points evaluated per point on MMT
+//!   and MGRID, so counted points and windows over mixed strides are
+//!   decided once per residue class, not per point.
 
 use cme_analysis::{
     CancelToken, Classifier, FindMisses, Prepass, Report, SamplingOptions, Threads,
@@ -63,6 +66,8 @@ struct Row {
     /// counting walks visited.
     counted: u64,
     rows_walked: u64,
+    /// Points whose vector scan ran.
+    evaluated: u64,
     off: Duration,
     on: Duration,
 }
@@ -74,6 +79,10 @@ impl Row {
 
     fn rows_per_count(&self) -> f64 {
         self.rows_walked as f64 / self.counted.max(1) as f64
+    }
+
+    fn evaluated_per_point(&self) -> f64 {
+        self.evaluated as f64 / self.points.max(1) as f64
     }
 
     fn speedup(&self) -> f64 {
@@ -173,7 +182,8 @@ fn main() {
         )
         .expect("a never-token pre-pass cannot be cancelled");
         eprintln!(
-            "{name}: {} points counted, {} rows walked",
+            "{name}: {} points evaluated, {} counted, {} rows walked",
+            pre.evaluated_points(),
             pre.counted_points(),
             pre.rows_walked()
         );
@@ -184,6 +194,7 @@ fn main() {
             resolved: on.prepass_resolved(),
             counted: pre.counted_points(),
             rows_walked: pre.rows_walked(),
+            evaluated: pre.evaluated_points(),
             off: off_t,
             on: on_t,
         });
@@ -269,6 +280,7 @@ fn main() {
         "workload",
         "points",
         "resolved %",
+        "evals/point",
         "rows/count",
         "off (s)",
         "on (s)",
@@ -280,6 +292,7 @@ fn main() {
             r.workload.clone(),
             r.points.to_string(),
             format!("{:.1}", 100.0 * r.rate()),
+            format!("{:.3}", r.evaluated_per_point()),
             format!("{:.2}", r.rows_per_count()),
             secs(r.off),
             secs(r.on),
@@ -287,14 +300,17 @@ fn main() {
         ]);
         json_rows.push(format!(
             "    {{\"workload\": \"{}\", \"points\": {}, \"resolved\": {}, \
-             \"resolved_rate\": {:.4}, \"walked_points\": {}, \"counted_points\": {}, \
-             \"rows_walked\": {}, \"rows_per_counted_point\": {:.2}, \"off_ms\": {:.3}, \
-             \"on_ms\": {:.3}, \"speedup\": {:.2}}}",
+             \"resolved_rate\": {:.4}, \"walked_points\": {}, \"evaluated_points\": {}, \
+             \"evaluated_per_point\": {:.3}, \"counted_points\": {}, \"rows_walked\": {}, \
+             \"rows_per_counted_point\": {:.2}, \"off_ms\": {:.3}, \"on_ms\": {:.3}, \
+             \"speedup\": {:.2}}}",
             r.workload,
             r.points,
             r.resolved,
             r.rate(),
             r.points - r.resolved,
+            r.evaluated,
+            r.evaluated_per_point(),
             r.counted,
             r.rows_walked,
             r.rows_per_count(),
@@ -390,5 +406,16 @@ fn main() {
             "padding sweep below the 10x floor over the every-point reference: \
              {sweep_speedup:.1}x"
         );
+        // Counted points and windows over mixed strides extend over their
+        // residue classes: the vector scan runs at a few points per row.
+        for prefix in ["mmt", "mgrid"] {
+            let row = row_of(prefix);
+            assert!(
+                row.evaluated_per_point() <= 0.25,
+                "the row engine evaluates too many points on {}: {:.3} per point > 0.25",
+                row.workload,
+                row.evaluated_per_point()
+            );
+        }
     }
 }

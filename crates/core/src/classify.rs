@@ -273,14 +273,14 @@ impl RefCount {
 /// A positive divisor, applied by shift and mask when it is a power of
 /// two: the count divides by a few per-reference constants per row.
 #[derive(Debug, Clone, Copy)]
-struct Divisor {
+pub(crate) struct Divisor {
     d: i64,
     /// `log2 d` when `d` is a power of two, else `u32::MAX`.
     shift: u32,
 }
 
 impl Divisor {
-    fn new(d: i64) -> Divisor {
+    pub(crate) fn new(d: i64) -> Divisor {
         debug_assert!(d > 0, "divisor {d}");
         let shift = if d & (d - 1) == 0 {
             d.trailing_zeros()
@@ -291,7 +291,7 @@ impl Divisor {
     }
 
     /// `⌊x / d⌋`.
-    fn floor(self, x: i64) -> i64 {
+    pub(crate) fn floor(self, x: i64) -> i64 {
         if self.shift == u32::MAX {
             x.div_euclid(self.d)
         } else {
@@ -305,7 +305,7 @@ impl Divisor {
     }
 
     /// `x mod d`, in `[0, d)`.
-    fn rem(self, x: i64) -> i64 {
+    pub(crate) fn rem(self, x: i64) -> i64 {
         if self.shift == u32::MAX {
             x.rem_euclid(self.d)
         } else {
@@ -315,7 +315,7 @@ impl Divisor {
 }
 
 /// `x⁻¹ mod m` for coprime `x`, `m` (`m ≥ 1`), via extended Euclid.
-fn mod_inverse(x: i64, m: i64) -> i64 {
+pub(crate) fn mod_inverse(x: i64, m: i64) -> i64 {
     let (mut old_r, mut r) = (x.rem_euclid(m), m);
     let (mut old_t, mut t) = (1i64, 0i64);
     while r != 0 {

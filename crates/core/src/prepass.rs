@@ -32,9 +32,9 @@
 //!   vectors whose interval stays inside the innermost loop row and fits
 //!   `WINDOW_BUDGET`, and otherwise by the classifier's counting
 //!   evaluator. Rows are held, their pieces unassembled, while points
-//!   wait for a count; the waiting points of one vector, across up to
-//!   `COUNT_BATCH` evaluated points of consecutive rows, are decided in one
-//!   backward walk. Their windows are translates of each other, so
+//!   wait for a count; the waiting points of one vector, across the
+//!   consecutive rows held until `COUNT_BATCH` codes wait, are decided in
+//!   one backward walk. Their windows are translates of each other, so
 //!   consecutive ones share all but their end rows, and a window that
 //!   crosses hundreds of rows is walked once per batch, not once per point
 //!   or per row.
@@ -48,19 +48,32 @@
 //! producers' innermost strides. So once one point of each residue class
 //! of `v mod Q` has been evaluated, each class's verdict extends up to the
 //! first position where a condition consulted at any of those points can
-//! change. Such positions are:
+//! change. The *vector choice* holds up to:
 //!
 //! * an applicability edge or `≠` hole of a consulted vector;
-//! * a guard threshold inside a consulted window: the window's guard
-//!   pattern is constant only while no leaf guard changes truth inside it;
 //! * the point where a cross-stride vector's address gap stops clearing a
 //!   line (while `|gap| ≥ L` the vector can never match; inside that band
 //!   the line match is not residue-periodic and is decided point by point).
 //!
 //! Equal-stride line matches and the row-uniform bound repeat with `Q` by
-//! construction. A window repeats only when every leaf reference shares the
-//! consumer's innermost stride; a window over mixed leaf strides stays per
-//! point, and so does every counted window.
+//! construction. Two more obligations hold for what the choice decides:
+//!
+//! * **Counted points.** A point whose deciding vector needs a count only
+//!   needs the vector choice to hold: each later member `v + j·Q` of its
+//!   class below the horizon takes the same deciding vector without a
+//!   scan, and waits for its own count on its own reused line,
+//!   `line(cbase + cstride·(v + j·Q))`.
+//! * **Evaluated windows.** A window's guard pattern is constant only while
+//!   no leaf guard changes truth inside it, so a guard threshold inside it
+//!   is a horizon. And each leaf reference's lines drift against the
+//!   reused line by `Δ = (s − s_c)·Q / L` lines per period (0 for the
+//!   consumer's stride `s_c`). Below the first step `J` at which an
+//!   enumerated access with `Δ ≠ 0` is in the reused line's set (`J = 1`
+//!   when one already is), every access without drift keeps its relation
+//!   to the reused line and to the others, and every drifting one stays
+//!   outside the set, so it neither re-touches nor contends: the verdict
+//!   holds up to `v + J·Q`. A leaf whose strides all equal the consumer's
+//!   is the case without drift.
 //!
 //! The resulting per-point verdicts — `AlwaysHit`, always-miss
 //! ([`Verdict::Cold`] / [`Verdict::Replacement`]) or unknown — **equal the
@@ -91,7 +104,9 @@
 //! every caller skips that reference's walk.
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::classify::{reduce_guard, Classifier, ConsumerPlan, EvalScratch, Window};
+use crate::classify::{
+    mod_inverse, reduce_guard, Classifier, ConsumerPlan, Divisor, EvalScratch, Window,
+};
 use crate::parallel::Tally;
 use cme_cache::CacheConfig;
 use cme_ir::{Program, RefId};
@@ -122,9 +137,10 @@ const WINDOW_BUDGET: usize = 1024;
 /// Pieces stored per row; a row needing more leaves its remainder unknown.
 const MAX_ROW_PIECES: usize = 48;
 
-/// Evaluated points the held rows hold back while some of them wait for a
-/// count: bounds the pending state, and the points evaluated past a piece
-/// cap.
+/// Codes the held rows hold back while some of them wait for a count, and
+/// the most codes one block extends over when its counted points' class
+/// members wait too: bounds the pending state, and the points decided past
+/// a piece cap.
 const COUNT_BATCH: usize = 256;
 
 /// Verdict codes; `UNKNOWN` is "let the walk decide". Each code is also its
@@ -186,6 +202,8 @@ pub struct RefVerdicts {
     /// window budget, and the rows those counts walked.
     counted: u64,
     rows_walked: u64,
+    /// Points whose vector scan ran: one per residue class and horizon.
+    evaluated: u64,
 }
 
 impl RefVerdicts {
@@ -202,6 +220,7 @@ impl RefVerdicts {
             counts: Tally::default(),
             counted: 0,
             rows_walked: 0,
+            evaluated: 0,
         }
     }
 
@@ -231,6 +250,13 @@ impl RefVerdicts {
     /// batch counts once.
     pub fn rows_walked(&self) -> u64 {
         self.rows_walked
+    }
+
+    /// Points whose vector scan ran; every other point took the verdict,
+    /// or the deciding vector, of the member of its residue class that
+    /// was evaluated.
+    pub fn evaluated_points(&self) -> u64 {
+        self.evaluated
     }
 
     /// Appends `block`, repeated over `[start, last]`, to the row whose
@@ -441,8 +467,61 @@ const EXCLUDED: VecRow = VecRow {
 /// evaluation.
 struct RowStmt<'p> {
     guard: &'p [Constraint],
-    /// `(lex_rank, address plan)` per reference, in statement order.
-    refs: Vec<(usize, &'p Affine)>,
+    /// Its references, in statement order.
+    refs: Vec<LeafRef<'p>>,
+}
+
+/// One reference of the innermost loop node.
+struct LeafRef<'p> {
+    lex_rank: usize,
+    plan: &'p Affine,
+    drift: Drift,
+}
+
+/// How far a leaf reference's lines move against the consumer's when `v`
+/// grows by the row period `Q`: `delta = (s − s_c)·Q / L` lines, 0 when it
+/// shares the consumer's innermost stride. An access on line `l` that
+/// drifts enters the set of the reused line `R` at the steps `j` solving
+/// `(l − R) + delta·j ≡ 0 (mod S)`; `g`, `m` and `inv` solve that
+/// congruence as the classifier's `RefCount` solves its own.
+#[derive(Debug, Clone, Copy)]
+struct Drift {
+    delta: i64,
+    /// `gcd(delta mod S, S)`.
+    g: Divisor,
+    /// `S / g`.
+    m: Divisor,
+    /// `(delta mod S / g)⁻¹ mod m`.
+    inv: i64,
+}
+
+impl Drift {
+    fn new(stride: i64, cstride: i64, period: i64, config: &CacheConfig) -> Drift {
+        let nsets = config.num_sets() as i64;
+        let delta = (stride - cstride) * period / config.line_bytes() as i64;
+        let g = gcd(delta.rem_euclid(nsets), nsets);
+        let m = nsets / g;
+        Drift {
+            delta,
+            g: Divisor::new(g),
+            m: Divisor::new(m),
+            inv: mod_inverse(delta.rem_euclid(nsets) / g, m),
+        }
+    }
+
+    /// The first `j ≥ 1` at which an access `gap` sets behind the reused
+    /// line's set (`gap = (R − l) mod S`) is in that set: 1 when it already
+    /// is, `i64::MAX` when it never enters.
+    fn entering_step(&self, gap: i64) -> i64 {
+        if gap == 0 {
+            1
+        } else if self.g.rem(gap) != 0 {
+            i64::MAX
+        } else {
+            // Nonzero, as `gap` is: `j ≡ 0 (mod m)` would need `S | gap`.
+            self.m.rem(self.g.floor(gap) * self.inv)
+        }
+    }
 }
 
 /// Builds the static per-vector contexts of one consumer, in the
@@ -492,13 +571,34 @@ fn vec_statics<'p>(
 }
 
 /// Resolves the statements of the innermost loop node containing `label`,
-/// for exact window evaluation.
-fn leaf_row_stmts<'p>(program: &'p Program, label: &[i64]) -> Vec<RowStmt<'p>> {
+/// for exact window evaluation, and the row period `Q = L / gcd(L, s…)`
+/// over the consumer's, the leaf references' and the producers' innermost
+/// strides `s`: shifting `v` by it moves each of them by whole lines, so
+/// verdict patterns over mixed strides still compress. Each leaf reference
+/// carries its drift against the consumer over one period.
+fn leaf_row_stmts<'p>(
+    program: &'p Program,
+    label: &[i64],
+    plan: &ConsumerPlan<'p>,
+    cstride: i64,
+    config: &CacheConfig,
+) -> (Vec<RowStmt<'p>>, i64) {
+    let inner = label.len() - 1;
     let leaf = *program
         .loop_path(label)
         .last()
         .expect("statement at depth >= 1 has a loop path");
-    leaf.stmts
+    let lbytes = config.line_bytes() as i64;
+    let stride_gcd = leaf
+        .stmts
+        .iter()
+        .flat_map(|&sid| &program.statement(sid).refs)
+        .chain(plan.vectors.iter().map(|vp| &vp.producer))
+        .map(|&r| program.addr_plan(r).coeff(inner))
+        .fold(gcd(lbytes, cstride), gcd);
+    let period = lbytes / stride_gcd;
+    let stmts = leaf
+        .stmts
         .iter()
         .map(|&sid| {
             let s = program.statement(sid);
@@ -507,11 +607,19 @@ fn leaf_row_stmts<'p>(program: &'p Program, label: &[i64]) -> Vec<RowStmt<'p>> {
                 refs: s
                     .refs
                     .iter()
-                    .map(|&rid| (program.reference(rid).lex_rank, program.addr_plan(rid)))
+                    .map(|&rid| {
+                        let plan = program.addr_plan(rid);
+                        LeafRef {
+                            lex_rank: program.reference(rid).lex_rank,
+                            plan,
+                            drift: Drift::new(plan.coeff(inner), cstride, period, config),
+                        }
+                    })
                     .collect(),
             }
         })
-        .collect()
+        .collect();
+    (stmts, period)
 }
 
 /// Reduces every producer-side screen to the 1-D domain of the row.
@@ -573,6 +681,14 @@ fn build_vec_row(
 /// reverse, guards honoured, boundary ranks filtered) until the first
 /// re-touch of the reused line or the `k`-th distinct contender: the code
 /// the classifier's count returns.
+///
+/// Also returns how many periods the code holds for: the first `j ≥ 1`,
+/// below `steps`, at which an enumerated access that drifts against the
+/// consumer ([`Drift`]) is in the reused line's set, or `steps` when none
+/// is before it. Up to there, the class members `v + j·Q` see the same
+/// window (given the same guard pattern): each access that does not drift
+/// keeps its line's offset from the reused line, and each that does stays
+/// outside its set, so it neither re-touches it nor contends.
 #[allow(clippy::too_many_arguments)]
 fn window_eval(
     config: &CacheConfig,
@@ -585,7 +701,8 @@ fn window_eval(
     consumer_rank: usize,
     k: usize,
     lines: &mut Vec<i64>,
-) -> u8 {
+    mut steps: i64,
+) -> (u8, i64) {
     let n = idx.len();
     let target_set = config.set_of_line(reused_line);
     lines.clear();
@@ -598,18 +715,22 @@ fn window_eval(
             if !s.guard.iter().all(|c| c.holds(idx)) {
                 continue;
             }
-            for &(rank, plan) in s.refs.iter().rev() {
-                if at_start && rank <= producer_rank {
+            for r in s.refs.iter().rev() {
+                if at_start && r.lex_rank <= producer_rank {
                     continue;
                 }
-                if at_end && rank >= consumer_rank {
+                if at_end && r.lex_rank >= consumer_rank {
                     continue;
                 }
-                let line = config.mem_line(plan.eval(idx));
+                let line = config.mem_line(r.plan.eval(idx));
+                if r.drift.delta != 0 && steps > 1 {
+                    let gap = config.set_of_line(reused_line - line);
+                    steps = steps.min(r.drift.entering_step(gap));
+                }
                 if line == reused_line {
                     // Re-touch with fewer than k distinct contentions
                     // since: the line survived.
-                    return HIT;
+                    return (HIT, steps);
                 }
                 if config.set_of_line(line) != target_set {
                     continue;
@@ -617,7 +738,7 @@ fn window_eval(
                 if !lines.contains(&line) {
                     lines.push(line);
                     if lines.len() >= k {
-                        return REPL;
+                        return (REPL, steps);
                     }
                 }
             }
@@ -627,11 +748,12 @@ fn window_eval(
         }
         w -= 1;
     }
-    HIT
+    (HIT, steps)
 }
 
 /// A point whose deciding vector needs a count: decided with the other
 /// pending points of its vector, across the held rows, at the next flush.
+#[derive(Clone, Copy)]
 struct Pending {
     /// Index of the deciding vector.
     vi: u32,
@@ -680,9 +802,6 @@ struct RowEngine<'a, 'p> {
     /// of `L` when `v` grows by it.
     period: i64,
     k: usize,
-    /// Every leaf reference shares the consumer's innermost stride, so
-    /// windows repeat with the period.
-    leaf_uniform: bool,
     n: usize,
     nprefix: usize,
     cancel: &'a CancelToken,
@@ -808,9 +927,14 @@ impl RowEngine<'_, '_> {
 
     /// Decides one row block by block: `Q` points are evaluated, then their
     /// verdicts extend periodically up to the horizon of the conditions
-    /// they consulted. The row is held until its blocks are assembled:
-    /// points that need a count wait, with those of the rows held before
-    /// it, until `COUNT_BATCH` evaluated points are held or nothing waits.
+    /// they consulted. A member of a counted point's class below the
+    /// horizon takes the same deciding vector and waits for its own count,
+    /// so a block with counted points extends as explicit `Q`-blocks, at
+    /// most `COUNT_BATCH` codes of them, each starting where the block
+    /// would have been evaluated: the pieces are those of evaluating every
+    /// block. The row is held until its blocks are assembled: points that
+    /// need a count wait, with those of the rows held before it, until
+    /// `COUNT_BATCH` codes are held or nothing waits.
     fn solve_row(&mut self, prefix: &[i64], lo: i64, hi: i64) -> Result<(), Cancelled> {
         self.tick(1)?;
         self.covered += (hi - lo + 1) as u64;
@@ -834,26 +958,70 @@ impl RowEngine<'_, '_> {
             done: false,
         });
 
+        let q = self.period;
         let mut pos = lo;
         while pos <= hi {
-            let bend = hi.min(pos + self.period - 1);
+            let bend = hi.min(pos + q - 1);
+            let (codes_at, waiting) = (self.row_codes.len(), self.pending.len());
             let mut horizon = i64::MAX;
             for v in pos..=bend {
                 let (code, h) = self.eval_point(v)?;
                 self.row_codes.push(code);
                 horizon = horizon.min(h);
             }
-            let last = if bend < hi && horizon > bend + 1 {
-                hi.min(horizon - 1)
+            let len = (bend - pos + 1) as usize;
+            if self.pending.len() == waiting {
+                let last = if bend < hi && horizon > bend + 1 {
+                    hi.min(horizon - 1)
+                } else {
+                    bend
+                };
+                self.blocks.push(Block {
+                    start: pos,
+                    last,
+                    len,
+                });
+                pos = last + 1;
             } else {
-                bend
-            };
-            self.blocks.push(Block {
-                start: pos,
-                last,
-                len: (bend - pos + 1) as usize,
-            });
-            pos = last + 1;
+                // Each class member below the horizon takes the block's code
+                // or waits for its own count on its own line: the block
+                // repeats as the `Q`-blocks evaluating the members would
+                // give, over at most `COUNT_BATCH` codes.
+                let heads = waiting..self.pending.len();
+                let reps =
+                    (horizon.saturating_sub(pos) / q).clamp(1, (COUNT_BATCH as i64 / q).max(1));
+                for t in 0..reps {
+                    let start = pos + t * q;
+                    if start > hi {
+                        break;
+                    }
+                    let len = len.min((hi - start + 1) as usize);
+                    if t > 0 {
+                        let slots = self.row_codes.len();
+                        self.row_codes.extend_from_within(codes_at..codes_at + len);
+                        for i in heads.clone() {
+                            let head = self.pending[i];
+                            let off = head.v - pos;
+                            if off >= len as i64 {
+                                break;
+                            }
+                            let v = head.v + t * q;
+                            self.pending.push(Pending {
+                                slot: (slots + off as usize) as u32,
+                                v,
+                                reused_line: self.config.mem_line(self.cbase + self.cstride * v),
+                                ..head
+                            });
+                        }
+                    }
+                    self.blocks.push(Block {
+                        start,
+                        last: start + len as i64 - 1,
+                        len,
+                    });
+                }
+                pos = self.blocks.last().expect("just pushed").last + 1;
+            }
             let row = self.held.last_mut().expect("the row is held");
             row.blocks = self.blocks.len();
             row.done = pos > hi;
@@ -1027,11 +1195,14 @@ impl RowEngine<'_, '_> {
 
     /// First-match vector scan at one point, mirroring the classifier: the
     /// first applicable same-line vector decides, via the row-uniform bound
-    /// or the exact window; no vector ⇒ cold. Returns the code and the
-    /// horizon: the first position past `v` where a condition consulted
-    /// here may change, so that every `v + j·Q` before it has the same code.
+    /// or the exact window, or waits for a count; no vector ⇒ cold. Returns
+    /// the code and the horizon: the first position past `v` where a
+    /// condition consulted here may change, so that every `v + j·Q` before
+    /// it has the same code, or, for a counted point, the same deciding
+    /// vector.
     fn eval_point(&mut self, v: i64) -> Result<(u8, i64), Cancelled> {
         self.tick(1)?;
+        self.out.evaluated += 1;
         let caddr = self.cbase + self.cstride * v;
         let line_c = self.config.mem_line(caddr);
         let mut horizon = i64::MAX;
@@ -1132,14 +1303,12 @@ impl RowEngine<'_, '_> {
                     v,
                     reused_line: line_c,
                 });
-                return Ok((UNKNOWN, v + 1));
+                return Ok((UNKNOWN, horizon));
             }
-            horizon = horizon.min(if self.leaf_uniform {
-                self.guard_horizon(v, dv)
-            } else {
-                v + 1
-            });
-            let code = window_eval(
+            horizon = horizon.min(self.guard_horizon(v, dv));
+            // The class members below the horizon, in periods.
+            let steps = div_ceil(horizon.saturating_sub(v), self.period);
+            let (code, drift) = window_eval(
                 &self.config,
                 &self.row_stmts,
                 &mut self.idx,
@@ -1150,7 +1319,11 @@ impl RowEngine<'_, '_> {
                 self.consumer_rank,
                 self.k,
                 &mut self.lines,
+                steps,
             );
+            if drift < steps {
+                horizon = v + drift * self.period;
+            }
             return Ok((code, horizon));
         }
         Ok((COLD, horizon))
@@ -1185,26 +1358,15 @@ pub fn analyze_reference(
         .as_slice();
     let caddr = program.addr_plan(r);
     let cstride = caddr.coeff(nprefix);
-    let lbytes = config.line_bytes() as i64;
 
     // The innermost loop node's statements, for exact window evaluation.
-    let row_stmts = leaf_row_stmts(program, label);
+    let (row_stmts, period) = leaf_row_stmts(program, label, plan, cstride, &config);
     let leaf_ranks: Vec<usize> = row_stmts
         .iter()
-        .flat_map(|s| s.refs.iter().map(|&(rank, _)| rank))
+        .flat_map(|s| s.refs.iter().map(|r| r.lex_rank))
         .collect();
     let k = config.assoc() as usize;
     let statics = vec_statics(program, plan, n, &leaf_ranks, k);
-    let leaf_strides = row_stmts
-        .iter()
-        .flat_map(|s| s.refs.iter().map(|&(_, p)| p.coeff(nprefix)));
-    let leaf_uniform = leaf_strides.clone().all(|s| s == cstride);
-    // One period for the whole row: shifting `v` by it moves the consumer,
-    // every leaf reference and every producer by whole lines, so verdict
-    // patterns over mixed strides still compress.
-    let stride_gcd = leaf_strides
-        .chain(statics.iter().map(|vs| vs.paddr.coeff(nprefix)))
-        .fold(gcd(lbytes, cstride), gcd);
     let ne_by_level: Vec<Vec<usize>> = (0..n)
         .map(|d| {
             ris.system()
@@ -1226,10 +1388,9 @@ pub fn analyze_reference(
         label,
         caddr,
         cstride,
-        lbytes,
-        period: lbytes / stride_gcd,
+        lbytes: config.line_bytes() as i64,
+        period,
         k,
-        leaf_uniform,
         n,
         nprefix,
         cancel,
@@ -1321,6 +1482,11 @@ impl Prepass {
     /// Rows the counting walks visited, across all references.
     pub fn rows_walked(&self) -> u64 {
         self.per_ref.iter().map(RefVerdicts::rows_walked).sum()
+    }
+
+    /// Points whose vector scan ran, across all references.
+    pub fn evaluated_points(&self) -> u64 {
+        self.per_ref.iter().map(RefVerdicts::evaluated_points).sum()
     }
 }
 
@@ -1597,16 +1763,20 @@ mod tests {
         // At 16 KB every window survives, so each batch walks the rows from
         // its last window's consumer down to its first window's producer.
         // Per reference, rows J = 2 and 3 each hold 175 counted points, the
-        // first of each line, one per four-code block, and a batch holds
-        // `COUNT_BATCH` = 256 codes: 64 points. Batches straddle rows, so
-        // the 350 points count as 64, 64, 64 (47 in J = 2, 17 in J = 3),
-        // 64, 64 and 30: five walk a counted row and the one before it,
-        // and the straddling one walks J = 3, 2 and 1.
+        // first of each line, one per four-code block. In each row the
+        // block at I = 1 extends nowhere (the spatial vector applies from
+        // I = 2 on); the block at 5 extends over `COUNT_BATCH` = 256 codes,
+        // 64 counted members, and so does the block at 261; the block at
+        // 517 extends to the row's end, 46 members. A flush follows the
+        // first block that brings the held codes to 256, so the 350 points
+        // count as 1 + 64, 64, 46 + 1 + 64 (J = 2 and 3), 64 and 46: four
+        // walk a counted row and the one before it, and the straddling one
+        // walks J = 3, 2 and 1.
         let reuse = ReuseAnalysis::analyze(&p, big.line_bytes());
         let cl = Classifier::new(&p, &reuse, big);
         let pre = Prepass::build(&cl, &CancelToken::never()).unwrap();
         assert_eq!(pre.counted_points(), 2 * 2 * 700 * 8 / 32);
-        assert_eq!(pre.rows_walked(), 2 * (5 * 2 + 3));
+        assert_eq!(pre.rows_walked(), 2 * (4 * 2 + 3));
     }
 
     /// A statement outside the innermost loop, shaped like MMT's
@@ -1649,9 +1819,7 @@ mod tests {
             )],
         ));
         let p = b.build().unwrap();
-        let a = (0..p.references().len())
-            .find(|&r| p.reference(r).display == "A(I,K)")
-            .expect("A(I,K)");
+        let a = ref_named(&p, "A(I,K)");
         assert_eq!(p.ris(a).count(), (n * bk) as u64, "one point per row");
         let big = CacheConfig::new(65536, 32, 2).unwrap();
         for cfg in [
@@ -1673,6 +1841,121 @@ mod tests {
         let vd = analyze_reference(&cl, a, &CancelToken::never()).unwrap();
         assert_eq!(vd.counted_points(), (n * bk * 3 / 4) as u64);
         assert_eq!(vd.rows_walked(), 2 * 256);
+    }
+
+    fn ref_named(p: &Program, display: &str) -> RefId {
+        (0..p.references().len())
+            .find(|&r| p.reference(r).display == display)
+            .unwrap_or_else(|| panic!("{display}"))
+    }
+
+    /// Shaped like MMT's `D(I,J)` along `K`: `D`'s column stride (128 B)
+    /// clears a line, so each point of a row reuses its line from the
+    /// previous `K` row, or at `K = 1` from the previous `I`, and waits for
+    /// a count in every residue class. A counted point's class members
+    /// below its horizon take its deciding vector without a scan, each
+    /// counted on its own line.
+    #[test]
+    fn counted_rows_evaluate_one_block() {
+        let (n, bk, bj) = (16i64, 4i64, 24i64);
+        let mut b = ProgramBuilder::new("counted-rows");
+        b.array("D", &[n, bj], 8);
+        b.array("W", &[bj, bk], 8);
+        let (i, k, j) = (LinExpr::var("I"), LinExpr::var("K"), LinExpr::var("J"));
+        b.push(SNode::loop_(
+            "I",
+            1,
+            n,
+            vec![SNode::loop_(
+                "K",
+                1,
+                bk,
+                vec![SNode::loop_(
+                    "J",
+                    1,
+                    bj,
+                    vec![SNode::assign(
+                        SRef::new("D", vec![i.clone(), j.clone()]),
+                        vec![
+                            SRef::new("D", vec![i.clone(), j.clone()]),
+                            SRef::new("W", vec![j.clone(), k.clone()]),
+                        ],
+                    )],
+                )],
+            )],
+        ));
+        let p = b.build().unwrap();
+        let direct = CacheConfig::new(1024, 32, 1).unwrap();
+        for cfg in [
+            direct,
+            CacheConfig::new(2048, 32, 2).unwrap(),
+            CacheConfig::with_geometry(24, 12, 2).unwrap(),
+        ] {
+            let (resolved, total) = assert_matches_classifier(&p, cfg);
+            assert_eq!(resolved, total, "cfg {cfg}");
+        }
+        // `Q = 32 / gcd(32, 128, 8) = 4`. Of the 64 rows of the read
+        // `D(I,J)`, the 60 that reuse a line count all 24 points; the four
+        // at `K = 1`, `I ≡ 1 (mod 4)` are cold throughout. Either way each
+        // row evaluates its first block of 4 points and extends it to the
+        // row's end (counted, one point per row would wait per point).
+        let reuse = ReuseAnalysis::analyze(&p, direct.line_bytes());
+        let cl = Classifier::new(&p, &reuse, direct);
+        let vd = analyze_reference(&cl, ref_named(&p, "D(I,J)"), &CancelToken::never()).unwrap();
+        assert_eq!(vd.counted_points(), (60 * bj) as u64);
+        assert_eq!(vd.evaluated_points(), (n * bk * 4) as u64);
+    }
+
+    /// A window over mixed strides: `X(I-1)` reuses the line `X(I)`
+    /// touched one iteration before, and between the two only `Y(2*I)`
+    /// accesses, whose stride is twice `X`'s. So per period `Q = 4` its
+    /// line drifts one line further from `X`'s, and the window's verdict
+    /// holds until `Y` enters the reused line's set.
+    #[test]
+    fn drifting_windows_extend_until_they_enter_the_set() {
+        let n = 64i64;
+        let mut b = ProgramBuilder::new("drift");
+        b.array("X", &[n], 8);
+        b.array("Y", &[2 * n], 8);
+        let i = LinExpr::var("I");
+        b.push(SNode::loop_(
+            "I",
+            2,
+            n,
+            vec![SNode::reads_only(vec![
+                SRef::new("X", vec![i.offset(-1)]),
+                SRef::new("X", vec![i.clone()]),
+                SRef::new("Y", vec![i.scale(2)]),
+            ])],
+        ));
+        let p = b.build().unwrap();
+        assert_eq!(p.base_address(1) - p.base_address(0), 512);
+        let sets24 = CacheConfig::with_geometry(32, 24, 1).unwrap();
+        for cfg in [
+            sets24,
+            CacheConfig::new(512, 32, 1).unwrap(),
+            CacheConfig::new(2048, 32, 2).unwrap(),
+        ] {
+            let (resolved, total) = assert_matches_classifier(&p, cfg);
+            assert_eq!(resolved, total, "cfg {cfg}");
+        }
+        // At `I = v`, `Y(2v-2)`'s line leads `X(v-1)`'s by
+        // `16 + ⌊(2v-3)/4⌋ - ⌊(v-2)/4⌋`, which is 24 for `v = 32..35`: at
+        // 24 sets those four points are replacement misses, the rest of
+        // the row hits. The block at 2 has no producer at its first point
+        // (`I - 1 = 1` precedes the loop), so it extends nowhere; the
+        // block at 6 extends to 31, where `Y` enters; the block at 32
+        // holds `Y` in the set, so it extends nowhere; and the block at
+        // 36 extends to the row's end, as `Y` enters again only 24
+        // periods later. Four blocks of four points, of the row's 63.
+        let reuse = ReuseAnalysis::analyze(&p, sets24.line_bytes());
+        let cl = Classifier::new(&p, &reuse, sets24);
+        let vd = analyze_reference(&cl, ref_named(&p, "X(I - 1)"), &CancelToken::never()).unwrap();
+        let repl: Vec<i64> = (2..=n)
+            .filter(|&v| vd.lookup(&[v], &mut 0) == Some(Verdict::Replacement))
+            .collect();
+        assert_eq!(repl, (32..=35).collect::<Vec<_>>());
+        assert_eq!(vd.evaluated_points(), 4 * 4);
     }
 
     #[test]

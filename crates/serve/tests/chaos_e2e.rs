@@ -167,10 +167,11 @@ fn overload_sheds_with_retry_after() {
     let busy = {
         let mut c = daemon.client();
         std::thread::spawn(move || {
-            // Exact MMT at n=128 takes seconds even with the pre-pass, so
-            // the worker is reliably busy until the 1 s deadline trips.
+            // Exact MMT at n=256 takes seconds even in a release build
+            // (n=128 can finish within the deadline there), so the worker
+            // is reliably busy until the 1 s deadline trips.
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","timeout_ms":1000}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":256,"mode":"exact","timeout_ms":1000}"#,
             )
             .unwrap()
         })
@@ -224,7 +225,7 @@ fn store_hits_bypass_admission() {
         let mut c = daemon.client();
         std::thread::spawn(move || {
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","timeout_ms":1000}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":256,"mode":"exact","timeout_ms":1000}"#,
             )
             .unwrap()
         })
@@ -291,7 +292,7 @@ fn computing_jobs_are_shed_before_their_front_end() {
         let mut c = daemon.client();
         std::thread::spawn(move || {
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","timeout_ms":1000}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":256,"mode":"exact","timeout_ms":1000}"#,
             )
             .unwrap()
         })

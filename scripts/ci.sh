@@ -55,6 +55,12 @@ cargo build --release --offline
 echo "== tier-1 gate: workspace tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== serve chaos tests, release build =="
+# Their busy job must outlast its 1 s deadline in an optimised build too:
+# a faster analysis that finishes it in time turns the expected timeout
+# into an answer, which the debug run above cannot see.
+cargo test -q --release --offline -p cme-serve --test chaos_e2e
+
 echo "== benchmark self-tests (perfbench) =="
 # The benchmark is its own cargo project linking the simulator, the
 # analysis internals and the serve wire; building and testing it here
@@ -67,7 +73,8 @@ echo "== row-engine (hit/miss pre-pass) harness =="
 # over every point, asserts the reports are bit-identical, and enforces
 # the floors: resolution rate MMT >= 90% and MGRID >= 97%, FindMisses
 # wall <= every-point wall on MMT, at most one row walked per counted
-# point on MMT; stream3 resolved in full with zero
+# point on MMT, at most 0.25 points evaluated (vector scan run) per point
+# on MMT and MGRID; stream3 resolved in full with zero
 # walked points and >= 100x over the every-point walk; a serial stream3
 # padding sweep >= 10x faster than the every-point walk over the layouts
 # it evaluated, every trial's ratio equal to the walk's; and an exact
